@@ -345,7 +345,6 @@ def row_seesaw() -> RowResult:
         best_value_d2=res2a.best_value,
         best_value_d3=res3.best_value,
         best_value_d4=res4.best_value,
-        seconds_d3=elapsed3,
         ppt_residual_d3=res3.ppt_residual,
         ppt_residual_d4=res4.ppt_residual,
         deterministic=deterministic,
@@ -387,4 +386,9 @@ ROWS = (
 
 
 def run_all() -> list:
-    return [fn() for fn in ROWS]
+    """(row result, wall seconds) for every row, in order."""
+    out = []
+    for fn in ROWS:
+        t0 = time.perf_counter()
+        out.append((fn(), time.perf_counter() - t0))
+    return out

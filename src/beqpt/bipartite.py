@@ -219,7 +219,11 @@ def operator_schmidt_rank(rho: BipartiteOperator, rel_tol: float = 1e-9) -> int:
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
-    s = singular_values(realign(rho))
+    return _schmidt_rank(singular_values(realign(rho)), rel_tol)
+
+
+def _schmidt_rank(s: np.ndarray, rel_tol: float) -> int:
+    """The rank rule on a descending realigned spectrum ``s``."""
     if s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))

@@ -216,6 +216,8 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_optimize(args) -> int:
     t0 = time.perf_counter()
+    keys = ("max_outer", "step", "projection_iters", "projection_tol",
+            "objective_tol", "restarts")
     cfg_kwargs = {"d": args.d, "seed": args.seed}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -225,21 +227,15 @@ def cmd_optimize(args) -> int:
                 raise ValueError(f"{args.config}: not valid JSON: {exc}") from exc
         if not isinstance(file_overrides, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-        allowed = {"max_outer", "step", "projection_iters", "projection_tol",
-                   "objective_tol", "restarts"}
-        bad = set(file_overrides) - allowed
+        bad = set(file_overrides) - set(keys)
         if bad:
             raise ValueError(f"{args.config}: unknown config keys {sorted(bad)}")
         cfg_kwargs.update(file_overrides)
-    for key in ("max_outer", "step", "projection_iters", "projection_tol",
-                "objective_tol", "restarts"):
+    for key in keys:
         value = getattr(args, key)
         if value is not None:
             cfg_kwargs[key] = value
-    try:
-        cfg = seesaw.SeesawConfig(**cfg_kwargs)
-    except TypeError as exc:
-        raise ValueError(str(exc)) from exc
+    cfg = seesaw.SeesawConfig(**cfg_kwargs)
     result = seesaw.optimize(cfg)
     results = result.to_dict()
     results["best_state"] = matrix_file(result.best_state)
@@ -293,7 +289,8 @@ def cmd_filter(args) -> int:
 
 def cmd_reproduce(args) -> int:
     t0 = time.perf_counter()
-    rows = acceptance.run_all()
+    timed = acceptance.run_all()
+    rows = [row for row, _ in timed]
     lines = []
     for row in rows:
         lines.append(f"[{'PASS' if row.passed else 'FAIL'}] {row.key}: {row.title}")
@@ -302,7 +299,8 @@ def cmd_reproduce(args) -> int:
     rep = make_report(
         "reproduce", {},
         {"rows": [row.to_dict() for row in rows], "all_passed": all_passed},
-        {"total_s": time.perf_counter() - t0},
+        {"total_s": time.perf_counter() - t0,
+         "rows_s": {row.key: seconds for row, seconds in timed}},
     )
     _emit(rep, args.out, lines)
     return 0 if all_passed else 1

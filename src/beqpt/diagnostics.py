@@ -20,6 +20,7 @@ from .bipartite import (
     realign,
     singular_values,
     _permute_subsystems,
+    _schmidt_rank,
 )
 
 ENTANGLED_MARGIN = 1e-9
@@ -75,13 +76,7 @@ def is_ppt(rho: BipartiteOperator, tol: float = PPT_TOL) -> tuple:
 def faithfulness(rho: DensityMatrix) -> float:
     """Purity Tr(rho^2), equal to the squared Frobenius norm of the
     realigned matrix (the sum of squared realigned singular values)."""
-    purity = float(np.vdot(rho.mat, rho.mat).real)
-    s2 = float((singular_values(realign(rho)) ** 2).sum())
-    if abs(purity - s2) > PURITY_IDENTITY_TOL:
-        raise RuntimeError(
-            f"purity identity violated: Tr(rho^2)={purity:.17g}, sum s^2={s2:.17g}"
-        )
-    return purity
+    return _checked_purity(rho, singular_values(realign(rho)))
 
 
 def is_faithful(rho: BipartiteOperator, rel_tol: float = FAITHFUL_REL_TOL) -> tuple:
@@ -91,9 +86,27 @@ def is_faithful(rho: BipartiteOperator, rel_tol: float = FAITHFUL_REL_TOL) -> tu
     is reported as inf below that threshold.  Requires dA == dB, since
     only square realigned matrices can be inverted.
     """
+    return _faithful(rho, singular_values(realign(rho)), rel_tol)
+
+
+# Rules on the descending realigned spectrum ``s`` of ``rho``: one SVD
+# per state serves every number derived from it.
+
+def _checked_purity(rho: DensityMatrix, s) -> float:
+    """Tr(rho^2), checked against the sum of squared singular values."""
+    purity = float(np.vdot(rho.mat, rho.mat).real)
+    s2 = float((s ** 2).sum())
+    if abs(purity - s2) > PURITY_IDENTITY_TOL:
+        raise RuntimeError(
+            f"purity identity violated: Tr(rho^2)={purity:.17g}, sum s^2={s2:.17g}"
+        )
+    return purity
+
+
+def _faithful(rho: BipartiteOperator, s, rel_tol: float) -> tuple:
+    """The faithfulness rule of ``is_faithful``."""
     if rho.dA != rho.dB:
         raise ValueError("faithfulness is defined for square bipartitions only")
-    s = singular_values(realign(rho))
     smax = float(s[0])
     smin = float(s[-1])
     if smax <= 0.0:
@@ -173,9 +186,10 @@ class RudolphReport:
         }
 
 
-def _random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
+def _random_pure_qubit(rng: np.random.Generator) -> np.ndarray:
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
 
 
 def local_unitary_conjugate(rho: DensityMatrix, ua: np.ndarray, ub: np.ndarray) -> DensityMatrix:
@@ -220,31 +234,19 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     base = ccnr_value(rho)
 
-    unitary_dev = 0.0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 0, t])
-        ua = haar_unitary(rho.dA, rng)
-        ub = haar_unitary(rho.dB, rng)
-        val = ccnr_value(local_unitary_conjugate(rho, ua, ub))
-        unitary_dev = max(unitary_dev, abs(val - base))
+    def changes(prop, transform):
+        return [ccnr_value(transform(np.random.default_rng([seed, prop, t]))) - base
+                for t in range(trials)]
 
-    ancilla_inc = -np.inf
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 1, t])
-        sigma_ket = _random_pure_state(2, rng)
-        sigma = np.outer(sigma_ket, sigma_ket.conj())
-        tau_ket = _random_pure_state(2, rng)
-        tau = np.outer(tau_ket, tau_ket.conj())
-        val = ccnr_value(attach_product_ancillas(rho, sigma, tau))
-        ancilla_inc = max(ancilla_inc, val - base)
+    def local_unitaries(rng):
+        return haar_unitary(rho.dA, rng), haar_unitary(rho.dB, rng)
 
-    lueders_inc = -np.inf
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 2, t])
-        ua = haar_unitary(rho.dA, rng)
-        ub = haar_unitary(rho.dB, rng)
-        val = ccnr_value(lueders_product_measurement(rho, ua, ub))
-        lueders_inc = max(lueders_inc, val - base)
+    unitary_dev = max(abs(c) for c in changes(
+        0, lambda g: local_unitary_conjugate(rho, *local_unitaries(g))))
+    ancilla_inc = max(changes(
+        1, lambda g: attach_product_ancillas(rho, _random_pure_qubit(g), _random_pure_qubit(g))))
+    lueders_inc = max(changes(
+        2, lambda g: lueders_product_measurement(rho, *local_unitaries(g))))
 
     return RudolphReport(
         trials=trials,
@@ -260,17 +262,13 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int,
 
 
 def full_report(rho: DensityMatrix) -> DiagnosticsReport:
-    """All diagnostics for one state, internally consistent by construction."""
+    """All diagnostics for one state, derived from one realigned spectrum."""
     spectrum = singular_values(realign(rho))
     ccnr = float(spectrum.sum())
-    purity = faithfulness(rho)
+    purity = _checked_purity(rho, spectrum)
     ppt, min_eig = is_ppt(rho)
-    smax = float(spectrum[0])
-    rank = 0
-    if smax > 0.0:
-        rank = int(np.count_nonzero(spectrum > FAITHFUL_REL_TOL * smax))
     if rho.dA == rho.dB:
-        faithful, _, cond = is_faithful(rho)
+        faithful, _, cond = _faithful(rho, spectrum, FAITHFUL_REL_TOL)
     else:
         faithful, cond = False, float("inf")
     return DiagnosticsReport(
@@ -282,6 +280,6 @@ def full_report(rho: DensityMatrix) -> DiagnosticsReport:
         purity=purity,
         realigned_spectrum=tuple(float(s) for s in spectrum),
         faithful=faithful,
-        schmidt_rank=rank,
+        schmidt_rank=_schmidt_rank(spectrum, FAITHFUL_REL_TOL),
         condition_number=cond,
     )

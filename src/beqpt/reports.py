@@ -50,7 +50,8 @@ def parse_matrix_file(obj: dict) -> tuple:
         raise ValueError(f"unsupported schema_version {obj.get('schema_version')!r}")
     dims = obj.get("dims")
     if (not isinstance(dims, list) or len(dims) != 2
-            or not all(isinstance(d, int) and d >= 1 for d in dims)):
+            or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1
+                       for d in dims)):
         raise ValueError(f"bad dims {dims!r}")
     dA, dB = dims
     n = dA * dB

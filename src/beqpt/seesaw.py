@@ -19,6 +19,8 @@ exactly PSD with unit trace and PPT up to the projection tolerance.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,18 @@ class SeesawConfig:
     restarts: int = 20
 
     def __post_init__(self):
+        for name in ("d", "seed", "max_outer", "projection_iters", "restarts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("step", "projection_tol", "objective_tol"):
+            value = getattr(self, name)
+            if value is None and name == "step":
+                continue
+            # the chained comparison is False for NaN and never overflows
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not -math.inf < value < math.inf):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if self.max_outer < 1 or self.projection_iters < 1 or self.restarts < 1:
@@ -109,9 +123,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 def project_psd_trace_one(x: np.ndarray, dA: int, dB: int) -> DensityMatrix:
     """Frobenius-nearest PSD unit-trace matrix: eigendecompose and project
     the spectrum onto the simplex."""
-    w, v = np.linalg.eigh(herm_part(np.asarray(x, dtype=complex)))
-    p = project_simplex(w)
-    return DensityMatrix((v * p) @ v.conj().T, dA, dB)
+    return DensityMatrix(_project_dm_mat(np.asarray(x, dtype=complex)), dA, dB)
 
 
 def _project_dm_mat(x: np.ndarray) -> np.ndarray:

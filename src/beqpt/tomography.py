@@ -27,12 +27,7 @@ from .bipartite import (
     singular_values,
 )
 from .channels import ChoiMatrix, KrausChannel, apply_extended, choi_of
-from .diagnostics import (
-    FAITHFUL_REL_TOL,
-    DiagnosticsReport,
-    full_report,
-    is_faithful,
-)
+from .diagnostics import FAITHFUL_REL_TOL, DiagnosticsReport, _faithful, full_report
 from .seesaw import project_psd_trace_one
 
 PINV_RCOND = 1e-12
@@ -94,18 +89,22 @@ def simulate_output(ch: KrausChannel, probe: DensityMatrix) -> DensityMatrix:
 
 def reconstruct_superop(rho_out: DensityMatrix, probe: DensityMatrix,
                         rel_tol: float = FAITHFUL_REL_TOL) -> np.ndarray:
-    """E_hat = realign(rho_out) pinv(realign(probe)).
+    """E_hat = realign(rho_out) pinv(realign(probe)), behind the
+    faithfulness gate."""
+    return _invert(rho_out, probe, singular_values(realign(probe)), rel_tol)
+
+
+def _invert(rho_out: DensityMatrix, probe: DensityMatrix, s, rel_tol: float) -> np.ndarray:
+    """Gate on the probe's descending realigned spectrum ``s``, then invert.
 
     The pseudo-inverse cuts at PINV_RCOND * sigma_max, well below the
     faithfulness gate, so a probe that passes the gate is never silently
     treated as singular.
     """
-    ok, smin, _ = is_faithful(probe, rel_tol)
+    ok, smin, _ = _faithful(probe, s, rel_tol)
     if not ok:
-        smax = float(singular_values(realign(probe))[0])
-        raise UnfaithfulProbe(smin, smax, rel_tol)
-    r_probe = realign(probe)
-    return realign(rho_out) @ np.linalg.pinv(r_probe, rcond=PINV_RCOND)
+        raise UnfaithfulProbe(smin, float(s[0]), rel_tol)
+    return realign(rho_out) @ np.linalg.pinv(realign(probe), rcond=PINV_RCOND)
 
 
 def superop_to_choi(e_hat: np.ndarray, d: int, noise_level: float = 0.0) -> ChoiMatrix:
@@ -157,8 +156,8 @@ def run_aaqpt(ch: KrausChannel, probe: DensityMatrix, noise: float = 0.0,
     projected back onto the density set before inversion.  The score is
     the trace distance between the true and reconstructed Choi states.
     """
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     if noise > 0 and seed is None:
         raise ValueError("a seed is required when noise > 0")
     rho_out = simulate_output(ch, probe)
@@ -166,10 +165,10 @@ def run_aaqpt(ch: KrausChannel, probe: DensityMatrix, noise: float = 0.0,
         rng = np.random.default_rng(seed)
         perturbed = rho_out.mat + _gaussian_hermitian(rho_out.dim, noise, rng)
         rho_out = project_psd_trace_one(perturbed, rho_out.dA, rho_out.dB)
-    e_hat = reconstruct_superop(rho_out, probe)
+    report = full_report(probe)
+    e_hat = _invert(rho_out, probe, report.realigned_spectrum, FAITHFUL_REL_TOL)
     choi_rec = superop_to_choi(e_hat, ch.d_in, noise_level=noise)
     choi_true = choi_of(ch)
-    report = full_report(probe)
     return ReconstructionResult(
         probe_report=report,
         superop_reconstructed=e_hat,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from beqpt.bipartite import (
     BipartiteOperator,
@@ -118,6 +120,16 @@ class TestRealign:
     def test_frobenius_isometry(self, rng):
         op = BipartiteOperator(rand_c(rng, (12, 12)), 3, 4)
         assert abs(np.linalg.norm(realign(op)) - np.linalg.norm(op.mat)) <= 1e-12
+
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_hilbert_schmidt_isometry(self, dA, dB, seed):
+        rng = np.random.default_rng(seed)
+        n = dA * dB
+        x = BipartiteOperator(rand_c(rng, (n, n)), dA, dB)
+        y = BipartiteOperator(rand_c(rng, (n, n)), dA, dB)
+        inner = np.vdot(x.mat, y.mat)
+        assert abs(np.vdot(realign(x), realign(y)) - inner) <= 1e-12 * max(1.0, abs(inner))
+        assert np.linalg.norm(realign(x)) == pytest.approx(np.linalg.norm(x.mat), rel=1e-14)
 
     def test_inverse_roundtrip(self, rng):
         for dA, dB in ((2, 2), (2, 3), (4, 3)):

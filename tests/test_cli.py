@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from beqpt import acceptance
+from beqpt import acceptance, seesaw
+from beqpt.bipartite import DensityMatrix
 from beqpt.cli import main
 from beqpt.reports import operator_file, results_json, write_report
 from beqpt.states import random_density_matrix
@@ -12,6 +13,12 @@ from beqpt.states import random_density_matrix
 def read(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestDiagnose:
@@ -58,6 +65,13 @@ class TestDiagnose:
         path.write_text(json.dumps(bad))
         assert main(["diagnose", "--file", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_bool_dims_file_exit_2(self, tmp_path, capsys):
+        bad = {"schema_version": 1, "dims": [True, True], "re": [[1.0]], "im": [[0.0]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["diagnose", "--file", str(path)]) == 2
+        assert_one_line_error(capsys)
 
     def test_dump_state_roundtrips(self, tmp_path):
         dumped = tmp_path / "state.json"
@@ -110,6 +124,15 @@ class TestReconstruct:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_exit_2(self, capsys, noise):
+        code = main([
+            "reconstruct", "--probe", "bell", "--which", "phi+",
+            "--channel", "identity", "--channel-d", "2", "--noise", noise, "--seed", "1",
+        ])
+        assert code == 2
+        assert_one_line_error(capsys)
+
 
 class TestOptimize:
     def test_d2_bounded_and_deterministic(self, tmp_path):
@@ -138,6 +161,17 @@ class TestOptimize:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["optimize", "--d", "2", "--seed", "1", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("override", [
+        {"restarts": 2.5},
+        {"projection_tol": float("nan")},
+        {"max_outer": True},
+    ])
+    def test_mistyped_config_exit_2(self, tmp_path, capsys, override):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))
+        assert main(["optimize", "--d", "2", "--seed", "1", "--config", str(cfg)]) == 2
+        assert_one_line_error(capsys)
 
 
 class TestFilter:
@@ -184,18 +218,34 @@ class TestReproduce:
         rows = [
             acceptance.RowResult(key="fake_ok", title="ok row", passed=True, measured={}),
         ]
-        monkeypatch.setattr(acceptance, "run_all", lambda: rows)
+        monkeypatch.setattr(acceptance, "run_all", lambda: [(r, 0.25) for r in rows])
         out = tmp_path / "r.json"
         assert main(["reproduce", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "[PASS] fake_ok" in text
-        assert read(out)["results"]["all_passed"]
+        rep = read(out)
+        assert rep["results"]["all_passed"]
+        # wall times stay out of the reproducible results section
+        assert rep["timings"]["rows_s"] == {"fake_ok": 0.25}
 
         rows.append(
             acceptance.RowResult(key="fake_bad", title="bad row", passed=False, measured={})
         )
         assert main(["reproduce", "--out", str(out)]) == 1
         assert "[FAIL] fake_bad" in capsys.readouterr().out
+
+    def test_seesaw_row_measures_no_wall_time(self, monkeypatch):
+        def fake_optimize(cfg):
+            n = cfg.d * cfg.d
+            return seesaw.SeesawResult(
+                best_state=DensityMatrix(np.eye(n) / n, cfg.d, cfg.d),
+                best_value=1.0, history=(1.0,), ppt_residual=0.0,
+                psd_residual=0.0, restarts_summary=(1.0,),
+            )
+
+        monkeypatch.setattr(seesaw, "optimize", fake_optimize)
+        row = acceptance.row_seesaw()
+        assert not any("seconds" in key for key in row.measured)
 
 
 class TestStateFileInputs:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from beqpt.bipartite import DensityMatrix
+from beqpt.bipartite import DensityMatrix, operator_schmidt_rank, realign, singular_values
 from beqpt.diagnostics import (
     analytic_ccnr,
     attach_product_ancillas,
@@ -22,7 +24,7 @@ from beqpt.states import (
     werner_f,
 )
 
-from conftest import random_product_state, random_separable_state
+from conftest import drawn_states, random_product_state, random_separable_state
 
 
 class TestCcnrValue:
@@ -193,3 +195,43 @@ class TestFullReport:
         assert not rep.faithful
         assert rep.condition_number == float("inf")
         assert rep.to_dict()["condition_number"] is None
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestOneSpectrumProperties:
+    """full_report derives every field from one realigned spectrum; the
+    single-purpose functions, each with its own SVD, are the reference."""
+
+    @given(drawn_states())
+    def test_full_report_matches_single_purpose_functions(self, rho):
+        rep = full_report(rho)
+        assert _bits(rep.realigned_spectrum) == _bits(singular_values(realign(rho)))
+        assert _bits(rep.ccnr_value) == _bits(ccnr_value(rho))
+        assert _bits(rep.purity) == _bits(faithfulness(rho))
+        assert rep.schmidt_rank == operator_schmidt_rank(rho)
+        if rho.dA == rho.dB:
+            flag, _, cond = is_faithful(rho)
+            assert rep.faithful == flag
+            assert _bits(rep.condition_number) == _bits(cond)
+        else:
+            with pytest.raises(ValueError, match="square"):
+                is_faithful(rho)
+            assert not rep.faithful
+            assert rep.condition_number == float("inf")
+
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
+    def test_ccnr_at_most_one_on_separable_mixtures(self, dA, dB, terms, seed):
+        rho = random_separable_state(dA, dB, np.random.default_rng(seed), terms=terms)
+        assert ccnr_value(rho) <= 1.0 + 1e-9
+
+    def test_one_svd_per_report(self, monkeypatch):
+        rho = rho_ccnr()
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        full_report(rho)
+        assert len(calls) == 1

@@ -56,6 +56,12 @@ class TestParseValidation:
         with pytest.raises(ValueError, match="dims"):
             parse_matrix_file({"schema_version": 1, "dims": [2], "re": [], "im": []})
 
+    def test_bool_dims_rejected(self):
+        with pytest.raises(ValueError, match="dims"):
+            parse_matrix_file(
+                {"schema_version": 1, "dims": [True, True], "re": [[1.0]], "im": [[0.0]]}
+            )
+
     def test_shape_mismatch(self):
         re = [[0.0] * 3 for _ in range(3)]
         with pytest.raises(ValueError, match="shape"):

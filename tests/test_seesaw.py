@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from beqpt.bipartite import (
     BipartiteOperator,
@@ -55,6 +57,13 @@ class TestProjectPsdTraceOne:
         assert out.mat.trace().real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(out.mat).min() >= -1e-14
 
+    def test_same_kernel_as_dykstra(self, rng):
+        from beqpt.seesaw import _project_dm_mat
+
+        x = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        out = project_psd_trace_one(x, 3, 3)
+        assert out.mat.tobytes() == _project_dm_mat(x).tobytes()
+
 
 class TestProjectPpt:
     def test_ppt_input_unchanged(self, rng):
@@ -74,6 +83,17 @@ class TestProjectPpt:
         once = project_ppt(x)
         twice = project_ppt(once)
         assert np.abs(twice.mat - once.mat).max() <= 1e-12
+
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_idempotent_on_drawn_operators(self, dA, dB, seed):
+        rng = np.random.default_rng(seed)
+        n = dA * dB
+        x = BipartiteOperator(
+            herm_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))), dA, dB
+        )
+        once = project_ppt(x)
+        twice = project_ppt(once)
+        assert np.abs(twice.mat - once.mat).max() <= 1e-12 * max(1.0, np.abs(once.mat).max())
 
 
 class TestDualYStep:
@@ -167,6 +187,20 @@ class TestOptimize:
             SeesawConfig(d=3, seed=0, step=-0.1)
         with pytest.raises(ValueError):
             SeesawConfig(d=3, seed=0, objective_tol=0.0)
+
+    @pytest.mark.parametrize("override", [
+        {"restarts": 2.5},
+        {"max_outer": True},
+        {"seed": 1.0},
+        {"d": "3"},
+        {"projection_tol": float("nan")},
+        {"objective_tol": float("inf")},
+        {"step": False},
+        {"step": "0.1"},
+    ])
+    def test_config_types_validated(self, override):
+        with pytest.raises(ValueError, match="must be"):
+            SeesawConfig(**{"d": 3, "seed": 0, **override})
 
     def test_default_step_scales_with_dimension(self):
         assert SeesawConfig(d=4, seed=0).resolved_step == pytest.approx(0.025)

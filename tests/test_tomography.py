@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from beqpt.bipartite import BipartiteOperator, realign
+from beqpt.bipartite import BipartiteOperator, realign, singular_values
 from beqpt.channels import (
     ChoiMatrix,
     choi_of,
@@ -167,6 +167,30 @@ class TestRunAaqpt:
         with pytest.raises(UnfaithfulProbe):
             run_aaqpt(identity_channel(4), filtered_werner_closed_form(4, 0.5))
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="finite"):
+            run_aaqpt(identity_channel(2), max_entangled_state(2), noise=noise, seed=0)
+
+    def test_nonsquare_probe_is_malformed_not_unfaithful(self, rng):
+        probe = random_density_matrix(2, 3, rng)
+        with pytest.raises(ValueError, match="square") as err:
+            run_aaqpt(identity_channel(2), probe)
+        assert not isinstance(err.value, UnfaithfulProbe)
+        with pytest.raises(ValueError, match="square"):
+            reconstruct_superop(simulate_output(identity_channel(2), probe), probe)
+
+    def test_unfaithful_fields_come_from_the_probe_spectrum(self):
+        probe = filtered_werner_closed_form(4, 0.5)
+        s = singular_values(realign(probe))
+        with pytest.raises(UnfaithfulProbe) as via_run:
+            run_aaqpt(identity_channel(4), probe)
+        with pytest.raises(UnfaithfulProbe) as via_superop:
+            reconstruct_superop(simulate_output(identity_channel(4), probe), probe)
+        for err in (via_run.value, via_superop.value):
+            assert (err.sigma_min, err.sigma_max) == (float(s[-1]), float(s[0]))
+
+
     def test_error_tracks_probe_conditioning(self):
         # probes ordered by condition number of the realigned matrix:
         # 1 (max entangled), 3 (bound entangled), 3 (Werner), 5 (isotropic
@@ -201,3 +225,37 @@ class TestRunAaqpt:
         assert res.probe_condition_number == pytest.approx(3.0, abs=1e-9)
         assert res.choi_true is not None
         assert res.probe_report.ppt
+
+
+class TestFactorizationCount:
+    """One spectrum SVD per probe, plus one pinv when the gate passes."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"svd": 0, "pinv": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-6])
+    def test_faithful_run(self, monkeypatch, noise):
+        ch, probe = depolarizing(4, 0.3), rho_ccnr()
+        calls = self._count(monkeypatch)
+        run_aaqpt(ch, probe, noise=noise, seed=3)
+        # np.linalg.pinv factorizes internally without going through
+        # np.linalg.svd, so each pinv call is one more SVD
+        assert calls["pinv"] == 1
+        assert calls["svd"] + calls["pinv"] <= 2
+
+    def test_unfaithful_run(self, monkeypatch):
+        ch, probe = identity_channel(4), filtered_werner_closed_form(4, 0.5)
+        calls = self._count(monkeypatch)
+        with pytest.raises(UnfaithfulProbe):
+            run_aaqpt(ch, probe)
+        assert calls == {"svd": 1, "pinv": 0}
