@@ -84,6 +84,7 @@ from .states import (
     werner_v,
 )
 from .tomography import (
+    NoiseBudgetExceeded,
     ReconstructionResult,
     UnfaithfulProbe,
     reconstruct_superop,

@@ -20,7 +20,7 @@ the convention against them.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -77,12 +77,15 @@ class DensityMatrix(BipartiteOperator):
     """A BipartiteOperator that is Hermitian, PSD and unit trace.
 
     Tolerances can be relaxed for states transcribed from rounded
-    published data; the defaults are the strict ones.
+    published data; the defaults are the strict ones.  ``eigenvalues``
+    keeps the ascending spectrum of the Hermitian part that validation
+    computed.
     """
 
     herm_tol: InitVar[float] = HERM_TOL
     psd_tol: InitVar[float] = PSD_TOL
     trace_tol: InitVar[float] = TRACE_TOL
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, herm_tol, psd_tol, trace_tol):
         super().__post_init__()
@@ -93,9 +96,12 @@ class DensityMatrix(BipartiteOperator):
         tr = m.trace()
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"trace {tr:.17g} is not 1")
-        min_eig = float(np.linalg.eigvalsh(herm_part(m)).min())
+        w = np.linalg.eigvalsh(herm_part(m))
+        min_eig = float(w.min())
         if min_eig < -psd_tol:
             raise ValueError(f"not PSD: min eigenvalue {min_eig:.3e}")
+        w.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", w)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,17 +1,20 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain verdict (unfaithful probe, annihilated
-state, failed reference row), 2 malformed input or usage error.  All
-stochastic commands require an explicit seed; reports are JSON and the
-results section is byte-reproducible for identical inputs.
+state, noise budget exceeded, failed reference row), 2 malformed input
+or usage error.  All stochastic commands require an explicit seed;
+reports are JSON and the results section is byte-reproducible for
+identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from . import tomography as tomo
 from .bipartite import DensityMatrix, haar_unitary, partial_trace, BipartiteOperator, _permute_subsystems
 from .reports import (
     load_density_matrix,
+    load_json,
     load_local_operator,
     make_report,
     matrix_file,
@@ -32,109 +36,122 @@ from .reports import (
     write_report,
 )
 
-STATE_NAMES = (
-    "bell", "max-entangled", "werner", "isotropic", "gamma",
-    "rho-ccnr", "rho-ccnr-3x3", "filtered-werner",
-)
-CHANNEL_NAMES = ("identity", "depolarizing", "dephasing", "random-unitary", "random-cptp")
+MAX_D = 16  # largest --d, --k, --channel-d; every published state has d <= 6
 
 
-def _need(args, attr, flag, context):
-    value = getattr(args, attr)
-    if value is None:
-        raise ValueError(f"{context} requires {flag}")
-    return value
+@dataclass(frozen=True)
+class Param:
+    """One flag of a table entry: its argparse type (or choices), the key
+    it is echoed under in ``inputs`` (default: its dest) and, for a size,
+    the largest value allowed.  ``value`` checks finiteness and size
+    before anything is allocated."""
+
+    flag: str
+    type: Callable = float
+    key: str | None = None
+    cap: int | None = None
+    choices: tuple | None = None
+    default: object = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    def value(self, args):
+        value = getattr(args, self.dest)
+        if self.type is float and not math.isfinite(value):
+            raise ValueError(f"{self.flag} must be finite, got {value}")
+        if self.cap is not None and not 1 <= value <= self.cap:
+            raise ValueError(f"{self.flag} must lie in [1, {self.cap}], got {value}")
+        return value
 
 
-def build_state(args, prefix: str = "state") -> tuple:
-    """Build a state from CLI flags; returns (DensityMatrix, inputs-echo)."""
-    name = getattr(args, prefix.replace("-", "_"))
-    path = getattr(args, f"{prefix.replace('-', '_')}_file")
-    file_flag = "--file" if prefix == "state" else f"--{prefix}-file"
-    if (name is None) == (path is None):
-        raise ValueError(f"give exactly one of --{prefix} or {file_flag}")
-    if path is not None:
-        return load_density_matrix(path), {f"{prefix}_file": path}
-    echo = {prefix: name}
-    if name == "bell":
-        which = _need(args, "which", "--which", "bell")
-        echo["which"] = which
-        return states.bell_state(which), echo
-    if name == "max-entangled":
-        d = _need(args, "d", "--d", "max-entangled")
-        echo["d"] = d
-        return states.max_entangled_state(d), echo
-    if name == "werner":
-        d = _need(args, "d", "--d", "werner")
-        echo["d"] = d
-        if args.f is not None:
-            echo["f"] = args.f
-            return states.werner_f(d, args.f), echo
-        if args.v is not None:
-            echo["v"] = args.v
-            return states.werner_v(d, args.v), echo
-        raise ValueError("werner requires --f or --v")
-    if name == "isotropic":
-        d = _need(args, "d", "--d", "isotropic")
-        alpha = _need(args, "alpha", "--alpha", "isotropic")
-        echo.update(d=d, alpha=alpha)
-        return states.isotropic(d, alpha), echo
-    if name == "gamma":
-        k = _need(args, "k", "--k", "gamma")
-        n = _need(args, "n", "--n", "gamma")
-        eps = _need(args, "eps", "--eps", "gamma")
-        echo.update(k=k, n=n, eps=eps)
-        return states.cariello_gamma(states.GammaParams(k=k, n=n, eps=eps)), echo
-    if name == "rho-ccnr":
-        return states.rho_ccnr(), echo
-    if name == "rho-ccnr-3x3":
-        return states.rho_ccnr_3x3(), echo
-    if name == "filtered-werner":
-        d = _need(args, "d", "--d", "filtered-werner")
-        v = _need(args, "v", "--v", "filtered-werner")
-        echo.update(d=d, v=v)
-        return states.filtered_werner_closed_form(d, v), echo
-    raise ValueError(f"unknown state {name!r}")
+D = Param("--d", int, cap=MAX_D)
+V, F, ALPHA, EPS, P = (Param(flag) for flag in ("--v", "--f", "--alpha", "--eps", "--p"))
+WHICH = Param("--which", str, choices=("phi+", "phi-", "psi+", "psi-"))
+CHANNEL_D = Param("--channel-d", int, key="d", cap=MAX_D)
+CHANNEL_SEED = Param("--channel-seed", int)
+FILE_A, FILE_B = Param("--filter-a", str), Param("--filter-b", str)
+
+# name -> parameter sets (ordered params, constructor); the first set whose
+# flags are all given is used.  The lambdas look constructors up when they
+# run, so a patched module attribute takes effect.
+STATES = {
+    "bell": [((WHICH,), lambda which: states.bell_state(which))],
+    "max-entangled": [((D,), lambda d: states.max_entangled_state(d))],
+    "werner": [((D, F), lambda d, f: states.werner_f(d, f)),
+               ((D, V), lambda d, v: states.werner_v(d, v))],
+    "isotropic": [((D, ALPHA), lambda d, alpha: states.isotropic(d, alpha))],
+    "gamma": [((Param("--k", int, cap=MAX_D), Param("--n", int), EPS),
+               lambda k, n, eps: states.cariello_gamma(states.GammaParams(k=k, n=n, eps=eps)))],
+    "rho-ccnr": [((), lambda: states.rho_ccnr())],
+    "rho-ccnr-3x3": [((), lambda: states.rho_ccnr_3x3())],
+    "filtered-werner": [((D, V), lambda d, v: states.filtered_werner_closed_form(d, v))],
+}
+CHANNELS = {
+    "identity": [((CHANNEL_D,), lambda d: ch.identity_channel(d))],
+    "depolarizing": [((CHANNEL_D, P), lambda d, p: ch.depolarizing(d, p))],
+    "dephasing": [((CHANNEL_D, P), lambda d, p: ch.dephasing(d, p))],
+    "random-unitary": [((CHANNEL_D, CHANNEL_SEED), lambda d, seed: ch.unitary_channel(
+        haar_unitary(d, np.random.default_rng(seed))))],
+    "random-cptp": [((CHANNEL_D, CHANNEL_SEED, Param("--kraus", int, cap=MAX_D**2, default=3)),
+                     lambda d, seed, n: ch.random_cptp(d, n, seed))],
+}
+# filter constructors take the state's local dimension first
+FILTERS = {
+    "werner": [((), lambda d: filt.werner_filters(d))],
+    "identity": [((), lambda d: filt.identity_filters(d))],
+    "files": [((FILE_A, FILE_B), lambda _d, a, b: filt.FilterPair(
+        load_local_operator(a), load_local_operator(b)))],
+}
+
+# domain verdicts (exit 1): exception -> (verdict, fields copied into results)
+VERDICTS = {
+    tomo.UnfaithfulProbe: ("unfaithful_probe", ("sigma_min", "sigma_max", "rel_tol")),
+    filt.AnnihilatedState: ("annihilated_state", ()),
+    tomo.NoiseBudgetExceeded: ("noise_budget_exceeded", ("clipped_weight", "budget")),
+}
 
 
-def build_channel(args) -> tuple:
-    name = args.channel
-    echo = {"channel": name}
-    if name == "identity":
-        d = _need(args, "channel_d", "--channel-d", "identity channel")
-        echo["d"] = d
-        return ch.identity_channel(d), echo
-    if name == "depolarizing":
-        d = _need(args, "channel_d", "--channel-d", "depolarizing")
-        p = _need(args, "p", "--p", "depolarizing")
-        echo.update(d=d, p=p)
-        return ch.depolarizing(d, p), echo
-    if name == "dephasing":
-        d = _need(args, "channel_d", "--channel-d", "dephasing")
-        p = _need(args, "p", "--p", "dephasing")
-        echo.update(d=d, p=p)
-        return ch.dephasing(d, p), echo
-    if name == "random-unitary":
-        d = _need(args, "channel_d", "--channel-d", "random-unitary")
-        seed = _need(args, "channel_seed", "--channel-seed", "random-unitary")
-        echo.update(d=d, channel_seed=seed)
-        return ch.unitary_channel(haar_unitary(d, np.random.default_rng(seed))), echo
-    if name == "random-cptp":
-        d = _need(args, "channel_d", "--channel-d", "random-cptp")
-        seed = _need(args, "channel_seed", "--channel-seed", "random-cptp")
-        n = args.kraus
-        echo.update(d=d, channel_seed=seed, kraus=n)
-        return ch.random_cptp(d, n, seed), echo
-    raise ValueError(f"unknown channel {name!r}")
+def build(table: dict, kind: str, args, inputs: dict, *context):
+    """Construct the ``--kind`` entry named on the command line, echoing the
+    name and its parameters into ``inputs``."""
+    name = getattr(args, kind)
+    for params, make in table[name]:
+        if all(getattr(args, p.dest) is not None for p in params):
+            values = [p.value(args) for p in params]
+            inputs[kind] = name
+            inputs.update((p.key or p.dest, v) for p, v in zip(params, values))
+            return make(*context, *values)
+    missing = dict.fromkeys(next(p.flag for p in params if getattr(args, p.dest) is None)
+                            for params, _ in table[name])
+    raise ValueError(f"--{kind} {name} requires {' or '.join(missing)}")
 
 
-def _emit(report: dict, out: str | None, summary_lines) -> None:
-    for line in summary_lines:
-        print(line)
-    if out is not None:
-        write_report(report, out)
-    else:
-        print(report_json(report))
+def build_state(args, inputs: dict, kind: str = "state") -> DensityMatrix:
+    """A named state or a matrix file (``--file``, or ``--<kind>-file``)."""
+    path = getattr(args, f"{kind}_file")
+    if (getattr(args, kind) is None) == (path is None):
+        raise ValueError(f"give exactly one of --{kind} or {_file_flag(kind)}")
+    if path is None:
+        return build(STATES, kind, args, inputs)
+    inputs[f"{kind}_file"] = path
+    return load_density_matrix(path)
+
+
+def _file_flag(kind: str) -> str:
+    return "--file" if kind == "state" else f"--{kind}-file"
+
+
+def _add_table_flags(parser, table: dict, kind: str, required: bool = False):
+    # a group, unlike a parser, adds a flag without building a help
+    # formatter for it, which would dominate the cost of a short command
+    group = parser.add_argument_group(f"{kind} specification")
+    group.add_argument(f"--{kind}", choices=tuple(table), required=required)
+    params = {p.flag: p for sets in table.values() for ps, _ in sets for p in ps}
+    for p in params.values():
+        group.add_argument(p.flag, type=p.type, choices=p.choices, default=p.default)
+    return group
 
 
 def _trace_out_second_pair(rho: DensityMatrix) -> DensityMatrix:
@@ -146,15 +163,14 @@ def _trace_out_second_pair(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(reduced, 2, 2)
 
 
-def cmd_diagnose(args) -> int:
-    t0 = time.perf_counter()
-    rho, echo = build_state(args)
+def cmd_diagnose(args, inputs: dict, timings: dict) -> tuple:
+    rho = build_state(args, inputs)
     results = {"report": diag.full_report(rho).to_dict()}
     if args.rudolph_trials is not None:
-        seed = _need(args, "seed", "--seed", "--rudolph-trials")
-        echo["rudolph_trials"] = args.rudolph_trials
-        echo["seed"] = seed
-        results["rudolph"] = diag.rudolph_checks(rho, args.rudolph_trials, seed).to_dict()
+        if args.seed is None:
+            raise ValueError("--rudolph-trials requires --seed")
+        inputs.update(rudolph_trials=args.rudolph_trials, seed=args.seed)
+        results["rudolph"] = diag.rudolph_checks(rho, args.rudolph_trials, args.seed).to_dict()
         if rho.dA == rho.dB == 4:
             # tracing out subsystems may move the CCNR value either way;
             # shown for illustration, nothing is asserted about it
@@ -166,65 +182,42 @@ def cmd_diagnose(args) -> int:
             }
     if args.dump_state is not None:
         write_report(matrix_file(rho), args.dump_state)
-    rep = make_report("diagnose", echo, results,
-                      {"total_s": time.perf_counter() - t0})
     r = results["report"]
-    _emit(rep, args.out, [
+    return results, [
         f"ccnr_value        {r['ccnr_value']:.12g}"
         f"  ({'entangled' if r['ccnr_entangled'] else 'not detected'})",
         f"ppt               {r['ppt']}  (min eig of partial transpose {r['min_eig_pt']:.3e})",
         f"faithful          {r['faithful']}  (operator Schmidt rank {r['schmidt_rank']})",
         f"purity            {r['purity']:.12g}",
-    ])
-    return 0
+    ], 0
 
 
-def cmd_reconstruct(args) -> int:
-    t0 = time.perf_counter()
-    probe, probe_echo = build_state(args, prefix="probe")
-    channel, ch_echo = build_channel(args)
-    inputs = {**probe_echo, **ch_echo, "noise": args.noise, "seed": args.seed}
-    try:
-        result = tomo.run_aaqpt(channel, probe, noise=args.noise, seed=args.seed)
-    except tomo.UnfaithfulProbe as exc:
-        rep = make_report(
-            "reconstruct", inputs,
-            {"verdict": "unfaithful_probe",
-             "sigma_min": exc.sigma_min,
-             "sigma_max": exc.sigma_max,
-             "rel_tol": exc.rel_tol},
-            {"total_s": time.perf_counter() - t0},
-        )
-        _emit(rep, args.out, [f"unfaithful probe: {exc}"])
-        return 1
-    results = result.to_dict()
-    results["verdict"] = "ok"
+def cmd_reconstruct(args, inputs: dict, timings: dict) -> tuple:
+    probe = build_state(args, inputs, "probe")
+    channel = build(CHANNELS, "channel", args, inputs)
+    inputs.update(noise=args.noise, seed=args.seed)
+    result = tomo.run_aaqpt(channel, probe, noise=args.noise, seed=args.seed)
     d = result.choi_reconstructed.d
-    results["choi_reconstructed"] = matrix_file(
-        BipartiteOperator(result.choi_reconstructed.mat, d, d))
-    results["choi_true"] = matrix_file(BipartiteOperator(result.choi_true.mat, d, d))
-    results["superop_reconstructed"] = matrix_file(
-        BipartiteOperator(result.superop_reconstructed, d, d))
-    rep = make_report("reconstruct", inputs, results,
-                      {"total_s": time.perf_counter() - t0})
-    _emit(rep, args.out, [
+    results = {
+        **result.to_dict(),
+        "verdict": "ok",
+        "choi_reconstructed": matrix_file(BipartiteOperator(result.choi_reconstructed.mat, d, d)),
+        "choi_true": matrix_file(BipartiteOperator(result.choi_true.mat, d, d)),
+        "superop_reconstructed": matrix_file(
+            BipartiteOperator(result.superop_reconstructed, d, d)),
+    }
+    return results, [
         f"choi trace distance  {result.trace_distance:.6e}",
         f"probe condition      {result.probe_condition_number:.6g}",
-    ])
-    return 0
+    ], 0
 
 
-def cmd_optimize(args) -> int:
-    t0 = time.perf_counter()
+def cmd_optimize(args, inputs: dict, timings: dict) -> tuple:
     keys = ("max_outer", "step", "projection_iters", "projection_tol",
             "objective_tol", "restarts")
-    cfg_kwargs = {"d": args.d, "seed": args.seed}
+    cfg_kwargs = {"d": D.value(args), "seed": args.seed}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                file_overrides = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.config}: not valid JSON: {exc}") from exc
+        file_overrides = load_json(args.config)
         if not isinstance(file_overrides, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         bad = set(file_overrides) - set(keys)
@@ -236,94 +229,45 @@ def cmd_optimize(args) -> int:
         if value is not None:
             cfg_kwargs[key] = value
     cfg = seesaw.SeesawConfig(**cfg_kwargs)
+    inputs.update(cfg.to_dict())
     result = seesaw.optimize(cfg)
-    results = result.to_dict()
-    results["best_state"] = matrix_file(result.best_state)
-    rep = make_report("optimize", cfg.to_dict(), results,
-                      {"total_s": time.perf_counter() - t0})
-    _emit(rep, args.out, [
+    results = {**result.to_dict(), "best_state": matrix_file(result.best_state)}
+    return results, [
         f"best value    {result.best_value:.12g}",
         f"ppt residual  {result.ppt_residual:.3e}",
         f"restarts      {len(result.restarts_summary)}",
-    ])
-    return 0
+    ], 0
 
 
-def build_filter_pair(args, d: int) -> tuple:
-    name = args.filter
-    if name == "werner":
-        return filt.werner_filters(d), {"filter": "werner"}
-    if name == "identity":
-        return filt.identity_filters(d), {"filter": "identity"}
-    if name == "files":
-        a_path = _need(args, "filter_a", "--filter-a", "--filter files")
-        b_path = _need(args, "filter_b", "--filter-b", "--filter files")
-        pair = filt.FilterPair(load_local_operator(a_path), load_local_operator(b_path))
-        return pair, {"filter": "files", "filter_a": a_path, "filter_b": b_path}
-    raise ValueError(f"unknown filter {name!r}")
-
-
-def cmd_filter(args) -> int:
-    t0 = time.perf_counter()
-    rho, echo = build_state(args)
-    pair, filter_echo = build_filter_pair(args, rho.dA)
-    inputs = {**echo, **filter_echo}
-    try:
-        analysis = filt.filter_analysis(rho, pair)
-    except filt.AnnihilatedState as exc:
-        rep = make_report("filter", inputs, {"verdict": "annihilated_state"},
-                          {"total_s": time.perf_counter() - t0})
-        _emit(rep, args.out, [f"annihilated state: {exc}"])
-        return 1
-    results = analysis.to_dict()
-    results["verdict"] = "ok"
-    rep = make_report("filter", inputs, results,
-                      {"total_s": time.perf_counter() - t0})
-    _emit(rep, args.out, [
+def cmd_filter(args, inputs: dict, timings: dict) -> tuple:
+    rho = build_state(args, inputs)
+    analysis = filt.filter_analysis(rho, build(FILTERS, "filter", args, inputs, rho.dA))
+    return {**analysis.to_dict(), "verdict": "ok"}, [
         f"ccnr before  {analysis.before.ccnr_value:.12g}",
         f"ccnr after   {analysis.after.ccnr_value:.12g}",
         f"faithfulness lost  {analysis.faithfulness_lost}",
-    ])
-    return 0
+    ], 0
 
 
-def cmd_reproduce(args) -> int:
-    t0 = time.perf_counter()
+def cmd_reproduce(args, inputs: dict, timings: dict) -> tuple:
     timed = acceptance.run_all()
+    timings["rows_s"] = {row.key: seconds for row, seconds in timed}
     rows = [row for row, _ in timed]
-    lines = []
-    for row in rows:
-        lines.append(f"[{'PASS' if row.passed else 'FAIL'}] {row.key}: {row.title}")
+    lines = [f"[{'PASS' if row.passed else 'FAIL'}] {row.key}: {row.title}" for row in rows]
     all_passed = all(row.passed for row in rows)
     lines.append(f"{sum(r.passed for r in rows)}/{len(rows)} rows passed")
-    rep = make_report(
-        "reproduce", {},
-        {"rows": [row.to_dict() for row in rows], "all_passed": all_passed},
-        {"total_s": time.perf_counter() - t0,
-         "rows_s": {row.key: seconds for row, seconds in timed}},
-    )
-    _emit(rep, args.out, lines)
-    return 0 if all_passed else 1
+    return ({"rows": [row.to_dict() for row in rows], "all_passed": all_passed},
+            lines, 0 if all_passed else 1)
 
 
-def _add_state_flags(p, prefix="state"):
-    group = p.add_argument_group(f"{prefix} specification")
-    group.add_argument(f"--{prefix}", choices=STATE_NAMES, default=None)
-    file_flag = "--file" if prefix == "state" else f"--{prefix}-file"
-    group.add_argument(file_flag, dest=f"{prefix}_file", default=None, metavar="PATH")
-    if prefix == "state" or prefix == "probe":
-        group.add_argument("--d", type=int, default=None)
-        group.add_argument("--v", type=float, default=None)
-        group.add_argument("--f", type=float, default=None)
-        group.add_argument("--alpha", type=float, default=None)
-        group.add_argument("--which", choices=("phi+", "phi-", "psi+", "psi-"), default=None)
-        group.add_argument("--k", type=int, default=None)
-        group.add_argument("--n", type=int, default=None)
-        group.add_argument("--eps", type=float, default=None)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is malformed input: one "error:" line, exit 2
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beqpt",
         description="Bound-entangled probes for ancilla-assisted process "
                     "tomography: diagnostics, reconstruction, filtering, and "
@@ -331,8 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
+    def state_flags(p, kind="state"):
+        group = _add_table_flags(p, STATES, kind)
+        group.add_argument(_file_flag(kind), dest=f"{kind}_file", default=None, metavar="PATH")
+
     p = sub.add_parser("diagnose", help="entanglement/faithfulness report for a state")
-    _add_state_flags(p)
+    state_flags(p)
     p.add_argument("--rudolph-trials", type=int, default=None,
                    help="also run the monotonicity checks with this many trials")
     p.add_argument("--seed", type=int, default=None)
@@ -342,12 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("reconstruct", help="run the tomography pipeline")
-    _add_state_flags(p, prefix="probe")
-    p.add_argument("--channel", choices=CHANNEL_NAMES, required=True)
-    p.add_argument("--channel-d", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--kraus", type=int, default=3)
-    p.add_argument("--channel-seed", type=int, default=None)
+    state_flags(p, "probe")
+    _add_table_flags(p, CHANNELS, "channel", required=True)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, metavar="PATH")
@@ -369,10 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("filter", help="apply local filters and compare diagnostics")
-    _add_state_flags(p)
-    p.add_argument("--filter", choices=("werner", "identity", "files"), required=True)
-    p.add_argument("--filter-a", default=None, metavar="PATH")
-    p.add_argument("--filter-b", default=None, metavar="PATH")
+    state_flags(p)
+    _add_table_flags(p, FILTERS, "filter", required=True)
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=cmd_filter)
 
@@ -385,13 +327,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command, print its summary lines and write its report.  A
+    command fills ``inputs`` as it reads them and returns (results, summary
+    lines, exit code); a domain verdict it raises becomes a report with
+    exit 1."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        t0 = time.perf_counter()
+        inputs, timings = {}, {}
+        try:
+            results, lines, code = args.func(args, inputs, timings)
+        except tuple(VERDICTS) as exc:
+            verdict, fields = VERDICTS[type(exc)]
+            results = {"verdict": verdict, **{f: getattr(exc, f) for f in fields}}
+            lines, code = [f"{verdict.replace('_', ' ')}: {exc}"], 1
+        timings = {"total_s": time.perf_counter() - t0, **timings}
+        report = make_report(args.cmd, inputs, results, timings)
+        print(*lines, sep="\n")
+        if args.out is None:
+            print(report_json(report))
+        else:
+            write_report(report, args.out)
+        return code
+    except SystemExit as exc:  # --help
         return int(exc.code) if exc.code is not None else 0
-    try:
-        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -68,7 +68,7 @@ def parse_matrix_file(obj: dict) -> tuple:
     return re + 1j * im, dA, dB
 
 
-def load_matrix_file(path: str) -> dict:
+def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -77,13 +77,13 @@ def load_matrix_file(path: str) -> dict:
 
 
 def load_density_matrix(path: str) -> DensityMatrix:
-    mat, dA, dB = parse_matrix_file(load_matrix_file(path))
+    mat, dA, dB = parse_matrix_file(load_json(path))
     return DensityMatrix(mat, dA, dB)
 
 
 def load_local_operator(path: str) -> np.ndarray:
     """Load a [d, 1] operator file as a plain d x d matrix."""
-    mat, dA, dB = parse_matrix_file(load_matrix_file(path))
+    mat, dA, dB = parse_matrix_file(load_json(path))
     if dB != 1:
         raise ValueError(f"{path}: expected a local operator file with dims [d, 1]")
     return mat

@@ -115,7 +115,10 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     idx = np.arange(1, v.size + 1)
-    support = np.nonzero(u - (css - 1.0) / idx > 0)[0][-1] + 1
+    # the largest entry always passes in exact arithmetic; once it reaches
+    # 2**53 its test rounds to 0, so an empty support means that entry alone
+    passing = np.nonzero(u - (css - 1.0) / idx > 0)[0]
+    support = passing[-1] + 1 if passing.size else 1
     theta = (css[support - 1] - 1.0) / support
     return np.maximum(v - theta, 0.0)
 

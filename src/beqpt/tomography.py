@@ -48,6 +48,17 @@ class UnfaithfulProbe(Exception):
         )
 
 
+class NoiseBudgetExceeded(ValueError):
+    """Reconstruction rejected as inconsistent with its noise level: more
+    negative weight to clip than the budget, or a Choi matrix that fails
+    its trace or trace-preservation check."""
+
+    def __init__(self, message: str, clipped_weight: float, budget: float):
+        self.clipped_weight = clipped_weight
+        self.budget = budget
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class ReconstructionResult:
     probe_report: DiagnosticsReport
@@ -77,8 +88,7 @@ def simulate_output(ch: KrausChannel, probe: DensityMatrix) -> DensityMatrix:
     """
     out = apply_extended(ch, probe)
     herm_slack = float(np.abs(probe.mat - probe.mat.conj().T).max())
-    w = np.linalg.eigvalsh(herm_part(probe.mat))
-    neg_slack = float(-np.minimum(w, 0.0).sum())
+    neg_slack = float(-np.minimum(probe.eigenvalues, 0.0).sum())
     return DensityMatrix(
         out.mat, out.dA, out.dB,
         herm_tol=HERM_TOL + herm_slack,
@@ -112,26 +122,31 @@ def superop_to_choi(e_hat: np.ndarray, d: int, noise_level: float = 0.0) -> Choi
 
     Negative eigenvalues are clipped and the trace renormalized provided
     the clipped weight stays below 10 x noise_level (plus a small budget
-    for exact-arithmetic roundoff); beyond that the input is treated as
-    inconsistent and rejected.
+    for exact-arithmetic roundoff).  Beyond that, or when the result
+    fails the Choi-matrix checks (trace preservation within the same
+    budget), the input is inconsistent and NoiseBudgetExceeded is raised.
     """
     e_hat = np.asarray(e_hat, dtype=complex)
     if e_hat.shape != (d * d, d * d):
         raise ValueError(f"superoperator shape {e_hat.shape} != ({d*d}, {d*d})")
     s = herm_part(realign_inverse(e_hat, d, d).mat) / d
     w, v = np.linalg.eigh(s)
-    clipped = float(-w[w < 0].sum())
+    clipped = abs(float(w[w < 0].sum()))  # abs, so no negative weight is 0.0, not -0.0
     budget = 10.0 * noise_level + EXACT_CLIP_BUDGET
     if clipped > budget:
-        raise ValueError(
+        raise NoiseBudgetExceeded(
             f"reconstructed Choi matrix is not PSD: clipped weight {clipped:.3e} "
-            f"exceeds the budget {budget:.3e} for noise level {noise_level:g}"
+            f"exceeds the budget {budget:.3e} for noise level {noise_level:g}",
+            clipped, budget,
         )
     if clipped > 0.0:
         w = np.clip(w, 0.0, None)
         s = (v * w) @ v.conj().T
         s = s / s.trace().real
-    return ChoiMatrix(s, d, tp_tol=1e-8 + 10.0 * noise_level)
+    try:
+        return ChoiMatrix(s, d, tp_tol=budget)
+    except ValueError as exc:
+        raise NoiseBudgetExceeded(str(exc), clipped, budget) from exc
 
 
 def trace_distance(a: ChoiMatrix, b: ChoiMatrix) -> float:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -328,6 +330,14 @@ class TestTypes:
         rho = random_density_matrix(2, 2, rng)
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 1.0
+
+    def test_keeps_validation_spectrum(self, rng):
+        rho = random_density_matrix(3, 2, rng)
+        expected = np.linalg.eigvalsh((rho.mat + rho.mat.conj().T) / 2)
+        assert np.array_equal(rho.eigenvalues, expected)
+        assert not rho.eigenvalues.flags.writeable
+        assert "eigenvalues" not in repr(rho)
+        assert [f.name for f in dataclasses.fields(rho) if f.compare] == ["mat", "dA", "dB"]
 
 
 def test_purity_identity_on_random_states(rng):

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from beqpt import acceptance, seesaw
+from beqpt import acceptance, channels, cli, seesaw, states
 from beqpt.bipartite import DensityMatrix
 from beqpt.cli import main
 from beqpt.reports import operator_file, results_json, write_report
@@ -133,6 +137,29 @@ class TestReconstruct:
         assert code == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("noise", ["1e200", "1e308"])
+    def test_overflowing_noise_keeps_the_contract(self, capsys, noise):
+        # this used to end in an IndexError traceback from project_simplex
+        code = main([
+            "reconstruct", "--probe", "bell", "--which", "phi+",
+            "--channel", "identity", "--channel-d", "2", "--noise", noise, "--seed", "1",
+        ])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert_one_line_error(capsys)
+
+    def test_noise_budget_exceeded_exit_1(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = main([
+            "reconstruct", "--probe", "werner", "--d", "5", "--f", "-0.7",
+            "--channel", "identity", "--channel-d", "5", "--noise", "1e-4", "--seed", "3",
+            "--out", str(out),
+        ])
+        assert code == 1
+        results = read(out)["results"]
+        assert results["verdict"] == "noise_budget_exceeded"
+        assert results["clipped_weight"] > results["budget"] == pytest.approx(1e-3, rel=1e-4)
+
 
 class TestOptimize:
     def test_d2_bounded_and_deterministic(self, tmp_path):
@@ -246,6 +273,121 @@ class TestReproduce:
         monkeypatch.setattr(seesaw, "optimize", fake_optimize)
         row = acceptance.row_seesaw()
         assert not any("seconds" in key for key in row.measured)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("constructor called for an out-of-range size")
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("argv, module, name", [
+        (["diagnose", "--state", "max-entangled", "--d", "17"],
+         states, "max_entangled_state"),
+        (["diagnose", "--state", "gamma", "--k", "17", "--n", "2", "--eps", "0.1"],
+         states, "cariello_gamma"),
+        (["reconstruct", "--probe", "bell", "--which", "phi+",
+          "--channel", "identity", "--channel-d", "17"], channels, "identity_channel"),
+        (["reconstruct", "--probe", "bell", "--which", "phi+", "--channel", "random-cptp",
+          "--channel-d", "2", "--channel-seed", "1", "--kraus", "257"], channels, "random_cptp"),
+        (["optimize", "--d", "17", "--seed", "1"], seesaw, "SeesawConfig"),
+    ])
+    def test_just_past_the_cap_exit_2_before_allocation(
+            self, monkeypatch, capsys, argv, module, name):
+        monkeypatch.setattr(module, name, _refuse)
+        assert main(argv) == 2
+        assert_one_line_error(capsys)
+
+    def test_zero_channel_dimension_exit_2(self, capsys):
+        # depolarizing(0, p) used to raise ZeroDivisionError
+        assert main(["reconstruct", "--probe", "bell", "--which", "phi+",
+                     "--channel", "depolarizing", "--channel-d", "0", "--p", "0.5"]) == 2
+        assert_one_line_error(capsys)
+
+
+@st.composite
+def _flag_value(draw, param, d):
+    """A command-line value for a table parameter: mostly in range, else
+    missing (None), just past the cap, negative, 0, non-finite or huge."""
+    kind = draw(st.integers(0, 14))
+    if kind == 0:
+        return None
+    if kind == 1:
+        edge = ["-1", "0", "nan", "inf", "-inf", "1e200"]
+        return draw(st.sampled_from(edge + ([str(param.cap + 1)] if param.cap else [])))
+    if param.choices:
+        return draw(st.sampled_from(param.choices))
+    if param.cap is not None:
+        return str(d if kind > 3 else draw(st.integers(1, min(param.cap, 4))))
+    if param.type is int:
+        return str(draw(st.integers(1, 2)))
+    if param.type is str:
+        return draw(st.sampled_from(["eye.json", "proj.json"]))
+    return str(draw(st.floats(0.0, 1.0)))
+
+
+@st.composite
+def table_commands(draw):
+    """An argv for one command, with names drawn from the CLI's tables."""
+    d = draw(st.integers(2, 4))
+    command = draw(st.sampled_from(["diagnose", "reconstruct", "filter", "optimize"]))
+    if command == "optimize":
+        argv = ["optimize", "--seed", "1", "--restarts", "1", "--max-outer", "2"]
+        value = draw(_flag_value(cli.D, d))
+        return argv + ([] if value is None else ["--d", value])
+    kinds = {"diagnose": [("state", cli.STATES)],
+             "reconstruct": [("probe", cli.STATES), ("channel", cli.CHANNELS)],
+             "filter": [("state", cli.STATES), ("filter", cli.FILTERS)]}[command]
+    argv = [command]
+    for kind, table in kinds:
+        name = draw(st.sampled_from(sorted(table)))
+        argv += [f"--{kind}", name]
+        d = {"bell": 2, "rho-ccnr-3x3": 3, "rho-ccnr": 4}.get(name, d)
+        flags = {p.flag: p for params, _ in table[name] for p in params}
+        for flag, param in flags.items():
+            value = draw(_flag_value(param, d))
+            if value is not None:
+                argv += [flag, value]
+    if command == "reconstruct":
+        noise = draw(st.sampled_from([None, "1e-6", "1e-3", "1e200"]))
+        if noise is not None:
+            argv += ["--noise", noise, "--seed", "1"]
+    return argv
+
+
+VERDICTS = {verdict for verdict, _ in cli.VERDICTS.values()}
+
+
+@pytest.fixture(scope="module")
+def filter_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("filters")
+    write_report(operator_file(np.eye(2)), str(work / "eye.json"))
+    write_report(operator_file(np.diag([0.0, 0.0, 1.0, 1.0])), str(work / "proj.json"))
+    return work
+
+
+class TestExitCodeContract:
+    @settings(max_examples=300)
+    @given(argv=table_commands())
+    @example(argv=["reconstruct", "--probe", "filtered-werner", "--d", "4", "--v", "0.5",
+                   "--channel", "identity", "--channel-d", "4"])
+    @example(argv=["filter", "--state", "filtered-werner", "--d", "4", "--v", "0.3",
+                   "--filter", "files", "--filter-a", "proj.json", "--filter-b", "proj.json"])
+    def test_exit_codes(self, filter_dir, argv):
+        argv = [str(filter_dir / a) if a.endswith(".json") else a for a in argv]
+        out = filter_dir / "r.json"
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(out)])
+        err = err.getvalue()
+        event(f"exit {code} {argv[0]}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            verdict = read(out)["results"].get("verdict")
+            assert verdict in ((None, "ok") if code == 0 else VERDICTS)
 
 
 class TestStateFileInputs:

@@ -40,6 +40,13 @@ class TestProjectSimplex:
             assert w.min() >= 0.0
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e307])
+    def test_entries_past_float_resolution(self, scale):
+        # u0 - (u0 - 1) rounds to 0 once |u0| >= 2**53, so no index passes
+        # the support test; the largest entry alone is the support
+        w = project_simplex(scale * np.array([0.5, -0.3, 0.1, -0.2]))
+        assert np.all(np.isfinite(w)) and w.min() >= 0.0
+
 
 class TestProjectPsdTraceOne:
     def test_density_matrix_is_fixed_point(self, rng):

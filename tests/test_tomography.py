@@ -20,6 +20,7 @@ from beqpt.states import (
     werner_f,
 )
 from beqpt.tomography import (
+    NoiseBudgetExceeded,
     ReconstructionResult,
     UnfaithfulProbe,
     reconstruct_superop,
@@ -101,6 +102,23 @@ class TestSuperopToChoi:
         e_hat = 2 * realign(BipartiteOperator(bad, 2, 2))
         with pytest.raises(ValueError, match="not PSD"):
             superop_to_choi(e_hat, 2, noise_level=1e-4)
+
+    def test_rejection_carries_weight_and_budget(self):
+        bad = np.diag([0.6, 0.5, 0.0, -0.1])
+        e_hat = 2 * realign(BipartiteOperator(bad, 2, 2))
+        with pytest.raises(NoiseBudgetExceeded) as info:
+            superop_to_choi(e_hat, 2, noise_level=1e-4)
+        assert info.value.clipped_weight == pytest.approx(0.1)
+        assert info.value.budget == pytest.approx(1e-3 + 1e-8)
+
+    def test_choi_check_failure_is_a_budget_verdict(self):
+        # PSD with trace 1 but not trace preserving: no weight is clipped,
+        # yet the result is not a channel within the budget
+        bad = np.diag([0.5, 0.0, 0.5, 0.0])
+        e_hat = 2 * realign(BipartiteOperator(bad, 2, 2))
+        with pytest.raises(NoiseBudgetExceeded, match="trace preservation") as info:
+            superop_to_choi(e_hat, 2, noise_level=1e-4)
+        assert str(info.value.clipped_weight) == "0.0"  # reported, so not -0.0
 
     def test_small_negative_weight_clipped(self):
         eps = 1e-6
@@ -232,7 +250,7 @@ class TestFactorizationCount:
 
     @staticmethod
     def _count(monkeypatch):
-        calls = {"svd": 0, "pinv": 0}
+        calls = {"svd": 0, "pinv": 0, "eigvalsh": 0}
         for name in calls:
             original = getattr(np.linalg, name)
 
@@ -252,10 +270,21 @@ class TestFactorizationCount:
         # np.linalg.svd, so each pinv call is one more SVD
         assert calls["pinv"] == 1
         assert calls["svd"] + calls["pinv"] <= 2
+        # validating the output state, the probe report's PPT test, the
+        # reconstructed and the true Choi matrix, the trace distance, and
+        # with noise the projected output; the probe's own spectrum comes
+        # from its validation
+        assert calls["eigvalsh"] == (6 if noise else 5)
+
+    def test_simulate_output_reuses_probe_spectrum(self, monkeypatch):
+        ch, probe = depolarizing(4, 0.3), rho_ccnr()
+        calls = self._count(monkeypatch)
+        simulate_output(ch, probe)
+        assert calls["eigvalsh"] == 1  # the output's validation only
 
     def test_unfaithful_run(self, monkeypatch):
         ch, probe = identity_channel(4), filtered_werner_closed_form(4, 0.5)
         calls = self._count(monkeypatch)
         with pytest.raises(UnfaithfulProbe):
             run_aaqpt(ch, probe)
-        assert calls == {"svd": 1, "pinv": 0}
+        assert calls == {"svd": 1, "pinv": 0, "eigvalsh": 2}
