@@ -21,6 +21,7 @@ from .bipartite import (
     BipartiteOperator,
     as_complex_matrix,
     basis_ket,
+    herm_part,
     partial_trace,
     vec,
     unvec,
@@ -80,7 +81,7 @@ class ChoiMatrix:
             raise ValueError(f"Choi matrix not Hermitian: deviation {dev:.3e}")
         if abs(mat.trace() - 1.0) > trace_tol:
             raise ValueError(f"Choi trace {mat.trace():.17g} is not 1")
-        min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
+        min_eig = float(np.linalg.eigvalsh(herm_part(mat)).min())
         if min_eig < -psd_tol:
             raise ValueError(f"Choi matrix not PSD: min eigenvalue {min_eig:.3e}")
         marginal = partial_trace(BipartiteOperator(mat, self.d, self.d), "A")
@@ -141,7 +142,7 @@ def channel_from_choi(s: ChoiMatrix, eig_cutoff: float = KRAUS_EIG_CUTOFF) -> Kr
     E(rho) = d Tr_2[(Id kron rho^T) S].
     """
     d = s.d
-    w, v = np.linalg.eigh((s.mat + s.mat.conj().T) / 2)
+    w, v = np.linalg.eigh(herm_part(s.mat))
     kraus = [
         np.sqrt(d * wi) * unvec(v[:, i], d, d)
         for i, wi in enumerate(w)

@@ -25,7 +25,8 @@ from . import filtering as filt
 from . import seesaw
 from . import states
 from . import tomography as tomo
-from .bipartite import DensityMatrix, haar_unitary, partial_trace, BipartiteOperator, _permute_subsystems
+from .bipartite import (BipartiteOperator, DensityMatrix, haar_unitary, partial_trace,
+                        permute_qubit_subsystems)
 from .reports import (
     load_density_matrix,
     load_json,
@@ -72,6 +73,10 @@ WHICH = Param("--which", str, choices=("phi+", "phi-", "psi+", "psi-"))
 CHANNEL_D = Param("--channel-d", int, key="d", cap=MAX_D)
 CHANNEL_SEED = Param("--channel-seed", int)
 FILE_A, FILE_B = Param("--filter-a", str), Param("--filter-b", str)
+# optimize overrides of the SeesawConfig field of the same name; validated there
+TUNABLES = (Param("--restarts", int), Param("--max-outer", int), Param("--step"),
+            Param("--projection-iters", int), Param("--projection-tol"),
+            Param("--objective-tol"))
 
 # name -> parameter sets (ordered params, constructor); the first set whose
 # flags are all given is used.  The lambdas look constructors up when they
@@ -149,18 +154,21 @@ def _add_table_flags(parser, table: dict, kind: str, required: bool = False):
     group = parser.add_argument_group(f"{kind} specification")
     group.add_argument(f"--{kind}", choices=tuple(table), required=required)
     params = {p.flag: p for sets in table.values() for ps, _ in sets for p in ps}
-    for p in params.values():
-        group.add_argument(p.flag, type=p.type, choices=p.choices, default=p.default)
+    _add_params(group, params.values())
     return group
+
+
+def _add_params(group, params):
+    for p in params:
+        group.add_argument(p.flag, type=p.type, choices=p.choices, default=p.default)
 
 
 def _trace_out_second_pair(rho: DensityMatrix) -> DensityMatrix:
     """Demote a (AA')|(BB') two-qubit-pair state to its (A)|(B) marginal;
     used to demonstrate that discarding subsystems can move the CCNR
     value either way."""
-    mat = _permute_subsystems(rho.mat, (2, 2, 2, 2), (0, 2, 1, 3))  # -> A,B,A',B'
-    reduced = partial_trace(BipartiteOperator(mat, 4, 4), "B")
-    return DensityMatrix(reduced, 2, 2)
+    abab = permute_qubit_subsystems(rho, (0, 2, 1, 3))  # -> A,B,A',B'
+    return DensityMatrix(partial_trace(abab, "B"), 2, 2)
 
 
 def cmd_diagnose(args, inputs: dict, timings: dict) -> tuple:
@@ -213,21 +221,17 @@ def cmd_reconstruct(args, inputs: dict, timings: dict) -> tuple:
 
 
 def cmd_optimize(args, inputs: dict, timings: dict) -> tuple:
-    keys = ("max_outer", "step", "projection_iters", "projection_tol",
-            "objective_tol", "restarts")
+    flags = {p.dest: getattr(args, p.dest) for p in TUNABLES}
     cfg_kwargs = {"d": D.value(args), "seed": args.seed}
     if args.config is not None:
         file_overrides = load_json(args.config)
         if not isinstance(file_overrides, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-        bad = set(file_overrides) - set(keys)
+        bad = set(file_overrides) - set(flags)
         if bad:
             raise ValueError(f"{args.config}: unknown config keys {sorted(bad)}")
         cfg_kwargs.update(file_overrides)
-    for key in keys:
-        value = getattr(args, key)
-        if value is not None:
-            cfg_kwargs[key] = value
+    cfg_kwargs.update((key, value) for key, value in flags.items() if value is not None)
     cfg = seesaw.SeesawConfig(**cfg_kwargs)
     inputs.update(cfg.to_dict())
     result = seesaw.optimize(cfg)
@@ -301,12 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "large realigned trace norm")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--max-outer", type=int, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--projection-iters", type=int, default=None)
-    p.add_argument("--projection-tol", type=float, default=None)
-    p.add_argument("--objective-tol", type=float, default=None)
+    _add_params(p.add_argument_group("see-saw overrides"), TUNABLES)
     p.add_argument("--config", default=None, metavar="PATH",
                    help="JSON object with config overrides")
     p.add_argument("--out", default=None, metavar="PATH")

@@ -29,11 +29,12 @@ from .bipartite import (
     BipartiteOperator,
     DensityMatrix,
     herm_part,
-    realign,
     realign_inverse,
     _partial_transpose,
     _realign,
 )
+from .diagnostics import ccnr_value, is_ppt
+from .states import random_density_matrix
 
 
 @dataclass(frozen=True)
@@ -157,88 +158,83 @@ def _dykstra(x0: np.ndarray, dA: int, dB: int, iters: int, tol: float) -> np.nda
     q = np.zeros_like(x0)
     out = x0
     for _ in range(iters):
-        y = _project_ppt_mat(x + p, dA, dB)
-        p = x + p - y
-        out = _project_dm_mat(y + q)
-        q = y + q - out
+        xp = x + p
+        y = _project_ppt_mat(xp, dA, dB)
+        p = xp - y
+        yq = y + q
+        out = _project_dm_mat(yq)
+        q = yq - out
         if np.linalg.norm(out - y) <= tol and np.linalg.norm(out - x) <= tol:
             return out
         x = out
     return out
 
 
+def _y_step(mat: np.ndarray, dA: int, dB: int) -> tuple:
+    """(||realign(mat)||_1, U V^dag) from one SVD of realign(mat)."""
+    u, s, vh = np.linalg.svd(_realign(mat, dA, dB), full_matrices=False)
+    return float(s.sum()), u @ vh
+
+
+def _rho_step(mat: np.ndarray, y: np.ndarray, dA: int, dB: int, cfg: SeesawConfig) -> np.ndarray:
+    """Gradient step along H = Herm(R^-1(Y)), then the Dykstra projection."""
+    h = herm_part(realign_inverse(y, dA, dB).mat)
+    return _dykstra(mat + cfg.resolved_step * h, dA, dB,
+                    cfg.projection_iters, cfg.projection_tol)
+
+
 def dual_y_step(rho: BipartiteOperator) -> np.ndarray:
     """Polar factor Y = U V^dag of realign(rho): the dual variable with
     Y Y^dag <= Id attaining Tr(realign(rho)^dag Y) = ||realign(rho)||_1."""
-    u, _, vh = np.linalg.svd(realign(rho), full_matrices=False)
-    return u @ vh
+    return _y_step(rho.mat, rho.dA, rho.dB)[1]
 
 
 def primal_rho_step(rho: DensityMatrix, y: np.ndarray, cfg: SeesawConfig) -> DensityMatrix:
     """One projected-gradient ascent step on <rho, H>, H = Herm(R^-1(Y)),
     followed by the Dykstra projection back onto the feasible set."""
-    h = herm_part(realign_inverse(y, rho.dA, rho.dB).mat)
-    candidate = rho.mat + cfg.resolved_step * h
-    out = _dykstra(candidate, rho.dA, rho.dB, cfg.projection_iters, cfg.projection_tol)
-    return DensityMatrix(out, rho.dA, rho.dB)
+    return DensityMatrix(_rho_step(rho.mat, y, rho.dA, rho.dB, cfg), rho.dA, rho.dB)
+
+
+def _restart(cfg: SeesawConfig, r: int) -> tuple:
+    """Restart ``r`` from the Wishart state drawn from default_rng([seed, r]),
+    projected onto the feasible set: (best value, its iterate, history)."""
+    d = cfg.d
+    start = random_density_matrix(d, d, np.random.default_rng([cfg.seed, r]))
+    mat = _dykstra(start.mat, d, d, cfg.projection_iters, cfg.projection_tol)
+    best, best_mat, prev = -np.inf, mat, -np.inf
+    history = []
+    for _ in range(cfg.max_outer):
+        val, y = _y_step(mat, d, d)
+        history.append(val)
+        if val > best:
+            best, best_mat = val, mat
+        if val - prev < cfg.objective_tol:
+            break
+        prev = val
+        mat = _rho_step(mat, y, d, d, cfg)
+    return best, best_mat, tuple(history)
 
 
 def optimize(cfg: SeesawConfig) -> SeesawResult:
     """Run the full see-saw with seeded Wishart restarts.
 
     Deterministic given the config: restart r draws from
-    default_rng([seed, r]).  Restarts are ranked by final value, ties
-    resolved toward the lower restart index; the winner gets a final
-    hard projection before its value and residuals are reported.
+    default_rng([seed, r]).  Restarts are ranked by their best value, ties
+    resolved toward the lower restart index (``max`` keeps the first); the
+    winner gets a final hard projection, and its value and residuals are
+    read from the validated state.
     """
     d = cfg.d
-    n = d * d
-    eta = cfg.resolved_step
-    best_val = -np.inf
-    best_mat = None
-    best_hist: tuple = ()
-    summary = []
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        mat = g @ g.conj().T
-        mat = _dykstra(mat / mat.trace().real, d, d,
-                       cfg.projection_iters, cfg.projection_tol)
-        hist = []
-        restart_best = -np.inf
-        restart_best_mat = mat
-        prev = -np.inf
-        for _ in range(cfg.max_outer):
-            u, s, vh = np.linalg.svd(_realign(mat, d, d))
-            val = float(s.sum())
-            hist.append(val)
-            if val > restart_best:
-                restart_best = val
-                restart_best_mat = mat
-            if val - prev < cfg.objective_tol:
-                break
-            prev = val
-            h = herm_part(realign_inverse(u @ vh, d, d).mat)
-            mat = _dykstra(mat + eta * h, d, d,
-                           cfg.projection_iters, cfg.projection_tol)
-        summary.append(hist[-1])
-        if restart_best > best_val:
-            best_val = restart_best
-            best_mat = restart_best_mat
-            best_hist = tuple(hist)
-
+    runs = [_restart(cfg, r) for r in range(cfg.restarts)]
+    _, best_mat, history = max(runs, key=lambda run: run[0])
     # final hard projection so the reported state is feasible to <= 1e-7
-    final = _dykstra(best_mat, d, d, max(cfg.projection_iters, 500),
-                     min(cfg.projection_tol, 1e-10))
-    state = DensityMatrix(final, d, d)
-    value = float(np.linalg.svd(_realign(final, d, d), compute_uv=False).sum())
-    ppt_res = float(np.linalg.eigvalsh(_partial_transpose(final, d, d, "B")).min())
-    psd_res = float(np.linalg.eigvalsh(herm_part(final)).min())
+    state = DensityMatrix(_dykstra(best_mat, d, d, max(cfg.projection_iters, 500),
+                                   min(cfg.projection_tol, 1e-10)), d, d)
     return SeesawResult(
         best_state=state,
-        best_value=value,
-        history=best_hist,
-        ppt_residual=ppt_res,
-        psd_residual=psd_res,
-        restarts_summary=tuple(summary),
+        best_value=ccnr_value(state),
+        history=history,
+        ppt_residual=is_ppt(state)[1],
+        psd_residual=float(state.eigenvalues[0]),
+        restarts_summary=tuple(hist[-1] for _, _, hist in runs),
     )

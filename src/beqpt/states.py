@@ -19,6 +19,7 @@ from .bipartite import (
     realign,
     singular_values,
     swap_operator,
+    tensor,
     _permute_subsystems,
 )
 
@@ -36,14 +37,10 @@ def bell_ket(which: str) -> np.ndarray:
         (a1, b1), (a2, b2), sign = _BELL_COMPONENTS[which]
     except KeyError:
         raise ValueError(f"unknown Bell state {which!r}") from None
-    v = tensor_ket(basis_ket(2, a1), basis_ket(2, b1)) + sign * tensor_ket(
+    v = tensor(basis_ket(2, a1), basis_ket(2, b1)) + sign * tensor(
         basis_ket(2, a2), basis_ket(2, b2)
     )
     return v / np.sqrt(2)
-
-
-def tensor_ket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def projector(ket: np.ndarray) -> np.ndarray:
@@ -157,7 +154,7 @@ class GammaParams:
     def v(self) -> np.ndarray:
         out = np.zeros(self.k * self.k, dtype=complex)
         for ai, bi in zip(self.a, self.b):
-            out += tensor_ket(ai, bi)
+            out += tensor(ai, bi)
         return out
 
 
@@ -266,8 +263,8 @@ def filtered_werner_closed_form(d: int, v: float) -> DensityMatrix:
     norm = (d + 1) * (1.0 - v) + 3.0 * v * (d - 1)
     if norm <= 0.0:
         raise ValueError("normalization vanished")
-    phi2 = (tensor_ket(basis_ket(d, 0), basis_ket(d, 0)) +
-            tensor_ket(basis_ket(d, 1), basis_ket(d, 1))) / np.sqrt(2)
+    phi2 = (tensor(basis_ket(d, 0), basis_ket(d, 0)) +
+            tensor(basis_ket(d, 1), basis_ket(d, 1))) / np.sqrt(2)
     block_eye = np.zeros((d * d, d * d), dtype=complex)
     for i in (0, 1):
         for j in (0, 1):

@@ -123,8 +123,8 @@ def superop_to_choi(e_hat: np.ndarray, d: int, noise_level: float = 0.0) -> Choi
     Negative eigenvalues are clipped and the trace renormalized provided
     the clipped weight stays below 10 x noise_level (plus a small budget
     for exact-arithmetic roundoff).  Beyond that, or when the result
-    fails the Choi-matrix checks (trace preservation within the same
-    budget), the input is inconsistent and NoiseBudgetExceeded is raised.
+    fails its trace or trace-preservation check within the same budget,
+    the input is inconsistent and NoiseBudgetExceeded is raised.
     """
     e_hat = np.asarray(e_hat, dtype=complex)
     if e_hat.shape != (d * d, d * d):
@@ -144,7 +144,7 @@ def superop_to_choi(e_hat: np.ndarray, d: int, noise_level: float = 0.0) -> Choi
         s = (v * w) @ v.conj().T
         s = s / s.trace().real
     try:
-        return ChoiMatrix(s, d, tp_tol=budget)
+        return ChoiMatrix(s, d, trace_tol=budget, tp_tol=budget)
     except ValueError as exc:
         raise NoiseBudgetExceeded(str(exc), clipped, budget) from exc
 
@@ -171,8 +171,9 @@ def run_aaqpt(ch: KrausChannel, probe: DensityMatrix, noise: float = 0.0,
     projected back onto the density set before inversion.  The score is
     the trace distance between the true and reconstructed Choi states.
     """
-    if not (np.isfinite(noise) and noise >= 0):
-        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    # a trace-1 state has Frobenius norm <= 1; the test is False for NaN
+    if not 0 <= noise <= 1:
+        raise ValueError(f"noise must be finite and lie in [0, 1], got {noise}")
     if noise > 0 and seed is None:
         raise ValueError("a seed is required when noise > 0")
     rho_out = simulate_output(ch, probe)

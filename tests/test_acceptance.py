@@ -2,6 +2,8 @@
 tolerances.  Each test prints its PASS/FAIL line with the measured
 numbers; the CLI ``reproduce`` command runs the same row functions."""
 
+import pytest
+
 from beqpt import acceptance
 
 
@@ -50,6 +52,7 @@ def test_criterion_09_ccnr_monotonicity():
     _check(acceptance.row_ccnr_monotonicity)
 
 
+@pytest.mark.slow
 def test_criterion_10_seesaw_optimization():
     _check(acceptance.row_seesaw)
 

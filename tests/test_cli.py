@@ -137,16 +137,41 @@ class TestReconstruct:
         assert code == 2
         assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("noise", ["1e200", "1e308"])
+    @pytest.mark.parametrize("noise", ["1.0000001", "1e200", "1e308"])
     def test_overflowing_noise_keeps_the_contract(self, capsys, noise):
-        # this used to end in an IndexError traceback from project_simplex
+        # noise scales a perturbation of a trace-1 state, whose Frobenius
+        # norm is at most 1; past that the error names the bound
         code = main([
             "reconstruct", "--probe", "bell", "--which", "phi+",
             "--channel", "identity", "--channel-d", "2", "--noise", noise, "--seed", "1",
         ])
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert_one_line_error(capsys)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: noise must be finite and lie in [0, 1], got {float(noise)}\n"
+
+    def test_noise_at_its_bound_runs(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = main([
+            "reconstruct", "--probe", "bell", "--which", "phi+",
+            "--channel", "identity", "--channel-d", "2", "--noise", "1", "--seed", "1",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert read(out)["results"]["verdict"] == "ok"
+
+    def test_small_noise_choi_trace_within_budget(self, tmp_path):
+        # no weight is clipped here, but the Choi trace is off by ~6e-8:
+        # within the noise budget, which the trace check uses
+        out = tmp_path / "r.json"
+        code = main([
+            "reconstruct", "--probe", "rho-ccnr-3x3", "--channel", "depolarizing",
+            "--channel-d", "3", "--p", "0.9", "--noise", "1e-6", "--seed", "123456",
+            "--out", str(out),
+        ])
+        assert code == 0
+        results = read(out)["results"]
+        assert results["verdict"] == "ok"
+        assert results["trace_distance"] < 1e-5
 
     def test_noise_budget_exceeded_exit_1(self, tmp_path):
         out = tmp_path / "r.json"

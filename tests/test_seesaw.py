@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -167,7 +169,26 @@ class TestOptimize:
     def test_best_value_consistent_with_state(self):
         cfg = SeesawConfig(d=2, seed=2, restarts=2, max_outer=100)
         res = optimize(cfg)
-        assert abs(res.best_value - ccnr_value(res.best_state)) <= 1e-8
+        assert res.best_value == ccnr_value(res.best_state)
+
+    def test_runs_the_public_half_steps(self):
+        # one restart stepped by hand through dual_y_step/primal_rho_step
+        # must reproduce optimize bit for bit; with Y = 0, primal_rho_step
+        # is the bare Dykstra projection that starts and ends a run
+        cfg = SeesawConfig(d=3, seed=5, restarts=1, max_outer=25)
+        res = optimize(cfg)
+        zero_y = np.zeros((9, 9))
+        start = random_density_matrix(3, 3, np.random.default_rng([cfg.seed, 0]))
+        rho = primal_rho_step(start, zero_y, cfg)
+        iterates = []
+        for _ in res.history:
+            iterates.append(rho)
+            rho = primal_rho_step(rho, dual_y_step(rho), cfg)
+        assert res.history == pytest.approx([ccnr_value(r) for r in iterates], abs=1e-12)
+        best = iterates[int(np.argmax(res.history))]
+        final_cfg = replace(cfg, projection_iters=500, projection_tol=1e-10)
+        final = primal_rho_step(best, zero_y, final_cfg)
+        assert np.array_equal(final.mat, res.best_state.mat)
 
     def test_deterministic(self):
         cfg = SeesawConfig(d=2, seed=3, restarts=2, max_outer=80)
