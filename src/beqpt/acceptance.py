@@ -28,25 +28,17 @@ from .bipartite import (
     singular_values,
     swap_operator,
 )
-from .reports import to_jsonable
+from .reports import Record
 
 _SEED = 20240810
 
 
 @dataclass(frozen=True)
-class RowResult:
+class RowResult(Record):
     key: str
     title: str
     passed: bool
     measured: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "title": self.title,
-            "passed": bool(self.passed),
-            "measured": to_jsonable(self.measured),
-        }
 
 
 def _row(key, title, passed, **measured):
@@ -324,7 +316,7 @@ def row_seesaw() -> RowResult:
     res4 = seesaw.optimize(seesaw.SeesawConfig(d=4, seed=1))
     res2a = seesaw.optimize(seesaw.SeesawConfig(d=2, seed=1))
     res2b = seesaw.optimize(seesaw.SeesawConfig(d=2, seed=1))
-    deterministic = to_jsonable(res2a.to_dict()) == to_jsonable(res2b.to_dict())
+    deterministic = res2a.to_dict() == res2b.to_dict()
     feasible = all(
         r.ppt_residual >= -1e-7 and r.psd_residual >= -1e-7
         for r in (res2a, res3, res4)

@@ -39,6 +39,12 @@ def as_complex_matrix(m) -> np.ndarray:
     return mat
 
 
+def max_entry(m: np.ndarray) -> float:
+    """Largest |Re| or |Im| entry of a complex matrix from
+    ``as_complex_matrix``; unlike abs() it cannot overflow."""
+    return float(np.abs(m.view(np.float64)).max())
+
+
 def herm_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
@@ -90,15 +96,21 @@ class DensityMatrix(BipartiteOperator):
     def __post_init__(self, herm_tol, psd_tol, trace_tol):
         super().__post_init__()
         m = self.mat
-        dev = np.abs(m - m.conj().T).max()
-        if dev > herm_tol:
-            raise ValueError(f"not Hermitian: max entry deviation {dev:.3e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"trace {tr:.17g} is not 1")
+        with np.errstate(over="ignore"):  # an overflow gives inf, which fails its test
+            dev = np.abs(m - m.conj().T).max()
+            if dev > herm_tol:
+                raise ValueError(f"not Hermitian: max entry deviation {dev:.3e}")
+            tr = m.trace()
+            if abs(tr - 1.0) > trace_tol:
+                raise ValueError(f"trace {tr:.17g} is not 1")
+        # a Hermitian unit-trace matrix with a larger entry has an eigenvalue
+        # below -psd_tol; checked first, so that eigvalsh cannot overflow
+        big = max_entry(m)
+        if big > 1.0 + herm_tol + trace_tol + m.shape[0] * psd_tol:
+            raise ValueError(f"not PSD: an entry of magnitude {big:.3e} exceeds 1")
         w = np.linalg.eigvalsh(herm_part(m))
         min_eig = float(w.min())
-        if min_eig < -psd_tol:
+        if not min_eig >= -psd_tol:  # also rejects NaN
             raise ValueError(f"not PSD: min eigenvalue {min_eig:.3e}")
         w.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)

@@ -13,12 +13,13 @@ E_hat = sum_n K_n kron conj(K_n) and S = realign_inverse(E_hat) / d.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bipartite import (
     BipartiteOperator,
+    DensityMatrix,
     as_complex_matrix,
     basis_ket,
     herm_part,
@@ -60,36 +61,22 @@ class KrausChannel:
         object.__setattr__(self, "kraus", ops)
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Trace-1 Choi state of a channel on C^d; PSD with Tr over the
-    output factor equal to Id/d (trace preservation)."""
+class ChoiMatrix(DensityMatrix):
+    """Trace-1 Choi state of a channel on C^d: a density matrix on
+    C^d kron C^d whose trace over the output factor is Id/d (trace
+    preservation)."""
 
-    mat: np.ndarray
-    d: int
-    psd_tol: InitVar[float] = CHOI_PSD_TOL
-    trace_tol: InitVar[float] = CHOI_TRACE_TOL
-    tp_tol: InitVar[float] = CHOI_TP_TOL
-
-    def __post_init__(self, psd_tol, trace_tol, tp_tol):
-        mat = as_complex_matrix(self.mat)
-        n = self.d * self.d
-        if mat.shape != (n, n):
-            raise ValueError(f"Choi matrix shape {mat.shape} != ({n}, {n})")
-        dev = np.abs(mat - mat.conj().T).max()
-        if dev > psd_tol:
-            raise ValueError(f"Choi matrix not Hermitian: deviation {dev:.3e}")
-        if abs(mat.trace() - 1.0) > trace_tol:
-            raise ValueError(f"Choi trace {mat.trace():.17g} is not 1")
-        min_eig = float(np.linalg.eigvalsh(herm_part(mat)).min())
-        if min_eig < -psd_tol:
-            raise ValueError(f"Choi matrix not PSD: min eigenvalue {min_eig:.3e}")
-        marginal = partial_trace(BipartiteOperator(mat, self.d, self.d), "A")
-        tp_dev = np.abs(marginal - np.eye(self.d) / self.d).max()
+    def __init__(self, mat, d: int, trace_tol: float = CHOI_TRACE_TOL,
+                 tp_tol: float = CHOI_TP_TOL):
+        DensityMatrix.__init__(self, mat, d, d, herm_tol=CHOI_PSD_TOL,
+                               psd_tol=CHOI_PSD_TOL, trace_tol=trace_tol)
+        tp_dev = np.abs(partial_trace(self, "A") - np.eye(d) / d).max()
         if tp_dev > tp_tol:
             raise ValueError(f"trace preservation violated: deviation {tp_dev:.3e}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
+
+    @property
+    def d(self) -> int:
+        return self.dA
 
 
 def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:

@@ -25,8 +25,7 @@ from . import filtering as filt
 from . import seesaw
 from . import states
 from . import tomography as tomo
-from .bipartite import (BipartiteOperator, DensityMatrix, haar_unitary, partial_trace,
-                        permute_qubit_subsystems)
+from .bipartite import DensityMatrix, haar_unitary
 from .reports import (
     load_density_matrix,
     load_json,
@@ -163,40 +162,23 @@ def _add_params(group, params):
         group.add_argument(p.flag, type=p.type, choices=p.choices, default=p.default)
 
 
-def _trace_out_second_pair(rho: DensityMatrix) -> DensityMatrix:
-    """Demote a (AA')|(BB') two-qubit-pair state to its (A)|(B) marginal;
-    used to demonstrate that discarding subsystems can move the CCNR
-    value either way."""
-    abab = permute_qubit_subsystems(rho, (0, 2, 1, 3))  # -> A,B,A',B'
-    return DensityMatrix(partial_trace(abab, "B"), 2, 2)
-
-
 def cmd_diagnose(args, inputs: dict, timings: dict) -> tuple:
     rho = build_state(args, inputs)
-    results = {"report": diag.full_report(rho).to_dict()}
+    report = diag.full_report(rho)
+    results = {"report": report}
     if args.rudolph_trials is not None:
         if args.seed is None:
             raise ValueError("--rudolph-trials requires --seed")
         inputs.update(rudolph_trials=args.rudolph_trials, seed=args.seed)
-        results["rudolph"] = diag.rudolph_checks(rho, args.rudolph_trials, args.seed).to_dict()
-        if rho.dA == rho.dB == 4:
-            # tracing out subsystems may move the CCNR value either way;
-            # shown for illustration, nothing is asserted about it
-            results["trace_out_demo"] = {
-                "ccnr_before": results["report"]["ccnr_value"],
-                "ccnr_after_tracing_second_pair": diag.ccnr_value(
-                    _trace_out_second_pair(rho)
-                ),
-            }
+        results["rudolph"] = diag.rudolph_checks(rho, args.rudolph_trials, args.seed)
     if args.dump_state is not None:
         write_report(matrix_file(rho), args.dump_state)
-    r = results["report"]
     return results, [
-        f"ccnr_value        {r['ccnr_value']:.12g}"
-        f"  ({'entangled' if r['ccnr_entangled'] else 'not detected'})",
-        f"ppt               {r['ppt']}  (min eig of partial transpose {r['min_eig_pt']:.3e})",
-        f"faithful          {r['faithful']}  (operator Schmidt rank {r['schmidt_rank']})",
-        f"purity            {r['purity']:.12g}",
+        f"ccnr_value        {report.ccnr_value:.12g}"
+        f"  ({'entangled' if report.ccnr_entangled else 'not detected'})",
+        f"ppt               {report.ppt}  (min eig of partial transpose {report.min_eig_pt:.3e})",
+        f"faithful          {report.faithful}  (operator Schmidt rank {report.schmidt_rank})",
+        f"purity            {report.purity:.12g}",
     ], 0
 
 
@@ -205,16 +187,7 @@ def cmd_reconstruct(args, inputs: dict, timings: dict) -> tuple:
     channel = build(CHANNELS, "channel", args, inputs)
     inputs.update(noise=args.noise, seed=args.seed)
     result = tomo.run_aaqpt(channel, probe, noise=args.noise, seed=args.seed)
-    d = result.choi_reconstructed.d
-    results = {
-        **result.to_dict(),
-        "verdict": "ok",
-        "choi_reconstructed": matrix_file(BipartiteOperator(result.choi_reconstructed.mat, d, d)),
-        "choi_true": matrix_file(BipartiteOperator(result.choi_true.mat, d, d)),
-        "superop_reconstructed": matrix_file(
-            BipartiteOperator(result.superop_reconstructed, d, d)),
-    }
-    return results, [
+    return {**result.to_dict(), "verdict": "ok"}, [
         f"choi trace distance  {result.trace_distance:.6e}",
         f"probe condition      {result.probe_condition_number:.6g}",
     ], 0
@@ -235,8 +208,7 @@ def cmd_optimize(args, inputs: dict, timings: dict) -> tuple:
     cfg = seesaw.SeesawConfig(**cfg_kwargs)
     inputs.update(cfg.to_dict())
     result = seesaw.optimize(cfg)
-    results = {**result.to_dict(), "best_state": matrix_file(result.best_state)}
-    return results, [
+    return result.to_dict(), [
         f"best value    {result.best_value:.12g}",
         f"ppt residual  {result.ppt_residual:.3e}",
         f"restarts      {len(result.restarts_summary)}",
@@ -260,7 +232,7 @@ def cmd_reproduce(args, inputs: dict, timings: dict) -> tuple:
     lines = [f"[{'PASS' if row.passed else 'FAIL'}] {row.key}: {row.title}" for row in rows]
     all_passed = all(row.passed for row in rows)
     lines.append(f"{sum(r.passed for r in rows)}/{len(rows)} rows passed")
-    return ({"rows": [row.to_dict() for row in rows], "all_passed": all_passed},
+    return ({"rows": rows, "all_passed": all_passed},
             lines, 0 if all_passed else 1)
 
 

@@ -22,6 +22,7 @@ from .bipartite import (
     _permute_subsystems,
     _schmidt_rank,
 )
+from .reports import Record
 
 ENTANGLED_MARGIN = 1e-9
 FAITHFUL_REL_TOL = 1e-9
@@ -30,7 +31,7 @@ PURITY_IDENTITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class DiagnosticsReport:
+class DiagnosticsReport(Record):
     """Aggregate verdicts for one bipartite state."""
 
     dims: tuple
@@ -43,21 +44,6 @@ class DiagnosticsReport:
     faithful: bool
     schmidt_rank: int
     condition_number: float
-
-    def to_dict(self) -> dict:
-        cond = self.condition_number
-        return {
-            "dims": list(self.dims),
-            "ccnr_value": float(self.ccnr_value),
-            "ccnr_entangled": bool(self.ccnr_entangled),
-            "ppt": bool(self.ppt),
-            "min_eig_pt": float(self.min_eig_pt),
-            "purity": float(self.purity),
-            "realigned_spectrum": [float(s) for s in self.realigned_spectrum],
-            "faithful": bool(self.faithful),
-            "schmidt_rank": int(self.schmidt_rank),
-            "condition_number": float(cond) if np.isfinite(cond) else None,
-        }
 
 
 def ccnr_value(rho: DensityMatrix) -> float:
@@ -148,7 +134,7 @@ def analytic_ccnr(family: str, d: int, param: float) -> float:
 
 
 @dataclass(frozen=True)
-class RudolphReport:
+class RudolphReport(Record):
     """Worst-case margins for the three monotonicity properties of the
     realigned trace norm (local unitaries, product ancillas, Lueders
     measurements)."""
@@ -162,28 +148,7 @@ class RudolphReport:
     ancilla_nonincreasing: bool
     lueders_max_increase: float
     lueders_nonincreasing: bool
-
-    @property
-    def all_passed(self) -> bool:
-        return bool(
-            self.unitary_invariant
-            and self.ancilla_nonincreasing
-            and self.lueders_nonincreasing
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": int(self.trials),
-            "seed": int(self.seed),
-            "tol": float(self.tol),
-            "unitary_max_deviation": float(self.unitary_max_deviation),
-            "unitary_invariant": bool(self.unitary_invariant),
-            "ancilla_max_increase": float(self.ancilla_max_increase),
-            "ancilla_nonincreasing": bool(self.ancilla_nonincreasing),
-            "lueders_max_increase": float(self.lueders_max_increase),
-            "lueders_nonincreasing": bool(self.lueders_nonincreasing),
-            "all_passed": self.all_passed,
-        }
+    all_passed: bool
 
 
 def _random_pure_qubit(rng: np.random.Generator) -> np.ndarray:
@@ -248,16 +213,18 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int,
     lueders_inc = max(changes(
         2, lambda g: lueders_product_measurement(rho, *local_unitaries(g))))
 
+    invariant, ancilla_ok, lueders_ok = unitary_dev <= tol, ancilla_inc <= tol, lueders_inc <= tol
     return RudolphReport(
         trials=trials,
         seed=seed,
         tol=tol,
         unitary_max_deviation=float(unitary_dev),
-        unitary_invariant=bool(unitary_dev <= tol),
+        unitary_invariant=invariant,
         ancilla_max_increase=float(ancilla_inc),
-        ancilla_nonincreasing=bool(ancilla_inc <= tol),
+        ancilla_nonincreasing=ancilla_ok,
         lueders_max_increase=float(lueders_inc),
-        lueders_nonincreasing=bool(lueders_inc <= tol),
+        lueders_nonincreasing=lueders_ok,
+        all_passed=invariant and ancilla_ok and lueders_ok,
     )
 
 

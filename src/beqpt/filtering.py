@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import DensityMatrix, as_complex_matrix
+from .bipartite import DensityMatrix, as_complex_matrix, max_entry
 from .diagnostics import DiagnosticsReport, full_report
+from .reports import Record
 
 CONTRACTION_TOL = 1e-10
 ANNIHILATION_TOL = 1e-14
@@ -37,8 +38,13 @@ class FilterPair:
             m = as_complex_matrix(getattr(self, name))
             if m.shape[0] != m.shape[1]:
                 raise ValueError(f"filter {name} must be square")
+            # a contraction has no entry above 1, so A^dag A cannot overflow
+            big = max_entry(m)
+            if big > 1.0 + CONTRACTION_TOL:
+                raise ValueError(f"filter {name} is not a contraction: "
+                                 f"an entry of magnitude {big:.3e} exceeds 1")
             top = float(np.linalg.eigvalsh(m.conj().T @ m).max())
-            if top > 1.0 + CONTRACTION_TOL:
+            if not top <= 1.0 + CONTRACTION_TOL:  # also rejects NaN
                 raise ValueError(
                     f"filter {name} is not a contraction: largest eigenvalue "
                     f"of {name}^dag {name} is {top:.12g}"
@@ -81,19 +87,11 @@ def local_filter(rho: DensityMatrix, f: FilterPair) -> DensityMatrix:
 
 
 @dataclass(frozen=True)
-class FilterAnalysis:
+class FilterAnalysis(Record):
     before: DiagnosticsReport
     after: DiagnosticsReport
     ccnr_increased: bool
     faithfulness_lost: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "before": self.before.to_dict(),
-            "after": self.after.to_dict(),
-            "ccnr_increased": bool(self.ccnr_increased),
-            "faithfulness_lost": bool(self.faithfulness_lost),
-        }
 
 
 def filter_analysis(rho: DensityMatrix, f: FilterPair) -> FilterAnalysis:

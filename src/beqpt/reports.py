@@ -8,6 +8,7 @@ results sections.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import numbers
 
@@ -18,28 +19,19 @@ from .bipartite import BipartiteOperator, DensityMatrix
 SCHEMA_VERSION = 1
 
 
-def _matrix_payload(mat: np.ndarray) -> dict:
-    return {
-        "re": [[float(x) for x in row] for row in mat.real],
-        "im": [[float(x) for x in row] for row in mat.imag],
-    }
-
-
 def matrix_file(op: BipartiteOperator) -> dict:
     """Serialize a bipartite operator (dims recorded explicitly)."""
-    out = {"schema_version": SCHEMA_VERSION, "dims": [op.dA, op.dB]}
-    out.update(_matrix_payload(op.mat))
-    return out
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "dims": [op.dA, op.dB],
+        "re": [[float(x) for x in row] for row in op.mat.real],
+        "im": [[float(x) for x in row] for row in op.mat.imag],
+    }
 
 
 def operator_file(mat: np.ndarray) -> dict:
     """Serialize a single local operator as a [d, 1] matrix file."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"local operator must be square, got shape {mat.shape}")
-    out = {"schema_version": SCHEMA_VERSION, "dims": [mat.shape[0], 1]}
-    out.update(_matrix_payload(mat))
-    return out
+    return matrix_file(BipartiteOperator(mat, len(mat), 1))
 
 
 def parse_matrix_file(obj: dict) -> tuple:
@@ -90,7 +82,11 @@ def load_local_operator(path: str) -> np.ndarray:
 
 
 def to_jsonable(x):
-    """Recursively coerce numpy containers/scalars to plain JSON types."""
+    """Recursively coerce a result to plain JSON types.  This is the one
+    serialization rule: a bipartite operator (so also every density matrix
+    and Choi state) becomes its matrix file, any other dataclass the dict
+    of its fields, and numpy containers and scalars plain lists and
+    numbers, with non-finite floats as None."""
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
     if x is None or isinstance(x, (int, str)):
@@ -106,7 +102,20 @@ def to_jsonable(x):
         return {str(k): to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [to_jsonable(v) for v in x]
+    # tested last, so the numbers that fill a matrix file pay nothing for them
+    if isinstance(x, BipartiteOperator):
+        return matrix_file(x)
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return {f.name: to_jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+class Record:
+    """Base of the result dataclasses: a new field reaches the report
+    without a serializer edit."""
+
+    def to_dict(self) -> dict:
+        return to_jsonable(self)
 
 
 def make_report(command: str, inputs: dict, results: dict, timings: dict) -> dict:

@@ -34,6 +34,7 @@ from .bipartite import (
     _realign,
 )
 from .diagnostics import ccnr_value, is_ppt
+from .reports import Record
 from .states import random_density_matrix
 
 
@@ -90,7 +91,7 @@ class SeesawConfig:
 
 
 @dataclass(frozen=True)
-class SeesawResult:
+class SeesawResult(Record):
     """Best state over all restarts plus the full objective trace."""
 
     best_state: DensityMatrix
@@ -99,15 +100,6 @@ class SeesawResult:
     ppt_residual: float
     psd_residual: float
     restarts_summary: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "best_value": float(self.best_value),
-            "history": [float(v) for v in self.history],
-            "ppt_residual": float(self.ppt_residual),
-            "psd_residual": float(self.psd_residual),
-            "restarts_summary": [float(v) for v in self.restarts_summary],
-        }
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 from .bipartite import (
     HERM_TOL,
     PSD_TOL,
+    BipartiteOperator,
     DensityMatrix,
     herm_part,
     realign,
@@ -28,6 +29,7 @@ from .bipartite import (
 )
 from .channels import ChoiMatrix, KrausChannel, apply_extended, choi_of
 from .diagnostics import FAITHFUL_REL_TOL, DiagnosticsReport, _faithful, full_report
+from .reports import Record
 from .seesaw import project_psd_trace_one
 
 PINV_RCOND = 1e-12
@@ -60,22 +62,14 @@ class NoiseBudgetExceeded(ValueError):
 
 
 @dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(Record):
     probe_report: DiagnosticsReport
-    superop_reconstructed: np.ndarray
+    superop_reconstructed: BipartiteOperator
     choi_reconstructed: ChoiMatrix
     choi_true: ChoiMatrix | None
     trace_distance: float | None
     probe_condition_number: float
     noise_level: float
-
-    def to_dict(self) -> dict:
-        return {
-            "probe_report": self.probe_report.to_dict(),
-            "trace_distance": None if self.trace_distance is None else float(self.trace_distance),
-            "probe_condition_number": float(self.probe_condition_number),
-            "noise_level": float(self.noise_level),
-        }
 
 
 def simulate_output(ch: KrausChannel, probe: DensityMatrix) -> DensityMatrix:
@@ -187,7 +181,7 @@ def run_aaqpt(ch: KrausChannel, probe: DensityMatrix, noise: float = 0.0,
     choi_true = choi_of(ch)
     return ReconstructionResult(
         probe_report=report,
-        superop_reconstructed=e_hat,
+        superop_reconstructed=BipartiteOperator(e_hat, ch.d_in, ch.d_in),
         choi_reconstructed=choi_rec,
         choi_true=choi_true,
         trace_distance=trace_distance(choi_true, choi_rec),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beqpt.bipartite import haar_unitary, max_entangled, realign_inverse, vec
+from beqpt.bipartite import DensityMatrix, haar_unitary, max_entangled, realign_inverse, vec
 from beqpt.channels import (
     ChoiMatrix,
     KrausChannel,
@@ -85,6 +85,11 @@ class TestChoi:
         u = haar_unitary(d, rng)
         ket = np.kron(u, np.eye(d)) @ max_entangled(d, normalized=True)
         assert np.allclose(choi_of(unitary_channel(u)).mat, np.outer(ket, ket.conj()))
+
+    def test_choi_state_is_a_density_matrix(self):
+        s = choi_of(depolarizing(3, 0.4))
+        assert isinstance(s, DensityMatrix)
+        assert (s.dA, s.dB, s.d) == (3, 3, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="PSD"):

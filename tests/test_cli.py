@@ -8,15 +8,23 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from beqpt import acceptance, channels, cli, seesaw, states
+from beqpt import tomography as tomo
 from beqpt.bipartite import DensityMatrix
 from beqpt.cli import main
-from beqpt.reports import operator_file, results_json, write_report
+from beqpt.reports import operator_file, parse_matrix_file, results_json, write_report
 from beqpt.states import random_density_matrix
 
 
 def read(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def write_matrix(path, dims, re):
+    """A matrix file with the given real part and a zero imaginary part."""
+    path.write_text(json.dumps({"schema_version": 1, "dims": dims, "re": re,
+                                "im": [[0.0] * len(row) for row in re]}))
+    return str(path)
 
 
 def assert_one_line_error(capsys):
@@ -51,7 +59,7 @@ class TestDiagnose:
         assert code == 0
         results = read(out)["results"]
         assert results["rudolph"]["all_passed"]
-        assert "trace_out_demo" in results
+        assert "trace_out_demo" not in results
 
     def test_missing_params_exit_2(self):
         assert main(["diagnose", "--state", "werner", "--d", "4"]) == 2
@@ -75,6 +83,13 @@ class TestDiagnose:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert main(["diagnose", "--file", str(path)]) == 2
+        assert_one_line_error(capsys)
+
+    def test_overflowing_state_file_exit_2(self, tmp_path, capsys):
+        # not a state, and its Hermitian part overflows: rejected before any
+        # arithmetic, so no RuntimeWarning reaches stderr
+        path = write_matrix(tmp_path / "s.json", [1, 2], [[0.5, 1e308], [1e308, 0.5]])
+        assert main(["diagnose", "--file", path]) == 2
         assert_one_line_error(capsys)
 
     def test_dump_state_roundtrips(self, tmp_path):
@@ -120,6 +135,26 @@ class TestReconstruct:
         ])
         assert code == 1
         assert read(out)["results"]["verdict"] == "unfaithful_probe"
+
+    def test_overflowing_probe_file_exit_2(self, tmp_path, capsys):
+        # the same overflow at 4x4; without the entry bound eigvalsh fails to converge
+        re = np.diag([0.25] * 4)
+        re[0, 1] = re[1, 0] = 1e308
+        path = write_matrix(tmp_path / "p.json", [2, 2], re.tolist())
+        assert main(["reconstruct", "--probe-file", path,
+                     "--channel", "identity", "--channel-d", "2"]) == 2
+        assert_one_line_error(capsys)
+
+    def test_report_matrices_are_the_run_matrices(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["reconstruct", "--probe", "rho-ccnr-3x3", "--channel", "depolarizing",
+                     "--channel-d", "3", "--p", "0.3", "--out", str(out)]) == 0
+        results = read(out)["results"]
+        run = tomo.run_aaqpt(channels.depolarizing(3, 0.3), states.rho_ccnr_3x3())
+        for key in ("choi_reconstructed", "choi_true", "superop_reconstructed"):
+            mat, dA, dB = parse_matrix_file(results[key])
+            assert [dA, dB] == [3, 3]
+            assert np.array_equal(mat, getattr(run, key).mat)
 
     def test_noise_requires_seed(self):
         code = main([
@@ -346,7 +381,7 @@ def _flag_value(draw, param, d):
     if param.type is int:
         return str(draw(st.integers(1, 2)))
     if param.type is str:
-        return draw(st.sampled_from(["eye.json", "proj.json"]))
+        return draw(st.sampled_from(["eye.json", "proj.json", "big.json"]))
     return str(draw(st.floats(0.0, 1.0)))
 
 
@@ -387,6 +422,8 @@ def filter_dir(tmp_path_factory):
     work = tmp_path_factory.mktemp("filters")
     write_report(operator_file(np.eye(2)), str(work / "eye.json"))
     write_report(operator_file(np.diag([0.0, 0.0, 1.0, 1.0])), str(work / "proj.json"))
+    # not a contraction, and A^dag A overflows
+    write_report(operator_file(np.diag([1e200, 0.0])), str(work / "big.json"))
     return work
 
 
@@ -397,6 +434,8 @@ class TestExitCodeContract:
                    "--channel", "identity", "--channel-d", "4"])
     @example(argv=["filter", "--state", "filtered-werner", "--d", "4", "--v", "0.3",
                    "--filter", "files", "--filter-a", "proj.json", "--filter-b", "proj.json"])
+    @example(argv=["filter", "--state", "werner", "--d", "2", "--f", "0.5",
+                   "--filter", "files", "--filter-a", "big.json", "--filter-b", "big.json"])
     def test_exit_codes(self, filter_dir, argv):
         argv = [str(filter_dir / a) if a.endswith(".json") else a for a in argv]
         out = filter_dir / "r.json"
@@ -411,6 +450,7 @@ class TestExitCodeContract:
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1
         else:
+            assert err == ""
             verdict = read(out)["results"].get("verdict")
             assert verdict in ((None, "ok") if code == 0 else VERDICTS)
 

@@ -1,9 +1,15 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from beqpt.acceptance import RowResult
+from beqpt.bipartite import DensityMatrix
+from beqpt.diagnostics import DiagnosticsReport, RudolphReport
+from beqpt.filtering import FilterAnalysis
 from beqpt.reports import (
+    Record,
     load_density_matrix,
     load_local_operator,
     make_report,
@@ -15,7 +21,9 @@ from beqpt.reports import (
     to_jsonable,
     write_report,
 )
+from beqpt.seesaw import SeesawResult
 from beqpt.states import random_density_matrix
+from beqpt.tomography import ReconstructionResult
 
 
 class TestMatrixFileRoundtrip:
@@ -90,6 +98,26 @@ class TestJsonable:
     def test_unserializable_raises(self):
         with pytest.raises(TypeError):
             to_jsonable(object())
+
+    def test_records_and_operators_by_one_rule(self, rng):
+        @dataclass(frozen=True)
+        class Inner(Record):
+            state: DensityMatrix
+            value: float
+
+        @dataclass(frozen=True)
+        class Outer(Record):
+            inner: Inner
+            flags: tuple
+
+        rho = random_density_matrix(2, 3, rng)
+        out = Outer(Inner(rho, float("nan")), (np.bool_(True), np.int64(2))).to_dict()
+        assert out == {"inner": {"state": matrix_file(rho), "value": None}, "flags": [True, 2]}
+
+    def test_no_record_writes_its_own_serializer(self):
+        for cls in (DiagnosticsReport, RudolphReport, SeesawResult, ReconstructionResult,
+                    FilterAnalysis, RowResult):
+            assert issubclass(cls, Record) and "to_dict" not in vars(cls)
 
 
 class TestReports:
