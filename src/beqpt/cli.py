@@ -187,7 +187,7 @@ def cmd_reconstruct(args, inputs: dict, timings: dict) -> tuple:
     channel = build(CHANNELS, "channel", args, inputs)
     inputs.update(noise=args.noise, seed=args.seed)
     result = tomo.run_aaqpt(channel, probe, noise=args.noise, seed=args.seed)
-    return {**result.to_dict(), "verdict": "ok"}, [
+    return {**vars(result), "verdict": "ok"}, [
         f"choi trace distance  {result.trace_distance:.6e}",
         f"probe condition      {result.probe_condition_number:.6g}",
     ], 0
@@ -206,9 +206,9 @@ def cmd_optimize(args, inputs: dict, timings: dict) -> tuple:
         cfg_kwargs.update(file_overrides)
     cfg_kwargs.update((key, value) for key, value in flags.items() if value is not None)
     cfg = seesaw.SeesawConfig(**cfg_kwargs)
-    inputs.update(cfg.to_dict())
+    inputs.update(vars(cfg))
     result = seesaw.optimize(cfg)
-    return result.to_dict(), [
+    return result, [
         f"best value    {result.best_value:.12g}",
         f"ppt residual  {result.ppt_residual:.3e}",
         f"restarts      {len(result.restarts_summary)}",
@@ -218,7 +218,7 @@ def cmd_optimize(args, inputs: dict, timings: dict) -> tuple:
 def cmd_filter(args, inputs: dict, timings: dict) -> tuple:
     rho = build_state(args, inputs)
     analysis = filt.filter_analysis(rho, build(FILTERS, "filter", args, inputs, rho.dA))
-    return {**analysis.to_dict(), "verdict": "ok"}, [
+    return {**vars(analysis), "verdict": "ok"}, [
         f"ccnr before  {analysis.before.ccnr_value:.12g}",
         f"ccnr after   {analysis.after.ccnr_value:.12g}",
         f"faithfulness lost  {analysis.faithfulness_lost}",
@@ -299,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command, print its summary lines and write its report.  A
-    command fills ``inputs`` as it reads them and returns (results, summary
-    lines, exit code); a domain verdict it raises becomes a report with
-    exit 1."""
+    command fills ``inputs`` as it reads them and returns (results, a dict
+    or a record, summary lines, exit code); a domain verdict it raises
+    becomes a report with exit 1."""
     try:
         args = build_parser().parse_args(argv)
         t0 = time.perf_counter()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
+import math
 
 import numpy as np
 
@@ -24,8 +24,8 @@ def matrix_file(op: BipartiteOperator) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "dims": [op.dA, op.dB],
-        "re": [[float(x) for x in row] for row in op.mat.real],
-        "im": [[float(x) for x in row] for row in op.mat.imag],
+        "re": op.mat.real.tolist(),
+        "im": op.mat.imag.tolist(),
     }
 
 
@@ -87,22 +87,19 @@ def to_jsonable(x):
     and Choi state) becomes its matrix file, any other dataclass the dict
     of its fields, and numpy containers and scalars plain lists and
     numbers, with non-finite floats as None."""
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
+    if isinstance(x, np.generic):
+        x = x.item()
     if x is None or isinstance(x, (int, str)):
         return x
-    if isinstance(x, numbers.Integral):
-        return int(x)
-    if isinstance(x, numbers.Real):
-        x = float(x)
-        return x if np.isfinite(x) else None
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
     if isinstance(x, np.ndarray):
         return to_jsonable(x.tolist())
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [to_jsonable(v) for v in x]
-    # tested last, so the numbers that fill a matrix file pay nothing for them
+    # tested last, so the numbers and lists ahead of them pay nothing for them
     if isinstance(x, BipartiteOperator):
         return matrix_file(x)
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
@@ -118,7 +115,8 @@ class Record:
         return to_jsonable(self)
 
 
-def make_report(command: str, inputs: dict, results: dict, timings: dict) -> dict:
+def make_report(command: str, inputs: dict, results, timings: dict) -> dict:
+    """Each section, records and operators included, serialized in one pass."""
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,

@@ -19,8 +19,8 @@ exactly PSD with unit trace and PPT up to the projection tolerance.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +37,13 @@ from .diagnostics import ccnr_value, is_ppt
 from .reports import Record
 from .states import random_density_matrix
 
+MAX_STEP = 10.0
+
 
 @dataclass(frozen=True)
-class SeesawConfig:
-    """Run parameters; ``step`` defaults to 0.1/d when left as None."""
+class SeesawConfig(Record):
+    """Run parameters; ``step`` left as None becomes 0.1/d, and the three
+    real fields are stored as floats, so the config echoes as it runs."""
 
     d: int
     seed: int
@@ -60,34 +63,23 @@ class SeesawConfig:
             value = getattr(self, name)
             if value is None and name == "step":
                 continue
-            # the chained comparison is False for NaN and never overflows
+            # False for NaN and for an int too large to become a float
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not -math.inf < value < math.inf):
+                    or not abs(value) <= sys.float_info.max):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if self.max_outer < 1 or self.projection_iters < 1 or self.restarts < 1:
             raise ValueError("iteration and restart counts must be positive")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
+        if self.step is None:
+            object.__setattr__(self, "step", 0.1 / self.d)
+        # past MAX_STEP the gradient step swamps the state and the objective
+        # collapses to 1; from about 1e154 the Dykstra norms overflow
+        if not 0 < self.step <= MAX_STEP:
+            raise ValueError(f"step must lie in (0, {MAX_STEP:g}], got {self.step}")
         if self.projection_tol <= 0 or self.objective_tol <= 0:
             raise ValueError("tolerances must be positive")
-
-    @property
-    def resolved_step(self) -> float:
-        return 0.1 / self.d if self.step is None else self.step
-
-    def to_dict(self) -> dict:
-        return {
-            "d": int(self.d),
-            "seed": int(self.seed),
-            "max_outer": int(self.max_outer),
-            "step": float(self.resolved_step),
-            "projection_iters": int(self.projection_iters),
-            "projection_tol": float(self.projection_tol),
-            "objective_tol": float(self.objective_tol),
-            "restarts": int(self.restarts),
-        }
 
 
 @dataclass(frozen=True)
@@ -171,7 +163,7 @@ def _y_step(mat: np.ndarray, dA: int, dB: int) -> tuple:
 def _rho_step(mat: np.ndarray, y: np.ndarray, dA: int, dB: int, cfg: SeesawConfig) -> np.ndarray:
     """Gradient step along H = Herm(R^-1(Y)), then the Dykstra projection."""
     h = herm_part(realign_inverse(y, dA, dB).mat)
-    return _dykstra(mat + cfg.resolved_step * h, dA, dB,
+    return _dykstra(mat + cfg.step * h, dA, dB,
                     cfg.projection_iters, cfg.projection_tol)
 
 

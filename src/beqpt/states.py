@@ -7,12 +7,12 @@ relaxed positivity tolerance to absorb the 5-decimal rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bipartite import (
-    BipartiteOperator,
     DensityMatrix,
     basis_ket,
     max_entangled,
@@ -110,19 +110,17 @@ def isotropic(d: int, alpha: float) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class GammaParams:
-    """Parameters of the PPT family Id + F + eps |v><v| on C^k kron C^k.
+    """Parameters of the family Id + F + eps |v><v| on C^k kron C^k.
 
-    |v> = sum_i |a_i>|b_i> with the 2n vectors a_1..a_n, b_1..b_n jointly
-    linearly independent (this requires 2n <= k).  Defaults pick the basis
-    vectors a_i = |2(i-1)>, b_i = |2i-1>.
+    |v> = sum_i |a_i>|b_i> with the basis vectors a_i = |2(i-1)>,
+    b_i = |2i-1>, i = 1..n (so 2n <= k).  The state is PPT for every
+    eps > 0 when n = 1, and for n >= 2 exactly when eps <= 1: past 1 the
+    smallest eigenvalue of the unnormalized partial transpose is 1 - eps.
     """
 
     k: int
     n: int
     eps: float
-    a: tuple = field(default=None)
-    b: tuple = field(default=None)
-    normalize: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -131,46 +129,23 @@ class GammaParams:
             raise ValueError(f"need 2n <= k, got n={self.n}, k={self.k}")
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
-        a = self.a
-        b = self.b
-        if a is None:
-            a = tuple(basis_ket(self.k, 2 * i) for i in range(self.n))
-        if b is None:
-            b = tuple(basis_ket(self.k, 2 * i + 1) for i in range(self.n))
-        a = tuple(np.asarray(x, dtype=complex) for x in a)
-        b = tuple(np.asarray(x, dtype=complex) for x in b)
-        if len(a) != self.n or len(b) != self.n:
-            raise ValueError("need exactly n vectors on each side")
-        for x in a + b:
-            if x.shape != (self.k,):
-                raise ValueError("vectors must have length k")
-        stacked = np.vstack(a + b)
-        if np.linalg.matrix_rank(stacked) != 2 * self.n:
-            raise ValueError("the 2n vectors must be jointly linearly independent")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        # the state is divided by this trace; the check also rejects NaN
+        if not math.isfinite(self.k * self.k + self.k + self.eps * self.n):
+            raise ValueError(f"eps={self.eps} gives a trace k^2+k+eps*n that is not finite")
 
     @property
     def v(self) -> np.ndarray:
         out = np.zeros(self.k * self.k, dtype=complex)
-        for ai, bi in zip(self.a, self.b):
-            out += tensor(ai, bi)
+        for i in range(self.n):
+            out += tensor(basis_ket(self.k, 2 * i), basis_ket(self.k, 2 * i + 1))
         return out
 
 
-def cariello_gamma(params: GammaParams):
-    """PPT operator Id + F + eps |v><v|, entangled for n >= 2 yet positive
-    under partial transposition for every eps > 0.
-
-    Returns a DensityMatrix (divided by its trace) unless
-    ``params.normalize`` is False, in which case the raw operator is
-    returned as a BipartiteOperator.
-    """
+def cariello_gamma(params: GammaParams) -> DensityMatrix:
+    """Id + F + eps |v><v| divided by its trace k^2 + k + eps n: entangled
+    for n >= 2, PPT over the range given in :class:`GammaParams`."""
     k = params.k
-    v = params.v
-    gamma = np.eye(k * k, dtype=complex) + swap_operator(k).mat + params.eps * projector(v)
-    if not params.normalize:
-        return BipartiteOperator(gamma, k, k)
+    gamma = np.eye(k * k, dtype=complex) + swap_operator(k).mat + params.eps * projector(params.v)
     return DensityMatrix(gamma / gamma.trace().real, k, k)
 
 

@@ -11,7 +11,14 @@ from beqpt import acceptance, channels, cli, seesaw, states
 from beqpt import tomography as tomo
 from beqpt.bipartite import DensityMatrix
 from beqpt.cli import main
-from beqpt.reports import operator_file, parse_matrix_file, results_json, write_report
+from beqpt.reports import (
+    make_report,
+    operator_file,
+    parse_matrix_file,
+    results_json,
+    to_jsonable,
+    write_report,
+)
 from beqpt.states import random_density_matrix
 
 
@@ -155,6 +162,11 @@ class TestReconstruct:
             mat, dA, dB = parse_matrix_file(results[key])
             assert [dA, dB] == [3, 3]
             assert np.array_equal(mat, getattr(run, key).mat)
+        # one pass over the record gives the report of two passes over its dict
+        rep = read(out)
+        twice = make_report("reconstruct", rep["inputs"],
+                            to_jsonable({**run.to_dict(), "verdict": "ok"}), {})
+        assert results_json(rep) == results_json(twice)
 
     def test_noise_requires_seed(self):
         code = main([
@@ -244,6 +256,24 @@ class TestOptimize:
         assert rep["inputs"]["restarts"] == 2
         assert len(rep["results"]["restarts_summary"]) == 2
 
+    @pytest.mark.parametrize("overrides, expected_step, expected_tol", [
+        # an integer in the config echoes as the float the run uses
+        ({"step": 1, "projection_tol": 1}, "1.0", "1.0"),
+        # the default step is 0.1/d
+        ({}, "0.03333333333333333", "1e-09"),
+    ])
+    def test_inputs_echo_the_run_config(self, tmp_path, overrides, expected_step, expected_tol):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        out = tmp_path / "r.json"
+        assert main(["optimize", "--d", "3", "--seed", "1", "--restarts", "1",
+                     "--max-outer", "2", "--config", str(cfg), "--out", str(out)]) == 0
+        inputs = json.dumps(read(out)["inputs"], sort_keys=True)
+        assert inputs == (
+            '{"d": 3, "max_outer": 2, "objective_tol": 1e-09, "projection_iters": 200, '
+            f'"projection_tol": {expected_tol}, "restarts": 1, "seed": 1, '
+            f'"step": {expected_step}}}')
+
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -253,6 +283,7 @@ class TestOptimize:
         {"restarts": 2.5},
         {"projection_tol": float("nan")},
         {"max_outer": True},
+        {"objective_tol": 10**400},
     ])
     def test_mistyped_config_exit_2(self, tmp_path, capsys, override):
         cfg = tmp_path / "cfg.json"
@@ -372,7 +403,7 @@ def _flag_value(draw, param, d):
     if kind == 0:
         return None
     if kind == 1:
-        edge = ["-1", "0", "nan", "inf", "-inf", "1e200"]
+        edge = ["-1", "0", "nan", "inf", "-inf", "1e200", "1e308"]
         return draw(st.sampled_from(edge + ([str(param.cap + 1)] if param.cap else [])))
     if param.choices:
         return draw(st.sampled_from(param.choices))
@@ -392,8 +423,10 @@ def table_commands(draw):
     command = draw(st.sampled_from(["diagnose", "reconstruct", "filter", "optimize"]))
     if command == "optimize":
         argv = ["optimize", "--seed", "1", "--restarts", "1", "--max-outer", "2"]
-        value = draw(_flag_value(cli.D, d))
-        return argv + ([] if value is None else ["--d", value])
+        for param in (cli.D, *(p for p in cli.TUNABLES if p.type is float)):
+            value = draw(_flag_value(param, d))
+            argv += [] if value is None else [param.flag, value]
+        return argv
     kinds = {"diagnose": [("state", cli.STATES)],
              "reconstruct": [("probe", cli.STATES), ("channel", cli.CHANNELS)],
              "filter": [("state", cli.STATES), ("filter", cli.FILTERS)]}[command]
@@ -436,6 +469,13 @@ class TestExitCodeContract:
                    "--filter", "files", "--filter-a", "proj.json", "--filter-b", "proj.json"])
     @example(argv=["filter", "--state", "werner", "--d", "2", "--f", "0.5",
                    "--filter", "files", "--filter-a", "big.json", "--filter-b", "big.json"])
+    # finite flags whose arithmetic overflows: the trace k^2+k+eps*n, the
+    # gradient step and the Dykstra norms
+    @example(argv=["diagnose", "--state", "gamma", "--k", "4", "--n", "2", "--eps", "1e308"])
+    @example(argv=["optimize", "--seed", "1", "--restarts", "1", "--max-outer", "2",
+                   "--d", "2", "--step", "1e200"])
+    @example(argv=["optimize", "--seed", "1", "--restarts", "1", "--max-outer", "2",
+                   "--d", "2", "--step", "1e308"])
     def test_exit_codes(self, filter_dir, argv):
         argv = [str(filter_dir / a) if a.endswith(".json") else a for a in argv]
         out = filter_dir / "r.json"

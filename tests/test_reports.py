@@ -21,7 +21,7 @@ from beqpt.reports import (
     to_jsonable,
     write_report,
 )
-from beqpt.seesaw import SeesawResult
+from beqpt.seesaw import SeesawConfig, SeesawResult
 from beqpt.states import random_density_matrix
 from beqpt.tomography import ReconstructionResult
 
@@ -87,6 +87,11 @@ class TestJsonable:
         out = to_jsonable({"a": np.float64(1.5), "b": np.int64(3), "c": np.bool_(True)})
         assert out == {"a": 1.5, "b": 3, "c": True}
         assert isinstance(out["b"], int)
+        # the JSON these scalars have always produced
+        values = [np.float32(0.1), np.int64(-7), np.bool_(False), np.str_("s"), True,
+                  float("inf"), float("-inf"), float("nan"), np.float64("nan"), np.float32("-inf")]
+        assert json.dumps(to_jsonable(values)) == (
+            '[0.10000000149011612, -7, false, "s", true, null, null, null, null, null]')
 
     def test_arrays_and_tuples(self):
         out = to_jsonable({"m": np.eye(2), "t": (1, 2.5)})
@@ -115,8 +120,8 @@ class TestJsonable:
         assert out == {"inner": {"state": matrix_file(rho), "value": None}, "flags": [True, 2]}
 
     def test_no_record_writes_its_own_serializer(self):
-        for cls in (DiagnosticsReport, RudolphReport, SeesawResult, ReconstructionResult,
-                    FilterAnalysis, RowResult):
+        for cls in (DiagnosticsReport, RudolphReport, SeesawConfig, SeesawResult,
+                    ReconstructionResult, FilterAnalysis, RowResult):
             assert issubclass(cls, Record) and "to_dict" not in vars(cls)
 
 

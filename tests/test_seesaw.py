@@ -15,6 +15,7 @@ from beqpt.bipartite import (
 )
 from beqpt.diagnostics import ccnr_value
 from beqpt.seesaw import (
+    MAX_STEP,
     SeesawConfig,
     dual_y_step,
     optimize,
@@ -213,6 +214,9 @@ class TestOptimize:
             SeesawConfig(d=3, seed=0, restarts=0)
         with pytest.raises(ValueError):
             SeesawConfig(d=3, seed=0, step=-0.1)
+        assert SeesawConfig(d=3, seed=0, step=MAX_STEP).step == MAX_STEP
+        with pytest.raises(ValueError, match="step must lie in"):
+            SeesawConfig(d=3, seed=0, step=MAX_STEP * (1 + 1e-15))
         with pytest.raises(ValueError):
             SeesawConfig(d=3, seed=0, objective_tol=0.0)
 
@@ -225,11 +229,12 @@ class TestOptimize:
         {"objective_tol": float("inf")},
         {"step": False},
         {"step": "0.1"},
+        {"projection_tol": 10**400},  # an int too large for a float
     ])
     def test_config_types_validated(self, override):
         with pytest.raises(ValueError, match="must be"):
             SeesawConfig(**{"d": 3, "seed": 0, **override})
 
     def test_default_step_scales_with_dimension(self):
-        assert SeesawConfig(d=4, seed=0).resolved_step == pytest.approx(0.025)
-        assert SeesawConfig(d=4, seed=0, step=0.5).resolved_step == 0.5
+        assert SeesawConfig(d=4, seed=0).step == pytest.approx(0.025)
+        assert SeesawConfig(d=4, seed=0, step=0.5).step == 0.5

@@ -12,6 +12,7 @@ from beqpt.bipartite import (
     swap_operator,
     trace_norm,
 )
+from beqpt.diagnostics import is_ppt
 from beqpt.states import (
     GammaParams,
     RHO_CCNR_3X3_SPECTRUM,
@@ -132,7 +133,7 @@ class TestGammaFamily:
         # and the three fixed points
         k, eps = 4, 0.3
         params = GammaParams(k=k, n=2, eps=eps)
-        raw = cariello_gamma(GammaParams(k=k, n=2, eps=eps, normalize=False))
+        raw = cariello_gamma(params).mat * (k * k + k + eps * 2)
         u = max_entangled(k)
         vv = np.outer(params.v, params.v.conj())
         expected = (
@@ -140,7 +141,7 @@ class TestGammaFamily:
             + swap_operator(k).mat
             + eps * realign(BipartiteOperator(vv, k, k))
         )
-        assert np.abs(realign(raw) - expected).max() <= 1e-12
+        assert np.abs(realign(BipartiteOperator(raw, k, k)) - expected).max() <= 1e-12
 
     def test_symmetric_antisymmetric_oracle(self):
         # |u><u| + F has eigenvalues k+1 (on u), +1 (rest of the symmetric
@@ -167,22 +168,29 @@ class TestGammaFamily:
         assert s[-1] / s[0] > 1e-8
 
     def test_raw_operator_trace(self):
-        from beqpt.bipartite import DensityMatrix
-
+        # the state times its trace k^2 + k + eps n is Id + F + eps |v><v|
+        # with |v> = |0>|1> + |2>|3>
         k, n, eps = 4, 2, 0.5
-        raw = cariello_gamma(GammaParams(k=k, n=n, eps=eps, normalize=False))
-        assert isinstance(raw, BipartiteOperator)
-        assert not isinstance(raw, DensityMatrix)
-        assert raw.mat.trace().real == pytest.approx(k * k + k + eps * n)
+        raw = cariello_gamma(GammaParams(k=k, n=n, eps=eps)).mat * (k * k + k + eps * n)
+        e = np.eye(k)
+        v = np.kron(e[0], e[1]) + np.kron(e[2], e[3])
+        expected = np.eye(k * k) + swap_operator(k).mat + eps * np.outer(v, v)
+        assert np.abs(raw - expected).max() <= 1e-12
+        assert raw.trace().real == pytest.approx(k * k + k + eps * n)
+
+    @pytest.mark.parametrize("k", (4, 5, 6))
+    def test_ppt_exactly_up_to_eps_one(self, k):
+        assert is_ppt(cariello_gamma(GammaParams(k=k, n=2, eps=1.0)))[0]
+        assert not is_ppt(cariello_gamma(GammaParams(k=k, n=2, eps=1.0 + 1e-6)))[0]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             GammaParams(k=3, n=2, eps=0.1)  # 2n > k
         with pytest.raises(ValueError):
             GammaParams(k=4, n=2, eps=0.0)
-        e = [np.eye(4)[i] for i in range(4)]
-        with pytest.raises(ValueError, match="independent"):
-            GammaParams(k=4, n=2, eps=0.1, a=(e[0], e[1]), b=(e[0], e[2]))
+        for eps in (float("nan"), float("inf"), 1e308):  # 1e308 * n overflows
+            with pytest.raises(ValueError, match="not finite"):
+                GammaParams(k=4, n=2, eps=eps)
 
 
 class TestRhoCcnr:
