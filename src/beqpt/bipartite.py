@@ -46,7 +46,8 @@ def max_entry(m: np.ndarray) -> float:
 
 
 def herm_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    """Hermitian part of a matrix or of each matrix in a stack."""
+    return (m + m.conj().mT) / 2.0
 
 
 @dataclass(frozen=True)
@@ -156,9 +157,17 @@ def max_entangled(k: int, normalized: bool = False) -> np.ndarray:
     return u / np.sqrt(k) if normalized else u
 
 
+# The index kernels below act on the last two axes, so a stack of
+# matrices goes through the same code as one matrix.
+
 def _realign(mat: np.ndarray, dA: int, dB: int) -> np.ndarray:
-    t = mat.reshape(dA, dB, dA, dB)
-    return t.transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
+    t = mat.reshape(mat.shape[:-2] + (dA, dB, dA, dB)).swapaxes(-3, -2)
+    return t.reshape(mat.shape[:-2] + (dA * dA, dB * dB))
+
+
+def _realign_inverse(m: np.ndarray, dA: int, dB: int) -> np.ndarray:
+    t = m.reshape(m.shape[:-2] + (dA, dA, dB, dB)).swapaxes(-3, -2)
+    return t.reshape(m.shape[:-2] + (dA * dB, dA * dB))
 
 
 def realign(rho: BipartiteOperator) -> np.ndarray:
@@ -177,19 +186,19 @@ def realign_inverse(m: np.ndarray, dA: int, dB: int) -> BipartiteOperator:
         raise ValueError(
             f"expected shape {(dA * dA, dB * dB)}, got {m.shape}"
         )
-    mat = m.reshape(dA, dA, dB, dB).transpose(0, 2, 1, 3)
-    return BipartiteOperator(mat.reshape(dA * dB, dA * dB), dA, dB)
+    return BipartiteOperator(_realign_inverse(m, dA, dB), dA, dB)
 
 
 def _partial_transpose(mat: np.ndarray, dA: int, dB: int, subsystem: str) -> np.ndarray:
-    t = mat.reshape(dA, dB, dA, dB)
+    lead = mat.shape[:-2]
+    t = mat.reshape(lead + (dA, dB, dA, dB))
     if subsystem == "A":
-        t = t.transpose(2, 1, 0, 3)
+        t = t.swapaxes(-4, -2)
     elif subsystem == "B":
-        t = t.transpose(0, 3, 2, 1)
+        t = t.swapaxes(-3, -1)
     else:
         raise ValueError("subsystem must be 'A' or 'B'")
-    return t.reshape(dA * dB, dA * dB)
+    return t.reshape(lead + (dA * dB, dA * dB))
 
 
 def partial_transpose(rho: BipartiteOperator, subsystem: str = "B") -> BipartiteOperator:

@@ -10,6 +10,7 @@ identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -242,7 +243,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than a
+    short command, and parse_args leaves it unchanged.  The table lambdas
+    look their constructors up when they run, so patching one still works."""
     parser = _Parser(
         prog="beqpt",
         description="Bound-entangled probes for ancilla-assisted process "

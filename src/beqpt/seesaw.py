@@ -1,8 +1,8 @@
 """See-saw maximization of the realigned trace norm over PPT states.
 
 The trace norm has the dual form ||X||_1 = max_{Y Y^dag <= Id} Tr(X^dag Y),
-which turns max_rho ||realign(rho)||_1 into a bilinear problem.  The two
-alternating steps are
+which turns max_rho ||realign(rho)||_1 into a bilinear problem with two
+alternating steps:
 
 * Y-step: Y = U V^dag from the SVD of realign(rho) (the polar factor),
   which attains the dual maximum exactly;
@@ -15,6 +15,13 @@ Dykstra (with correction terms) converges to the true projection onto
 the intersection, unlike plain alternating projections.  The last
 projection in each cycle is the density-matrix one, so every iterate is
 exactly PSD with unit trace and PPT up to the projection tolerance.
+
+All restarts run as one state machine over an (R, n, n) stack: a round
+is one Dykstra iteration of each live restart, then one Y-step and
+gradient step of those whose projection stopped.  A finished restart
+leaves the stack; the last one runs as an (n, n) matrix.  Stacked eigh,
+svd and matmul give the bits of per-matrix calls and the stop norms are
+taken per matrix, so a batched run equals the serial one bit for bit.
 """
 
 from __future__ import annotations
@@ -25,19 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import (
-    BipartiteOperator,
-    DensityMatrix,
-    herm_part,
-    realign_inverse,
-    _partial_transpose,
-    _realign,
-)
+from .bipartite import (BipartiteOperator, DensityMatrix, herm_part, realign_inverse,
+                        _partial_transpose, _realign, _realign_inverse)
 from .diagnostics import ccnr_value, is_ppt
 from .reports import Record
 from .states import random_density_matrix
 
 MAX_STEP = 10.0
+MAX_STACK_ENTRIES = 2**22  # restarts * d**4: 64 MiB per complex stack array
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,8 @@ class SeesawConfig(Record):
             raise ValueError("d must be >= 2")
         if self.max_outer < 1 or self.projection_iters < 1 or self.restarts < 1:
             raise ValueError("iteration and restart counts must be positive")
+        if self.restarts * self.d**4 > MAX_STACK_ENTRIES:
+            raise ValueError(f"restarts * d**4 must be at most {MAX_STACK_ENTRIES}")
         if self.step is None:
             object.__setattr__(self, "step", 0.1 / self.d)
         # past MAX_STEP the gradient step swamps the state and the objective
@@ -95,76 +99,81 @@ class SeesawResult(Record):
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex
-    (sort-and-threshold algorithm)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    # the largest entry always passes in exact arithmetic; once it reaches
-    # 2**53 its test rounds to 0, so an empty support means that entry alone
-    passing = np.nonzero(u - (css - 1.0) / idx > 0)[0]
-    support = passing[-1] + 1 if passing.size else 1
-    theta = (css[support - 1] - 1.0) / support
-    return np.maximum(v - theta, 0.0)
+    """Euclidean projection of a real vector, or of each row of an array,
+    onto the probability simplex (sort-and-threshold algorithm)."""
+    u = np.sort(v, axis=-1)[..., ::-1]
+    idx = np.arange(1, v.shape[-1] + 1)
+    t = (u.cumsum(axis=-1) - 1.0) / idx
+    # theta is t at the last index that passes.  The largest entry always
+    # passes in exact arithmetic; once it reaches 2**53 its test rounds to
+    # 0, so a row where none passes takes that entry alone (argmax 0)
+    last = ((u - t > 0) * idx).argmax(axis=-1, keepdims=True)
+    return np.maximum(v - np.take_along_axis(t, last, axis=-1), 0.0)
 
 
 def project_psd_trace_one(x: np.ndarray, dA: int, dB: int) -> DensityMatrix:
-    """Frobenius-nearest PSD unit-trace matrix: eigendecompose and project
-    the spectrum onto the simplex."""
+    """Frobenius-nearest PSD unit-trace matrix: the spectrum onto the simplex."""
     return DensityMatrix(_project_dm_mat(np.asarray(x, dtype=complex)), dA, dB)
+
+
+def _from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (v * w[..., None, :]) @ v.conj().mT
 
 
 def _project_dm_mat(x: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(herm_part(x))
-    p = project_simplex(w)
-    return (v * p) @ v.conj().T
+    return _from_spectrum(project_simplex(w), v)
 
 
 def _project_ppt_mat(x: np.ndarray, dA: int, dB: int) -> np.ndarray:
-    y = _partial_transpose(herm_part(x), dA, dB, "B")
-    w, v = np.linalg.eigh(y)
-    y = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    return _partial_transpose(y, dA, dB, "B")
+    w, v = np.linalg.eigh(_partial_transpose(herm_part(x), dA, dB, "B"))
+    return _partial_transpose(_from_spectrum(np.maximum(w, 0.0), v), dA, dB, "B")
 
 
 def project_ppt(x: BipartiteOperator) -> BipartiteOperator:
-    """Nearest operator with PSD partial transpose: transpose, clip the
-    negative eigenvalues, transpose back.  Fixed points are exactly the
-    PPT operators."""
+    """Nearest operator with PSD partial transpose (transpose, clip the
+    negative eigenvalues, transpose back); its fixed points are the PPT ones."""
     return BipartiteOperator(_project_ppt_mat(x.mat, x.dA, x.dB), x.dA, x.dB)
 
 
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Per-matrix np.linalg.norm, bit for bit (norm(axis=(-2, -1)) is not)."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
+def _dykstra_step(x, p, q, dA: int, dB: int, tol: float) -> tuple:
+    """One Dykstra cycle on a matrix or a stack: (out, p, q, stop test per
+    matrix); like ``and``, it takes the second norm only if a first passes."""
+    xp = x + p
+    y = _project_ppt_mat(xp, dA, dB)
+    yq = y + q
+    out = _project_dm_mat(yq)
+    done = _norm(out - y) <= tol
+    if done.any():
+        done &= _norm(out - x) <= tol
+    return out, xp - y, yq - out, done
+
+
 def _dykstra(x0: np.ndarray, dA: int, dB: int, iters: int, tol: float) -> np.ndarray:
-    """Dykstra's algorithm for {PPT} intersect {PSD, trace 1}; returns the
-    last density-set projection, which is exactly PSD with unit trace."""
-    x = x0
-    p = np.zeros_like(x0)
-    q = np.zeros_like(x0)
-    out = x0
+    """Dykstra from ``x0``: the last density-set projection, exactly PSD."""
+    x, p, q = x0, np.zeros_like(x0), np.zeros_like(x0)
     for _ in range(iters):
-        xp = x + p
-        y = _project_ppt_mat(xp, dA, dB)
-        p = xp - y
-        yq = y + q
-        out = _project_dm_mat(yq)
-        q = yq - out
-        if np.linalg.norm(out - y) <= tol and np.linalg.norm(out - x) <= tol:
-            return out
-        x = out
-    return out
+        x, p, q, done = _dykstra_step(x, p, q, dA, dB, tol)
+        if done:
+            break
+    return x
 
 
 def _y_step(mat: np.ndarray, dA: int, dB: int) -> tuple:
-    """(||realign(mat)||_1, U V^dag) from one SVD of realign(mat)."""
+    """(||realign(mat)||_1, U V^dag) per matrix, from one SVD of realign(mat)."""
     u, s, vh = np.linalg.svd(_realign(mat, dA, dB), full_matrices=False)
-    return float(s.sum()), u @ vh
+    return s.sum(axis=-1), u @ vh
 
 
-def _rho_step(mat: np.ndarray, y: np.ndarray, dA: int, dB: int, cfg: SeesawConfig) -> np.ndarray:
-    """Gradient step along H = Herm(R^-1(Y)), then the Dykstra projection."""
-    h = herm_part(realign_inverse(y, dA, dB).mat)
-    return _dykstra(mat + cfg.step * h, dA, dB,
-                    cfg.projection_iters, cfg.projection_tol)
+def _rho_step(mat: np.ndarray, y_inv: np.ndarray, step: float) -> np.ndarray:
+    """Gradient step along H = Herm(R^-1(Y)), given R^-1(Y)."""
+    return mat + step * herm_part(y_inv)
 
 
 def dual_y_step(rho: BipartiteOperator) -> np.ndarray:
@@ -176,49 +185,56 @@ def dual_y_step(rho: BipartiteOperator) -> np.ndarray:
 def primal_rho_step(rho: DensityMatrix, y: np.ndarray, cfg: SeesawConfig) -> DensityMatrix:
     """One projected-gradient ascent step on <rho, H>, H = Herm(R^-1(Y)),
     followed by the Dykstra projection back onto the feasible set."""
-    return DensityMatrix(_rho_step(rho.mat, y, rho.dA, rho.dB, cfg), rho.dA, rho.dB)
-
-
-def _restart(cfg: SeesawConfig, r: int) -> tuple:
-    """Restart ``r`` from the Wishart state drawn from default_rng([seed, r]),
-    projected onto the feasible set: (best value, its iterate, history)."""
-    d = cfg.d
-    start = random_density_matrix(d, d, np.random.default_rng([cfg.seed, r]))
-    mat = _dykstra(start.mat, d, d, cfg.projection_iters, cfg.projection_tol)
-    best, best_mat, prev = -np.inf, mat, -np.inf
-    history = []
-    for _ in range(cfg.max_outer):
-        val, y = _y_step(mat, d, d)
-        history.append(val)
-        if val > best:
-            best, best_mat = val, mat
-        if val - prev < cfg.objective_tol:
-            break
-        prev = val
-        mat = _rho_step(mat, y, d, d, cfg)
-    return best, best_mat, tuple(history)
+    x0 = _rho_step(rho.mat, realign_inverse(y, rho.dA, rho.dB).mat, cfg.step)
+    return DensityMatrix(_dykstra(x0, rho.dA, rho.dB, cfg.projection_iters,
+                                  cfg.projection_tol), rho.dA, rho.dB)
 
 
 def optimize(cfg: SeesawConfig) -> SeesawResult:
-    """Run the full see-saw with seeded Wishart restarts.
-
-    Deterministic given the config: restart r draws from
-    default_rng([seed, r]).  Restarts are ranked by their best value, ties
-    resolved toward the lower restart index (``max`` keeps the first); the
-    winner gets a final hard projection, and its value and residuals are
-    read from the validated state.
-    """
-    d = cfg.d
-    runs = [_restart(cfg, r) for r in range(cfg.restarts)]
-    _, best_mat, history = max(runs, key=lambda run: run[0])
+    """Run the see-saw from seeded Wishart restarts; restart r draws from
+    default_rng([seed, r]).  The restart with the best value wins, the
+    lower index on ties; it gets a final hard projection, and its value and
+    residuals are read from the validated state."""
+    d, n, iters = cfg.d, cfg.d * cfg.d, cfg.projection_iters
+    # the projections of the start states are the first stacked projection
+    x = np.stack([random_density_matrix(d, d, np.random.default_rng([cfg.seed, r])).mat
+                  for r in range(cfg.restarts)])
+    x = x[0] if cfg.restarts == 1 else x  # one matrix runs faster than a stack of one
+    p, q = np.zeros_like(x), np.zeros_like(x)
+    live = np.arange(cfg.restarts)  # the restart in each stack row
+    k = np.zeros(cfg.restarts, dtype=int)  # iterations of each row's projection
+    history, best = [[] for _ in live], [(-np.inf, None)] * cfg.restarts
+    while live.size:
+        x, p, q, done = _dykstra_step(x, p, q, d, d, cfg.projection_tol)
+        k += 1
+        stop = (k == iters) | done
+        if not stop.any():
+            continue
+        alive = ~stop
+        rows = [a.reshape(-1, n, n) for a in (x, p, q)]  # views: writes reach x, p, q
+        # a projection after the max_outer-th Y-step ends its restart unused
+        js = np.array([j for j in np.flatnonzero(stop)
+                       if len(history[live[j]]) < cfg.max_outer], dtype=int)
+        if js.size:
+            mats = rows[0][js]
+            vals, ys = _y_step(mats, d, d)
+            for j, val, mat in zip(js, vals.tolist(), mats):
+                h, r = history[live[j]], live[j]
+                alive[j] = not val - (h[-1] if h else -np.inf) < cfg.objective_tol
+                h.append(val)
+                if val > best[r][0]:
+                    best[r] = (val, mat)
+            go = alive[js]
+            rows[0][js[go]] = _rho_step(mats[go], _realign_inverse(ys[go], d, d), cfg.step)
+            rows[1][js[go]], rows[2][js[go]], k[js[go]] = 0.0, 0.0, 0
+        if not alive.all():
+            live, k = live[alive], k[alive]
+            x, p, q = (a[alive][0] if live.size == 1 else a[alive] for a in rows)
+    r = max(range(cfg.restarts), key=lambda r: best[r][0])
     # final hard projection so the reported state is feasible to <= 1e-7
-    state = DensityMatrix(_dykstra(best_mat, d, d, max(cfg.projection_iters, 500),
+    state = DensityMatrix(_dykstra(best[r][1], d, d, max(iters, 500),
                                    min(cfg.projection_tol, 1e-10)), d, d)
-    return SeesawResult(
-        best_state=state,
-        best_value=ccnr_value(state),
-        history=history,
-        ppt_residual=is_ppt(state)[1],
-        psd_residual=float(state.eigenvalues[0]),
-        restarts_summary=tuple(hist[-1] for _, _, hist in runs),
-    )
+    return SeesawResult(best_state=state, best_value=ccnr_value(state),
+                        history=tuple(history[r]), ppt_residual=is_ppt(state)[1],
+                        psd_residual=float(state.eigenvalues[0]),
+                        restarts_summary=tuple(h[-1] for h in history))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -381,6 +382,9 @@ class TestSizeCaps:
         (["reconstruct", "--probe", "bell", "--which", "phi+", "--channel", "random-cptp",
           "--channel-d", "2", "--channel-seed", "1", "--kraus", "257"], channels, "random_cptp"),
         (["optimize", "--d", "17", "--seed", "1"], seesaw, "SeesawConfig"),
+        # one restart past the (restarts, 81, 81) stack bound at d=3
+        (["optimize", "--d", "3", "--seed", "1",
+          "--restarts", str(seesaw.MAX_STACK_ENTRIES // 3**4 + 1)], seesaw, "optimize"),
     ])
     def test_just_past_the_cap_exit_2_before_allocation(
             self, monkeypatch, capsys, argv, module, name):
@@ -422,7 +426,9 @@ def table_commands(draw):
     d = draw(st.integers(2, 4))
     command = draw(st.sampled_from(["diagnose", "reconstruct", "filter", "optimize"]))
     if command == "optimize":
-        argv = ["optimize", "--seed", "1", "--restarts", "1", "--max-outer", "2"]
+        # past the stack bound at every d >= 2
+        restarts = draw(st.sampled_from(["1", str(seesaw.MAX_STACK_ENTRIES // 2**4 + 1)]))
+        argv = ["optimize", "--seed", "1", "--restarts", restarts, "--max-outer", "2"]
         for param in (cli.D, *(p for p in cli.TUNABLES if p.type is float)):
             value = draw(_flag_value(param, d))
             argv += [] if value is None else [param.flag, value]
@@ -493,6 +499,54 @@ class TestExitCodeContract:
             assert err == ""
             verdict = read(out)["results"].get("verdict")
             assert verdict in ((None, "ok") if code == 0 else VERDICTS)
+
+
+def _parser_state(parser):
+    """What parse_args could change on a parser and its subparsers: the
+    error hook, the defaults and each action's default, type and choices."""
+    state, todo = [], [parser]
+    while todo:
+        p = todo.pop()
+        state.append((p.prog, p.error.__func__, dict(p._defaults),
+                      [(a.dest, a.default, a.type, a.choices, a.required) for a in p._actions]))
+        todo += [sub for a in p._actions if isinstance(a, argparse._SubParsersAction)
+                 for sub in a.choices.values()]
+    return state
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["diagnose", "--state", "werner", "--d", "3", "--f", "-0.7"],
+        ["reconstruct", "--probe", "isotropic", "--d", "3", "--alpha", "0.5",
+         "--channel", "depolarizing", "--channel-d", "3", "--p", "0.3"],
+        ["filter", "--state", "werner", "--d", "3", "--v", "0.4", "--filter", "werner"],
+        ["optimize", "--d", "2", "--seed", "1", "--restarts", "1", "--max-outer", "2"],
+        ["diagnose", "--state", "no-such-state"],  # a usage error
+    ]
+
+    def _run(self, argv, out, capsys):
+        out.unlink(missing_ok=True)
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        return code, read(out)["results"] if out.exists() else err
+
+    def test_one_parser_serves_every_command(self, tmp_path, capsys):
+        def makers():
+            return [(name, [make for _, make in sets]) for table in
+                    (cli.STATES, cli.CHANNELS, cli.FILTERS) for name, sets in table.items()]
+
+        parser, tables = cli.build_parser(), makers()
+        before = _parser_state(parser)
+        out = tmp_path / "r.json"
+        reused = [self._run(argv, out, capsys) for argv in self.ARGVS]
+        assert cli.build_parser() is parser
+        assert _parser_state(parser) == before and makers() == tables
+        fresh = []
+        for argv in self.ARGVS:
+            cli.build_parser.cache_clear()
+            fresh.append(self._run(argv, out, capsys))
+        assert reused == fresh
+        assert [code for code, _ in reused] == [0, 0, 0, 0, 2]
 
 
 class TestStateFileInputs:

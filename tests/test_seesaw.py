@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beqpt.bipartite import (
@@ -13,10 +13,17 @@ from beqpt.bipartite import (
     realign_inverse,
     trace_norm,
 )
-from beqpt.diagnostics import ccnr_value
+from beqpt.diagnostics import ccnr_value, is_ppt
 from beqpt.seesaw import (
+    MAX_STACK_ENTRIES,
     MAX_STEP,
     SeesawConfig,
+    SeesawResult,
+    _dykstra_step,
+    _norm,
+    _project_dm_mat,
+    _project_ppt_mat,
+    _y_step,
     dual_y_step,
     optimize,
     primal_rho_step,
@@ -68,8 +75,6 @@ class TestProjectPsdTraceOne:
         assert np.linalg.eigvalsh(out.mat).min() >= -1e-14
 
     def test_same_kernel_as_dykstra(self, rng):
-        from beqpt.seesaw import _project_dm_mat
-
         x = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         out = project_psd_trace_one(x, 3, 3)
         assert out.mat.tobytes() == _project_dm_mat(x).tobytes()
@@ -159,7 +164,120 @@ class TestPrimalRhoStep:
             assert after >= before - cfg.projection_tol
 
 
+def serial_simplex(v):
+    """The one-vector projection with the support rule written out."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    idx = np.arange(1, v.size + 1)
+    passing = np.nonzero(u - (css - 1.0) / idx > 0)[0]
+    support = passing[-1] + 1 if passing.size else 1
+    return np.maximum(v - (css[support - 1] - 1.0) / support, 0.0)
+
+
+@st.composite
+def matrix_stacks(draw):
+    """(stack, dA, dB): 1 to 8 near-Hermitian n x n complex matrices, n in
+    4..16, with dA * dB = n (dA = 1 for a prime n)."""
+    n = draw(st.integers(4, 16))
+    count = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    stack = herm_part(a) + draw(st.sampled_from([0.0, 1e-3])) * a
+    dA = next(k for k in (4, 3, 2, 1) if n % k == 0)
+    return stack * draw(st.sampled_from([1e-3, 0.1, 1.0, 1e3])), dA, n // dA
+
+
+class TestStackedKernels:
+    """Every kernel gives each matrix of a stack the bits it gives that
+    matrix alone, which is what keeps a batched see-saw run serial."""
+
+    @settings(max_examples=60)
+    @given(matrix_stacks(), st.sampled_from([0.0, 1e-2, np.inf]))
+    def test_each_slice_bitwise(self, drawn, tol):
+        stack, dA, dB = drawn
+        ppt, dm = _project_ppt_mat(stack, dA, dB), _project_dm_mat(stack)
+        norms = _norm(stack)
+        vals, ys = _y_step(stack, dA, dB)
+        out, p, q, done = _dykstra_step(stack, 0.1 * stack, 0.2 * stack, dA, dB, tol)
+        for i, x in enumerate(stack):
+            assert ppt[i].tobytes() == _project_ppt_mat(x, dA, dB).tobytes()
+            assert dm[i].tobytes() == _project_dm_mat(x).tobytes()
+            assert norms[i] == np.linalg.norm(x)
+            val, y = _y_step(x, dA, dB)
+            assert vals[i] == val and ys[i].tobytes() == y.tobytes()
+            one = _dykstra_step(x, 0.1 * x, 0.2 * x, dA, dB, tol)
+            assert [a[i].tobytes() for a in (out, p, q)] == [a.tobytes() for a in one[:3]]
+            assert done[i] == one[3]
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 8), st.integers(4, 16), st.integers(0, 2**32 - 1))
+    def test_simplex_rows_bitwise(self, count, n, seed):
+        rng = np.random.default_rng(seed)
+        # rows scaled from 1 up to 1e200, past the 2**53 support fallback
+        rows = rng.standard_normal((count, n)) * 10.0 ** rng.integers(0, 201, (count, 1))
+        out = project_simplex(rows)
+        for row, got in zip(rows, out):
+            assert got.tobytes() == project_simplex(row).tobytes()
+            assert got.tobytes() == serial_simplex(row).tobytes()
+
+
+def serial_optimize(cfg, monkeypatch):
+    """optimize as one restart after another, stepped through the public
+    half-steps.  Returns the result, each restart's outer steps and its
+    Dykstra iterations, which is the round its batched run ends in."""
+    d = cfg.d
+    zero_y = np.zeros((d * d, d * d))  # with Y = 0 a rho-step is the bare projection
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(None) or eigh(a))
+    runs, rounds = [], []
+    for r in range(cfg.restarts):
+        calls.clear()
+        start = random_density_matrix(d, d, np.random.default_rng([cfg.seed, r]))
+        rho = primal_rho_step(start, zero_y, cfg)
+        best, best_rho, prev, history = -np.inf, rho, -np.inf, []
+        for _ in range(cfg.max_outer):
+            y = dual_y_step(rho)
+            val = float(np.linalg.svd(realign(rho), full_matrices=False)[1].sum())
+            history.append(val)
+            if val > best:
+                best, best_rho = val, rho
+            if val - prev < cfg.objective_tol:
+                break
+            prev = val
+            rho = primal_rho_step(rho, y, cfg)
+        runs.append((best, best_rho, tuple(history)))
+        rounds.append(len(calls) // 2)  # two eigh calls per Dykstra iteration
+    monkeypatch.undo()
+    _, best_rho, history = max(runs, key=lambda run: run[0])
+    final_cfg = replace(cfg, projection_iters=max(cfg.projection_iters, 500),
+                        projection_tol=min(cfg.projection_tol, 1e-10))
+    state = primal_rho_step(best_rho, zero_y, final_cfg)
+    result = SeesawResult(best_state=state, best_value=ccnr_value(state), history=history,
+                          ppt_residual=is_ppt(state)[1],
+                          psd_residual=float(state.eigenvalues[0]),
+                          restarts_summary=tuple(hist[-1] for _, _, hist in runs))
+    return result, [len(hist) for _, _, hist in runs], rounds
+
+
 class TestOptimize:
+    @pytest.mark.parametrize("kwargs, capped", [
+        pytest.param({"d": 2, "seed": 1, "restarts": 20}, 2, marks=pytest.mark.slow),
+        ({"d": 3, "seed": 1, "restarts": 3, "max_outer": 40}, 3),
+        pytest.param({"d": 3, "seed": 7, "step": 0.05, "restarts": 3, "max_outer": 216},
+                     1, marks=pytest.mark.slow),
+        ({"d": 4, "seed": 1, "restarts": 1, "max_outer": 60}, 1),  # runs as an (n, n) matrix
+    ])
+    def test_batched_run_equals_serial_reference(self, monkeypatch, kwargs, capped):
+        cfg = SeesawConfig(**kwargs)
+        want, steps, rounds = serial_optimize(cfg, monkeypatch)
+        got = optimize(cfg)
+        assert got.best_state.mat.tobytes() == want.best_state.mat.tobytes()
+        assert got.to_dict() == want.to_dict()
+        # the restarts leave the stack in different rounds, ``capped`` of
+        # them at max_outer and the others on a stalled objective
+        assert len(set(rounds)) == cfg.restarts, rounds
+        assert steps.count(cfg.max_outer) == capped, steps
+
     def test_d2_stays_at_most_one(self):
         cfg = SeesawConfig(d=2, seed=1, restarts=4, max_outer=150)
         res = optimize(cfg)
@@ -219,6 +337,12 @@ class TestOptimize:
             SeesawConfig(d=3, seed=0, step=MAX_STEP * (1 + 1e-15))
         with pytest.raises(ValueError):
             SeesawConfig(d=3, seed=0, objective_tol=0.0)
+        # the (restarts, d^2, d^2) stacks are bounded before allocation
+        assert SeesawConfig(d=16, seed=0, restarts=MAX_STACK_ENTRIES // 16**4).restarts == 64
+        with pytest.raises(ValueError, match="restarts"):
+            SeesawConfig(d=3, seed=0, restarts=MAX_STACK_ENTRIES // 3**4 + 1)
+        with pytest.raises(ValueError, match="restarts"):
+            SeesawConfig(d=10**6, seed=0, restarts=1)
 
     @pytest.mark.parametrize("override", [
         {"restarts": 2.5},
