@@ -209,10 +209,13 @@ def cmd_optimize(args, inputs: dict, timings: dict) -> tuple:
     cfg = seesaw.SeesawConfig(**cfg_kwargs)
     inputs.update(vars(cfg))
     result = seesaw.optimize(cfg)
+    reasons = [s.stop_reason for s in result.restarts]
     return result, [
         f"best value    {result.best_value:.12g}",
         f"ppt residual  {result.ppt_residual:.3e}",
-        f"restarts      {len(result.restarts_summary)}",
+        f"restarts      {len(reasons)}",
+        f"best restart  {result.best_restart}; stops: " + ", ".join(
+            f"{why} {reasons.count(why)}" for why in seesaw.STOP_REASONS),
     ], 0
 
 

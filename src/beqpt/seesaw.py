@@ -15,6 +15,12 @@ Dykstra (with correction terms) converges to the true projection onto
 the intersection, unlike plain alternating projections.  The last
 projection in each cycle is the density-matrix one, so every iterate is
 exactly PSD with unit trace and PPT up to the projection tolerance.
+Within a restart each gradient step's projection starts warm: it keeps
+the corrections p, q of the projection before it and starts from
+x0 - p - q.  Dykstra is block coordinate ascent on the dual (Gaffke &
+Mathar, Metrika 36, 29 (1989)), and those corrections are dual-feasible,
+so it still converges to the projection of x0, in far fewer iterations.
+The start states' projections and the final hard projection start cold.
 
 All restarts run as one state machine over an (R, n, n) stack: a round
 is one Dykstra iteration of each live restart, then one Y-step and
@@ -22,6 +28,8 @@ gradient step of those whose projection stopped.  A finished restart
 leaves the stack; the last one runs as an (n, n) matrix.  Stacked eigh,
 svd and matmul give the bits of per-matrix calls and the stop norms are
 taken per matrix, so a batched run equals the serial one bit for bit.
+Each restart's outer steps, stop reason, Dykstra iterations and cap hits
+are counted from the state machine, with no extra eigh or svd.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .states import random_density_matrix
 
 MAX_STEP = 10.0
 MAX_STACK_ENTRIES = 2**22  # restarts * d**4: 64 MiB per complex stack array
+STOP_REASONS = ("converged", "decreased", "max_outer")
 
 
 @dataclass(frozen=True)
@@ -87,8 +96,22 @@ class SeesawConfig(Record):
 
 
 @dataclass(frozen=True)
+class RestartStats(Record):
+    """Telemetry of one restart: its Y-steps, why it stopped ("converged"
+    or "decreased" when the objective gained less than objective_tol, else
+    "max_outer"), the Dykstra iterations of all its projections and how
+    many of those projections ran the full projection_iters."""
+
+    outer_steps: int
+    stop_reason: str
+    dykstra_iters: int
+    cap_hits: int
+
+
+@dataclass(frozen=True)
 class SeesawResult(Record):
-    """Best state over all restarts plus the full objective trace."""
+    """Best state over all restarts plus the full objective trace of the
+    winning restart and the telemetry of every restart."""
 
     best_state: DensityMatrix
     best_value: float
@@ -96,6 +119,8 @@ class SeesawResult(Record):
     ppt_residual: float
     psd_residual: float
     restarts_summary: tuple
+    best_restart: int
+    restarts: tuple
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -155,14 +180,15 @@ def _dykstra_step(x, p, q, dA: int, dB: int, tol: float) -> tuple:
     return out, xp - y, yq - out, done
 
 
-def _dykstra(x0: np.ndarray, dA: int, dB: int, iters: int, tol: float) -> np.ndarray:
-    """Dykstra from ``x0``: the last density-set projection, exactly PSD."""
-    x, p, q = x0, np.zeros_like(x0), np.zeros_like(x0)
-    for _ in range(iters):
+def _dykstra(x, dA: int, dB: int, iters: int, tol: float, p=0.0, q=0.0) -> tuple:
+    """Dykstra on one matrix from iterate ``x`` and corrections ``p, q``,
+    which projects x + p + q (zero corrections: a cold start from x).
+    Returns (the last density-set projection, exactly PSD, p, q, iterations)."""
+    for k in range(1, iters + 1):
         x, p, q, done = _dykstra_step(x, p, q, dA, dB, tol)
         if done:
             break
-    return x
+    return x, p, q, k
 
 
 def _y_step(mat: np.ndarray, dA: int, dB: int) -> tuple:
@@ -184,10 +210,12 @@ def dual_y_step(rho: BipartiteOperator) -> np.ndarray:
 
 def primal_rho_step(rho: DensityMatrix, y: np.ndarray, cfg: SeesawConfig) -> DensityMatrix:
     """One projected-gradient ascent step on <rho, H>, H = Herm(R^-1(Y)),
-    followed by the Dykstra projection back onto the feasible set."""
+    followed by the Dykstra projection back onto the feasible set.  It
+    starts Dykstra cold: a lone half-step holds no earlier corrections,
+    unlike the steps inside ``optimize``."""
     x0 = _rho_step(rho.mat, realign_inverse(y, rho.dA, rho.dB).mat, cfg.step)
     return DensityMatrix(_dykstra(x0, rho.dA, rho.dB, cfg.projection_iters,
-                                  cfg.projection_tol), rho.dA, rho.dB)
+                                  cfg.projection_tol)[0], rho.dA, rho.dB)
 
 
 def optimize(cfg: SeesawConfig) -> SeesawResult:
@@ -203,38 +231,48 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     p, q = np.zeros_like(x), np.zeros_like(x)
     live = np.arange(cfg.restarts)  # the restart in each stack row
     k = np.zeros(cfg.restarts, dtype=int)  # iterations of each row's projection
+    spent, caps = np.zeros_like(k), np.zeros_like(k)  # per restart, not per row
     history, best = [[] for _ in live], [(-np.inf, None)] * cfg.restarts
+    reasons = [""] * cfg.restarts
     while live.size:
         x, p, q, done = _dykstra_step(x, p, q, d, d, cfg.projection_tol)
         k += 1
         stop = (k == iters) | done
         if not stop.any():
             continue
+        js = np.flatnonzero(stop)
+        spent[live[js]] += k[js]
+        caps[live[js]] += k[js] == iters
         alive = ~stop
         rows = [a.reshape(-1, n, n) for a in (x, p, q)]  # views: writes reach x, p, q
-        # a projection after the max_outer-th Y-step ends its restart unused
-        js = np.array([j for j in np.flatnonzero(stop)
-                       if len(history[live[j]]) < cfg.max_outer], dtype=int)
-        if js.size:
-            mats = rows[0][js]
-            vals, ys = _y_step(mats, d, d)
-            for j, val, mat in zip(js, vals.tolist(), mats):
-                h, r = history[live[j]], live[j]
-                alive[j] = not val - (h[-1] if h else -np.inf) < cfg.objective_tol
-                h.append(val)
-                if val > best[r][0]:
-                    best[r] = (val, mat)
-            go = alive[js]
-            rows[0][js[go]] = _rho_step(mats[go], _realign_inverse(ys[go], d, d), cfg.step)
-            rows[1][js[go]], rows[2][js[go]], k[js[go]] = 0.0, 0.0, 0
+        mats = rows[0][js]
+        vals, ys = _y_step(mats, d, d)
+        for j, val, mat in zip(js, vals.tolist(), mats):
+            h, r = history[live[j]], live[j]
+            prev = h[-1] if h else -np.inf
+            h.append(val)
+            if val > best[r][0]:
+                best[r] = (val, mat)
+            stalled = val - prev < cfg.objective_tol
+            alive[j] = len(h) < cfg.max_outer and not stalled
+            if not alive[j]:
+                reasons[r] = ("decreased" if val < prev else "converged") if stalled else "max_outer"
+        ok = alive[js]
+        go = js[ok]
+        # warm start: keep p, q and start from x0 - p - q
+        x0 = _rho_step(mats[ok], _realign_inverse(ys[ok], d, d), cfg.step)
+        rows[0][go], k[go] = x0 - rows[1][go] - rows[2][go], 0
         if not alive.all():
             live, k = live[alive], k[alive]
             x, p, q = (a[alive][0] if live.size == 1 else a[alive] for a in rows)
     r = max(range(cfg.restarts), key=lambda r: best[r][0])
     # final hard projection so the reported state is feasible to <= 1e-7
     state = DensityMatrix(_dykstra(best[r][1], d, d, max(iters, 500),
-                                   min(cfg.projection_tol, 1e-10)), d, d)
+                                   min(cfg.projection_tol, 1e-10))[0], d, d)
+    stats = tuple(RestartStats(len(h), why, int(it), int(cap))
+                  for h, why, it, cap in zip(history, reasons, spent, caps))
     return SeesawResult(best_state=state, best_value=ccnr_value(state),
                         history=tuple(history[r]), ppt_residual=is_ppt(state)[1],
                         psd_residual=float(state.eigenvalues[0]),
-                        restarts_summary=tuple(h[-1] for h in history))
+                        restarts_summary=tuple(h[-1] for h in history),
+                        best_restart=r, restarts=stats)

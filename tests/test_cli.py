@@ -257,6 +257,19 @@ class TestOptimize:
         assert rep["inputs"]["restarts"] == 2
         assert len(rep["results"]["restarts_summary"]) == 2
 
+    def test_report_carries_restart_telemetry(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["optimize", "--d", "2", "--seed", "3", "--restarts", "4",
+                     "--max-outer", "50", "--out", str(out)]) == 0
+        results = read(out)["results"]
+        assert results["best_restart"] == 1
+        assert [r["stop_reason"] for r in results["restarts"]] == [
+            "max_outer", "converged", "max_outer", "max_outer"]
+        assert set(results["restarts"][0]) == {
+            "outer_steps", "stop_reason", "dykstra_iters", "cap_hits"}
+        assert ("best restart  1; stops: converged 1, decreased 0, max_outer 3"
+                in capsys.readouterr().out)
+
     @pytest.mark.parametrize("overrides, expected_step, expected_tol", [
         # an integer in the config echoes as the float the run uses
         ({"step": 1, "projection_tol": 1}, "1.0", "1.0"),
@@ -359,7 +372,8 @@ class TestReproduce:
             return seesaw.SeesawResult(
                 best_state=DensityMatrix(np.eye(n) / n, cfg.d, cfg.d),
                 best_value=1.0, history=(1.0,), ppt_residual=0.0,
-                psd_residual=0.0, restarts_summary=(1.0,),
+                psd_residual=0.0, restarts_summary=(1.0,), best_restart=0,
+                restarts=(seesaw.RestartStats(1, "converged", 1, 0),),
             )
 
         monkeypatch.setattr(seesaw, "optimize", fake_optimize)

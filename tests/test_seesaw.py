@@ -2,11 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from beqpt import seesaw
 from beqpt.bipartite import (
     BipartiteOperator,
+    DensityMatrix,
+    _realign_inverse,
     herm_part,
     partial_transpose,
     realign,
@@ -17,12 +20,15 @@ from beqpt.diagnostics import ccnr_value, is_ppt
 from beqpt.seesaw import (
     MAX_STACK_ENTRIES,
     MAX_STEP,
+    RestartStats,
     SeesawConfig,
     SeesawResult,
+    _dykstra,
     _dykstra_step,
     _norm,
     _project_dm_mat,
     _project_ppt_mat,
+    _rho_step,
     _y_step,
     dual_y_step,
     optimize,
@@ -221,62 +227,92 @@ class TestStackedKernels:
             assert got.tobytes() == serial_simplex(row).tobytes()
 
 
-def serial_optimize(cfg, monkeypatch):
-    """optimize as one restart after another, stepped through the public
-    half-steps.  Returns the result, each restart's outer steps and its
-    Dykstra iterations, which is the round its batched run ends in."""
-    d = cfg.d
-    zero_y = np.zeros((d * d, d * d))  # with Y = 0 a rho-step is the bare projection
-    eigh, calls = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(None) or eigh(a))
-    runs, rounds = [], []
+class TestWarmStart:
+    @settings(max_examples=60)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-3, 1e-2, 1e-1]))
+    def test_warm_projection_matches_cold(self, d, seed, eps):
+        # Dykstra is coordinate ascent on the dual, and the corrections of
+        # any earlier projection are a dual-feasible start, so a warm start
+        # still converges to the projection of the moved point
+        rng = np.random.default_rng(seed)
+        n, iters, tol = d * d, 1000, 1e-10
+        x0 = random_density_matrix(d, d, rng, rank=int(rng.integers(1, n + 1))).mat
+        _, p, q, _ = _dykstra(x0, d, d, iters, tol)
+        h = herm_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        x1 = x0 + eps * h / np.linalg.norm(h)
+        cold, _, _, k_cold = _dykstra(x1, d, d, iters, tol)
+        warm, _, _, k_warm = _dykstra(x1 - p - q, d, d, iters, tol, p, q)
+        # a capped run stops short of the projection, so it says nothing of
+        # the start: of 600 draws from this distribution 30 reached the cap,
+        # 29 of them cold and warm together
+        assume(max(k_cold, k_warm) < iters)
+        # both stop once the iterates agree to tol, not at the projection;
+        # in the other 570 draws the two results were at most 7.8e-10 apart
+        assert np.linalg.norm(warm - cold) <= 2e-9
+
+
+def serial_optimize(cfg):
+    """optimize as one restart after another.  Each outer step is
+    dual_y_step, then a gradient step whose Dykstra projection starts from
+    the corrections of the projection before it; the start and the final
+    projections start cold.  Counts each restart's telemetry as it goes."""
+    d, iters, tol = cfg.d, cfg.projection_iters, cfg.projection_tol
+    runs, stats = [], []
     for r in range(cfg.restarts):
-        calls.clear()
         start = random_density_matrix(d, d, np.random.default_rng([cfg.seed, r]))
-        rho = primal_rho_step(start, zero_y, cfg)
-        best, best_rho, prev, history = -np.inf, rho, -np.inf, []
-        for _ in range(cfg.max_outer):
-            y = dual_y_step(rho)
-            val = float(np.linalg.svd(realign(rho), full_matrices=False)[1].sum())
+        x, p, q, k = _dykstra(start.mat, d, d, iters, tol)
+        spent, caps = k, int(k == iters)
+        best, best_x, prev, history = -np.inf, x, -np.inf, []
+        while True:
+            op = BipartiteOperator(x, d, d)
+            y = dual_y_step(op)
+            val = float(np.linalg.svd(realign(op), full_matrices=False)[1].sum())
             history.append(val)
             if val > best:
-                best, best_rho = val, rho
+                best, best_x = val, x
             if val - prev < cfg.objective_tol:
+                reason = "decreased" if val < prev else "converged"
+                break
+            if len(history) == cfg.max_outer:
+                reason = "max_outer"
                 break
             prev = val
-            rho = primal_rho_step(rho, y, cfg)
-        runs.append((best, best_rho, tuple(history)))
-        rounds.append(len(calls) // 2)  # two eigh calls per Dykstra iteration
-    monkeypatch.undo()
-    _, best_rho, history = max(runs, key=lambda run: run[0])
-    final_cfg = replace(cfg, projection_iters=max(cfg.projection_iters, 500),
-                        projection_tol=min(cfg.projection_tol, 1e-10))
-    state = primal_rho_step(best_rho, zero_y, final_cfg)
-    result = SeesawResult(best_state=state, best_value=ccnr_value(state), history=history,
-                          ppt_residual=is_ppt(state)[1],
-                          psd_residual=float(state.eigenvalues[0]),
-                          restarts_summary=tuple(hist[-1] for _, _, hist in runs))
-    return result, [len(hist) for _, _, hist in runs], rounds
+            x0 = _rho_step(x, _realign_inverse(y, d, d), cfg.step)
+            x, p, q, k = _dykstra(x0 - p - q, d, d, iters, tol, p, q)
+            spent, caps = spent + k, caps + int(k == iters)
+        runs.append((best, best_x, tuple(history)))
+        stats.append(RestartStats(len(history), reason, spent, caps))
+    winner = max(range(cfg.restarts), key=lambda r: runs[r][0])
+    _, best_x, history = runs[winner]
+    final_cfg = replace(cfg, projection_iters=max(iters, 500), projection_tol=min(tol, 1e-10))
+    state = primal_rho_step(DensityMatrix(best_x, d, d), np.zeros((d * d, d * d)), final_cfg)
+    return SeesawResult(best_state=state, best_value=ccnr_value(state), history=history,
+                        ppt_residual=is_ppt(state)[1],
+                        psd_residual=float(state.eigenvalues[0]),
+                        restarts_summary=tuple(hist[-1] for _, _, hist in runs),
+                        best_restart=winner, restarts=tuple(stats))
 
 
 class TestOptimize:
     @pytest.mark.parametrize("kwargs, capped", [
         pytest.param({"d": 2, "seed": 1, "restarts": 20}, 2, marks=pytest.mark.slow),
         ({"d": 3, "seed": 1, "restarts": 3, "max_outer": 40}, 3),
-        pytest.param({"d": 3, "seed": 7, "step": 0.05, "restarts": 3, "max_outer": 216},
-                     1, marks=pytest.mark.slow),
+        ({"d": 3, "seed": 7, "step": 0.05, "restarts": 3, "max_outer": 216}, 1),
         ({"d": 4, "seed": 1, "restarts": 1, "max_outer": 60}, 1),  # runs as an (n, n) matrix
     ])
-    def test_batched_run_equals_serial_reference(self, monkeypatch, kwargs, capped):
+    def test_batched_run_equals_serial_reference(self, kwargs, capped):
         cfg = SeesawConfig(**kwargs)
-        want, steps, rounds = serial_optimize(cfg, monkeypatch)
+        want = serial_optimize(cfg)
         got = optimize(cfg)
         assert got.best_state.mat.tobytes() == want.best_state.mat.tobytes()
         assert got.to_dict() == want.to_dict()
-        # the restarts leave the stack in different rounds, ``capped`` of
-        # them at max_outer and the others on a stalled objective
-        assert len(set(rounds)) == cfg.restarts, rounds
-        assert steps.count(cfg.max_outer) == capped, steps
+        # a restart's Dykstra iterations are the round its batched run ends
+        # in: the restarts leave the stack in different rounds, ``capped``
+        # of them at max_outer and the others on a stalled objective
+        stats = want.restarts
+        assert len({s.dykstra_iters for s in stats}) == cfg.restarts, stats
+        assert [s.stop_reason for s in stats].count("max_outer") == capped, stats
 
     def test_d2_stays_at_most_one(self):
         cfg = SeesawConfig(d=2, seed=1, restarts=4, max_outer=150)
@@ -291,23 +327,57 @@ class TestOptimize:
         assert res.best_value == ccnr_value(res.best_state)
 
     def test_runs_the_public_half_steps(self):
-        # one restart stepped by hand through dual_y_step/primal_rho_step
-        # must reproduce optimize bit for bit; with Y = 0, primal_rho_step
-        # is the bare Dykstra projection that starts and ends a run
+        # one restart stepped by hand must reproduce optimize bit for bit:
+        # the start and final projections are primal_rho_step with Y = 0
+        # (a cold Dykstra projection), and each step between them is
+        # dual_y_step and a gradient step whose projection starts from the
+        # corrections of the projection before it
         cfg = SeesawConfig(d=3, seed=5, restarts=1, max_outer=25)
+        iters, tol = cfg.projection_iters, cfg.projection_tol
         res = optimize(cfg)
         zero_y = np.zeros((9, 9))
         start = random_density_matrix(3, 3, np.random.default_rng([cfg.seed, 0]))
-        rho = primal_rho_step(start, zero_y, cfg)
-        iterates = []
-        for _ in res.history:
-            iterates.append(rho)
-            rho = primal_rho_step(rho, dual_y_step(rho), cfg)
+        x, p, q, _ = _dykstra(start.mat, 3, 3, iters, tol)
+        assert x.tobytes() == primal_rho_step(start, zero_y, cfg).mat.tobytes()
+        iterates = [DensityMatrix(x, 3, 3)]
+        while len(iterates) < len(res.history):
+            rho = iterates[-1]
+            x0 = _rho_step(rho.mat, realign_inverse(dual_y_step(rho), 3, 3).mat, cfg.step)
+            x, p, q, _ = _dykstra(x0 - p - q, 3, 3, iters, tol, p, q)
+            iterates.append(DensityMatrix(x, 3, 3))
         assert res.history == pytest.approx([ccnr_value(r) for r in iterates], abs=1e-12)
         best = iterates[int(np.argmax(res.history))]
         final_cfg = replace(cfg, projection_iters=500, projection_tol=1e-10)
         final = primal_rho_step(best, zero_y, final_cfg)
         assert np.array_equal(final.mat, res.best_state.mat)
+
+    @pytest.mark.parametrize("iters, reasons", [
+        (8, ["max_outer", "converged", "max_outer", "max_outer"]),
+        (3, ["decreased", "decreased", "max_outer", "decreased"]),
+    ])
+    def test_telemetry_counts_the_eigh_work(self, monkeypatch, iters, reasons):
+        # every Dykstra iteration is two eigh matrices and nothing else calls
+        # eigh, so the telemetry accounts for the whole projection work
+        cfg = SeesawConfig(d=2, seed=3, restarts=4, max_outer=50, projection_iters=iters)
+        eigh, matrices, final = np.linalg.eigh, [], []
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: matrices.append(a.size // 16) or eigh(a))
+        dykstra = seesaw._dykstra
+        monkeypatch.setattr(seesaw, "_dykstra",
+                            lambda *a: final.append(dykstra(*a)) or final[-1])
+        res = optimize(cfg)
+        monkeypatch.undo()
+        stats = res.restarts
+        assert [s.stop_reason for s in stats] == reasons
+        assert sum(matrices) == 2 * (sum(s.dykstra_iters for s in stats) + final[0][3])
+        # one projection per Y-step: the start state's, then one per gradient step
+        for s in stats:
+            assert s.outer_steps <= cfg.max_outer
+            assert s.cap_hits <= s.outer_steps
+            assert s.cap_hits * iters <= s.dykstra_iters <= s.outer_steps * iters
+        assert any(s.cap_hits == s.outer_steps for s in stats)
+        assert 0 < sum(s.cap_hits for s in stats) < sum(s.outer_steps for s in stats)
+        assert stats[res.best_restart].outer_steps == len(res.history)
 
     def test_deterministic(self):
         cfg = SeesawConfig(d=2, seed=3, restarts=2, max_outer=80)
