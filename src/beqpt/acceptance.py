@@ -67,7 +67,7 @@ def row_realignment_fixed_points() -> RowResult:
 def row_ccnr_extremal_4x4() -> RowResult:
     """rho_ccnr: spectrum {1/4, 1/12 x15}, trace norm 1.5, PPT, purity 1/6."""
     rho = states.rho_ccnr()
-    s = np.sort(singular_values(realign(rho)))[::-1]
+    s = rho.realigned_spectrum
     expected = np.array([1 / 4] + [1 / 12] * 15)
     spec_dev = float(np.abs(s - expected).max())
     tn = float(s.sum())
@@ -93,12 +93,12 @@ def row_ccnr_extremal_4x4() -> RowResult:
 def row_ccnr_extremal_3x3() -> RowResult:
     """3x3 state: trace norm 1.1891 +- 5e-4, listed spectrum, faithful, PPT to 1e-4."""
     rho = states.rho_ccnr_3x3()
-    s = np.sort(singular_values(realign(rho)))[::-1]
+    s = rho.realigned_spectrum
     expected = np.array(states.RHO_CCNR_3X3_SPECTRUM)
     spec_dev = float(np.abs(s - expected).max())
     tn = float(s.sum())
     faithful, _, cond = diag.is_faithful(rho)
-    _, min_eig = diag.is_ppt(rho, tol=1e-4)
+    _, min_eig = diag.is_ppt(rho)
     passed = (
         abs(tn - states.RHO_CCNR_3X3_TRACE_NORM) <= 5e-4
         and spec_dev <= 5e-4
@@ -166,7 +166,7 @@ def row_faithfulness_table() -> RowResult:
         dB = int(rng.integers(2, 5))
         rho = states.random_density_matrix(dA, dB, rng)
         purity = float(np.vdot(rho.mat, rho.mat).real)
-        s2 = float((singular_values(realign(rho)) ** 2).sum())
+        s2 = float((rho.realigned_spectrum ** 2).sum())
         worst = max(worst, abs(purity - s2))
     return _row(
         "faithfulness_table",
@@ -184,8 +184,8 @@ def row_gamma_family() -> RowResult:
     for k in (4, 5, 6):
         for eps in (0.01, 0.1, 1.0):
             rho = states.cariello_gamma(states.GammaParams(k=k, n=2, eps=eps))
-            ppt, min_eig = diag.is_ppt(rho, tol=1e-10)
-            s = singular_values(realign(rho))
+            ppt, min_eig = diag.is_ppt(rho)
+            s = rho.realigned_spectrum
             rel = float(s[-1] / s[0])
             measured[f"k{k}_eps{eps:g}"] = {"min_eig_pt": min_eig, "sigma_min_rel": rel}
             ok = ok and ppt and rel > 1e-8
@@ -260,7 +260,7 @@ def row_werner_filtering() -> RowResult:
             direct = filt.local_filter(states.werner_v(d, v), pair)
             closed = states.filtered_werner_closed_form(d, v)
             worst = max(worst, float(np.abs(direct.mat - closed.mat).max()))
-            s = singular_values(realign(closed))
+            s = closed.realigned_spectrum
             nonzero = int(np.count_nonzero(s >= 1e-12))
             max_nonzero = max(max_nonzero, nonzero)
             ok = ok and nonzero <= 16
@@ -350,7 +350,7 @@ def row_realign_variant_consistency() -> RowResult:
     for i in range(100):
         d = int(rng.integers(2, 6))
         rho = states.random_density_matrix(d, d, rng)
-        s1 = singular_values(realign(rho))
+        s1 = rho.realigned_spectrum
         s2 = singular_values(check_realign(rho))
         worst = max(worst, float(np.abs(s1 - s2).max()))
     return _row(

@@ -16,17 +16,24 @@ With this choice the three fixed points
 
 hold exactly (``|u> = sum_i |ii>``, ``F`` the swap); the test suite pins
 the convention against them.
+
+Each operator computes its descending realigned spectrum once, on first
+use of ``realigned_spectrum``; the Schmidt rank, and through it every
+faithfulness rule, cuts that spectrum at the module constant
+``SCHMIDT_REL_TOL``.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-12
+SCHMIDT_REL_TOL = 1e-9  # realigned singular values at or below this * sigma_max count as 0
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -77,6 +84,14 @@ class BipartiteOperator:
     @property
     def dim(self) -> int:
         return self.dA * self.dB
+
+    @cached_property
+    def realigned_spectrum(self) -> np.ndarray:
+        """Descending singular values of realign(self), read-only; computed
+        on first use, which is safe since ``mat`` is read-only too."""
+        s = singular_values(realign(self))
+        s.setflags(write=False)
+        return s
 
 
 @dataclass(frozen=True)
@@ -239,21 +254,15 @@ def trace_norm(m: np.ndarray) -> float:
     return float(singular_values(m).sum())
 
 
-def operator_schmidt_rank(rho: BipartiteOperator, rel_tol: float = 1e-9) -> int:
-    """Number of realigned singular values above rel_tol * sigma_max.
+def operator_schmidt_rank(rho: BipartiteOperator) -> int:
+    """Number of realigned singular values above SCHMIDT_REL_TOL * sigma_max.
 
     Returns 0 for the zero operator.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1)")
-    return _schmidt_rank(singular_values(realign(rho)), rel_tol)
-
-
-def _schmidt_rank(s: np.ndarray, rel_tol: float) -> int:
-    """The rank rule on a descending realigned spectrum ``s``."""
+    s = rho.realigned_spectrum
     if s[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > SCHMIDT_REL_TOL * s[0]))
 
 
 def _permute_subsystems(mat: np.ndarray, dims, order) -> np.ndarray:

@@ -121,10 +121,10 @@ def choi_of(ch: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(s / d, d)
 
 
-def channel_from_choi(s: ChoiMatrix, eig_cutoff: float = KRAUS_EIG_CUTOFF) -> KrausChannel:
+def channel_from_choi(s: ChoiMatrix) -> KrausChannel:
     """Kraus operators from the eigendecomposition of the Choi state.
 
-    Eigenvalues below the cutoff are dropped to avoid spurious
+    Eigenvalues at or below KRAUS_EIG_CUTOFF are dropped to avoid spurious
     near-zero Kraus operators.  The resulting channel satisfies
     E(rho) = d Tr_2[(Id kron rho^T) S].
     """
@@ -133,7 +133,7 @@ def channel_from_choi(s: ChoiMatrix, eig_cutoff: float = KRAUS_EIG_CUTOFF) -> Kr
     kraus = [
         np.sqrt(d * wi) * unvec(v[:, i], d, d)
         for i, wi in enumerate(w)
-        if wi > eig_cutoff
+        if wi > KRAUS_EIG_CUTOFF
     ]
     return KrausChannel(tuple(kraus), d, d)
 

@@ -72,6 +72,7 @@ V, F, ALPHA, EPS, P = (Param(flag) for flag in ("--v", "--f", "--alpha", "--eps"
 WHICH = Param("--which", str, choices=("phi+", "phi-", "psi+", "psi-"))
 CHANNEL_D = Param("--channel-d", int, key="d", cap=MAX_D)
 CHANNEL_SEED = Param("--channel-seed", int)
+RUDOLPH_TRIALS = Param("--rudolph-trials", int, cap=1000)  # 50x the acceptance row's 20
 FILE_A, FILE_B = Param("--filter-a", str), Param("--filter-b", str)
 # optimize overrides of the SeesawConfig field of the same name; validated there
 TUNABLES = (Param("--restarts", int), Param("--max-outer", int), Param("--step"),
@@ -164,14 +165,15 @@ def _add_params(group, params):
 
 
 def cmd_diagnose(args, inputs: dict, timings: dict) -> tuple:
+    trials = None if args.rudolph_trials is None else RUDOLPH_TRIALS.value(args)
     rho = build_state(args, inputs)
     report = diag.full_report(rho)
     results = {"report": report}
-    if args.rudolph_trials is not None:
+    if trials is not None:
         if args.seed is None:
             raise ValueError("--rudolph-trials requires --seed")
-        inputs.update(rudolph_trials=args.rudolph_trials, seed=args.seed)
-        results["rudolph"] = diag.rudolph_checks(rho, args.rudolph_trials, args.seed)
+        inputs.update(rudolph_trials=trials, seed=args.seed)
+        results["rudolph"] = diag.rudolph_checks(rho, trials, args.seed)
     if args.dump_state is not None:
         write_report(matrix_file(rho), args.dump_state)
     return results, [
@@ -265,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="entanglement/faithfulness report for a state")
     state_flags(p)
-    p.add_argument("--rudolph-trials", type=int, default=None,
-                   help="also run the monotonicity checks with this many trials")
+    p.add_argument(RUDOLPH_TRIALS.flag, type=int, default=None,
+                   help="also run the monotonicity checks with this many trials "
+                        f"(at most {RUDOLPH_TRIALS.cap})")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--dump-state", default=None, metavar="PATH",
                    help="write the constructed state as a matrix file")

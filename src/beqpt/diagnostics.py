@@ -4,6 +4,9 @@ The CCNR criterion: every separable state has realigned trace norm at
 most 1, so any excess certifies entanglement.  A state is *faithful*
 (usable as a tomography probe) exactly when its realigned matrix is
 invertible, i.e. has full operator Schmidt rank.
+
+Every number here is read from the state's ``realigned_spectrum``, which
+each operator computes once, and every tolerance is a module constant.
 """
 
 from __future__ import annotations
@@ -13,19 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import (
+    SCHMIDT_REL_TOL,
     BipartiteOperator,
     DensityMatrix,
     haar_unitary,
+    operator_schmidt_rank,
     partial_transpose,
-    realign,
-    singular_values,
     _permute_subsystems,
-    _schmidt_rank,
 )
 from .reports import Record
 
 ENTANGLED_MARGIN = 1e-9
-FAITHFUL_REL_TOL = 1e-9
 PPT_TOL = 1e-10
 PURITY_IDENTITY_TOL = 1e-10
 
@@ -48,40 +49,21 @@ class DiagnosticsReport(Record):
 
 def ccnr_value(rho: DensityMatrix) -> float:
     """Realigned trace norm; > 1 (beyond margin) certifies entanglement."""
-    return float(singular_values(realign(rho)).sum())
+    return float(rho.realigned_spectrum.sum())
 
 
-def is_ppt(rho: BipartiteOperator, tol: float = PPT_TOL) -> tuple:
-    """(flag, min eigenvalue of the partial transpose)."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+def is_ppt(rho: BipartiteOperator) -> tuple:
+    """(flag, min eigenvalue of the partial transpose); PPT within PPT_TOL."""
     min_eig = float(np.linalg.eigvalsh(partial_transpose(rho, "B").mat).min())
-    return min_eig >= -tol, min_eig
+    return min_eig >= -PPT_TOL, min_eig
 
 
 def faithfulness(rho: DensityMatrix) -> float:
-    """Purity Tr(rho^2), equal to the squared Frobenius norm of the
-    realigned matrix (the sum of squared realigned singular values)."""
-    return _checked_purity(rho, singular_values(realign(rho)))
-
-
-def is_faithful(rho: BipartiteOperator, rel_tol: float = FAITHFUL_REL_TOL) -> tuple:
-    """(flag, sigma_min, condition number) of the realigned matrix.
-
-    Faithful means sigma_min > rel_tol * sigma_max; the condition number
-    is reported as inf below that threshold.  Requires dA == dB, since
-    only square realigned matrices can be inverted.
-    """
-    return _faithful(rho, singular_values(realign(rho)), rel_tol)
-
-
-# Rules on the descending realigned spectrum ``s`` of ``rho``: one SVD
-# per state serves every number derived from it.
-
-def _checked_purity(rho: DensityMatrix, s) -> float:
-    """Tr(rho^2), checked against the sum of squared singular values."""
+    """Purity Tr(rho^2), checked against its equal, the squared Frobenius
+    norm of the realigned matrix (the sum of squared realigned singular
+    values)."""
     purity = float(np.vdot(rho.mat, rho.mat).real)
-    s2 = float((s ** 2).sum())
+    s2 = float((rho.realigned_spectrum ** 2).sum())
     if abs(purity - s2) > PURITY_IDENTITY_TOL:
         raise RuntimeError(
             f"purity identity violated: Tr(rho^2)={purity:.17g}, sum s^2={s2:.17g}"
@@ -89,15 +71,22 @@ def _checked_purity(rho: DensityMatrix, s) -> float:
     return purity
 
 
-def _faithful(rho: BipartiteOperator, s, rel_tol: float) -> tuple:
-    """The faithfulness rule of ``is_faithful``."""
+def is_faithful(rho: BipartiteOperator) -> tuple:
+    """(flag, sigma_min, condition number) of the realigned matrix.
+
+    Faithful means sigma_min > SCHMIDT_REL_TOL * sigma_max, i.e. full
+    operator Schmidt rank; the condition number is reported as inf below
+    that threshold.  Requires dA == dB, since only square realigned
+    matrices can be inverted.
+    """
     if rho.dA != rho.dB:
         raise ValueError("faithfulness is defined for square bipartitions only")
+    s = rho.realigned_spectrum
     smax = float(s[0])
     smin = float(s[-1])
     if smax <= 0.0:
         return False, 0.0, float("inf")
-    ok = smin > rel_tol * smax
+    ok = smin > SCHMIDT_REL_TOL * smax
     cond = smax / smin if ok else float("inf")
     return bool(ok), smin, float(cond)
 
@@ -184,8 +173,7 @@ def lueders_product_measurement(rho: DensityMatrix, ua: np.ndarray, ub: np.ndarr
     return DensityMatrix(out, rho.dA, rho.dB)
 
 
-def rudolph_checks(rho: DensityMatrix, trials: int, seed: int,
-                   tol: float = ENTANGLED_MARGIN) -> RudolphReport:
+def rudolph_checks(rho: DensityMatrix, trials: int, seed: int) -> RudolphReport:
     """Check the monotonicity properties of the realigned trace norm on
     seeded random draws.
 
@@ -193,15 +181,15 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int,
     product ancilla pair is attached (coarse-grained into the enlarged
     bipartition), (iii) non-increase under local Lueders measurements in
     random product bases.  Each trial uses an RNG stream derived from
-    (seed, property, trial).
+    (seed, property, trial); a margin passes up to ENTANGLED_MARGIN.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     base = ccnr_value(rho)
 
     def changes(prop, transform):
-        return [ccnr_value(transform(np.random.default_rng([seed, prop, t]))) - base
-                for t in range(trials)]
+        return (ccnr_value(transform(np.random.default_rng([seed, prop, t]))) - base
+                for t in range(trials))
 
     def local_unitaries(rng):
         return haar_unitary(rho.dA, rng), haar_unitary(rho.dB, rng)
@@ -213,11 +201,12 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int,
     lueders_inc = max(changes(
         2, lambda g: lueders_product_measurement(rho, *local_unitaries(g))))
 
-    invariant, ancilla_ok, lueders_ok = unitary_dev <= tol, ancilla_inc <= tol, lueders_inc <= tol
+    invariant, ancilla_ok, lueders_ok = (
+        x <= ENTANGLED_MARGIN for x in (unitary_dev, ancilla_inc, lueders_inc))
     return RudolphReport(
         trials=trials,
         seed=seed,
-        tol=tol,
+        tol=ENTANGLED_MARGIN,
         unitary_max_deviation=float(unitary_dev),
         unitary_invariant=invariant,
         ancilla_max_increase=float(ancilla_inc),
@@ -229,13 +218,11 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int,
 
 
 def full_report(rho: DensityMatrix) -> DiagnosticsReport:
-    """All diagnostics for one state, derived from one realigned spectrum."""
-    spectrum = singular_values(realign(rho))
-    ccnr = float(spectrum.sum())
-    purity = _checked_purity(rho, spectrum)
+    """All diagnostics for one state, derived from its one realigned spectrum."""
+    ccnr = ccnr_value(rho)
     ppt, min_eig = is_ppt(rho)
     if rho.dA == rho.dB:
-        faithful, _, cond = _faithful(rho, spectrum, FAITHFUL_REL_TOL)
+        faithful, _, cond = is_faithful(rho)
     else:
         faithful, cond = False, float("inf")
     return DiagnosticsReport(
@@ -244,9 +231,9 @@ def full_report(rho: DensityMatrix) -> DiagnosticsReport:
         ccnr_entangled=bool(ccnr > 1.0 + ENTANGLED_MARGIN),
         ppt=ppt,
         min_eig_pt=min_eig,
-        purity=purity,
-        realigned_spectrum=tuple(float(s) for s in spectrum),
+        purity=faithfulness(rho),
+        realigned_spectrum=tuple(float(s) for s in rho.realigned_spectrum),
         faithful=faithful,
-        schmidt_rank=_schmidt_rank(spectrum, FAITHFUL_REL_TOL),
+        schmidt_rank=operator_schmidt_rank(rho),
         condition_number=cond,
     )

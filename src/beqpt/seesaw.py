@@ -29,7 +29,8 @@ leaves the stack; the last one runs as an (n, n) matrix.  Stacked eigh,
 svd and matmul give the bits of per-matrix calls and the stop norms are
 taken per matrix, so a batched run equals the serial one bit for bit.
 Each restart's outer steps, stop reason, Dykstra iterations and cap hits
-are counted from the state machine, with no extra eigh or svd.
+are counted from the state machine, with no extra eigh or svd, and so are
+the iterations of the final hard projection.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ class RestartStats(Record):
 @dataclass(frozen=True)
 class SeesawResult(Record):
     """Best state over all restarts plus the full objective trace of the
-    winning restart and the telemetry of every restart."""
+    winning restart, the telemetry of every restart and the Dykstra
+    iterations of the final hard projection."""
 
     best_state: DensityMatrix
     best_value: float
@@ -121,6 +123,7 @@ class SeesawResult(Record):
     restarts_summary: tuple
     best_restart: int
     restarts: tuple
+    final_projection_iters: int
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -267,12 +270,13 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
             x, p, q = (a[alive][0] if live.size == 1 else a[alive] for a in rows)
     r = max(range(cfg.restarts), key=lambda r: best[r][0])
     # final hard projection so the reported state is feasible to <= 1e-7
-    state = DensityMatrix(_dykstra(best[r][1], d, d, max(iters, 500),
-                                   min(cfg.projection_tol, 1e-10))[0], d, d)
+    final, _, _, final_iters = _dykstra(best[r][1], d, d, max(iters, 500),
+                                        min(cfg.projection_tol, 1e-10))
+    state = DensityMatrix(final, d, d)
     stats = tuple(RestartStats(len(h), why, int(it), int(cap))
                   for h, why, it, cap in zip(history, reasons, spent, caps))
     return SeesawResult(best_state=state, best_value=ccnr_value(state),
                         history=tuple(history[r]), ppt_residual=is_ppt(state)[1],
                         psd_residual=float(state.eigenvalues[0]),
                         restarts_summary=tuple(h[-1] for h in history),
-                        best_restart=r, restarts=stats)
+                        best_restart=r, restarts=stats, final_projection_iters=final_iters)

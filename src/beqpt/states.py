@@ -16,8 +16,6 @@ from .bipartite import (
     DensityMatrix,
     basis_ket,
     max_entangled,
-    realign,
-    singular_values,
     swap_operator,
     tensor,
     _permute_subsystems,
@@ -182,7 +180,7 @@ def rho_ccnr() -> DensityMatrix:
     # qubit order (A, B, A', B') -> (A, A', B, B')
     mat = _permute_subsystems(mat, (2, 2, 2, 2), (0, 2, 1, 3))
     state = DensityMatrix(mat, 4, 4)
-    spectrum = singular_values(realign(state))
+    spectrum = state.realigned_spectrum
     if not np.allclose(np.sort(spectrum), np.sort(_RHO_CCNR_SPECTRUM), atol=1e-10):
         raise RuntimeError(
             "rho_ccnr construction failed its spectrum self-check: "

@@ -9,6 +9,9 @@ the row-stacking convention: writing rho = sum_m A_m kron B_m,
 so the superoperator is E_hat = realign(rho_out) realign(probe)^-1
 whenever the probe's realigned matrix is invertible.  Probes failing
 that invertibility test (non-faithful probes) are rejected up front.
+The gate reads the probe's cached realigned spectrum, so a probe is
+factorized once however many channels it reconstructs; its tolerance is
+the module constant SCHMIDT_REL_TOL.
 """
 
 from __future__ import annotations
@@ -20,15 +23,15 @@ import numpy as np
 from .bipartite import (
     HERM_TOL,
     PSD_TOL,
+    SCHMIDT_REL_TOL,
     BipartiteOperator,
     DensityMatrix,
     herm_part,
     realign,
     realign_inverse,
-    singular_values,
 )
 from .channels import ChoiMatrix, KrausChannel, apply_extended, choi_of
-from .diagnostics import FAITHFUL_REL_TOL, DiagnosticsReport, _faithful, full_report
+from .diagnostics import DiagnosticsReport, full_report, is_faithful
 from .reports import Record
 from .seesaw import project_psd_trace_one
 
@@ -91,23 +94,17 @@ def simulate_output(ch: KrausChannel, probe: DensityMatrix) -> DensityMatrix:
     )
 
 
-def reconstruct_superop(rho_out: DensityMatrix, probe: DensityMatrix,
-                        rel_tol: float = FAITHFUL_REL_TOL) -> np.ndarray:
+def reconstruct_superop(rho_out: DensityMatrix, probe: DensityMatrix) -> np.ndarray:
     """E_hat = realign(rho_out) pinv(realign(probe)), behind the
-    faithfulness gate."""
-    return _invert(rho_out, probe, singular_values(realign(probe)), rel_tol)
-
-
-def _invert(rho_out: DensityMatrix, probe: DensityMatrix, s, rel_tol: float) -> np.ndarray:
-    """Gate on the probe's descending realigned spectrum ``s``, then invert.
+    faithfulness gate.
 
     The pseudo-inverse cuts at PINV_RCOND * sigma_max, well below the
     faithfulness gate, so a probe that passes the gate is never silently
     treated as singular.
     """
-    ok, smin, _ = _faithful(probe, s, rel_tol)
+    ok, smin, _ = is_faithful(probe)
     if not ok:
-        raise UnfaithfulProbe(smin, float(s[0]), rel_tol)
+        raise UnfaithfulProbe(smin, float(probe.realigned_spectrum[0]), SCHMIDT_REL_TOL)
     return realign(rho_out) @ np.linalg.pinv(realign(probe), rcond=PINV_RCOND)
 
 
@@ -176,7 +173,7 @@ def run_aaqpt(ch: KrausChannel, probe: DensityMatrix, noise: float = 0.0,
         perturbed = rho_out.mat + _gaussian_hermitian(rho_out.dim, noise, rng)
         rho_out = project_psd_trace_one(perturbed, rho_out.dA, rho_out.dB)
     report = full_report(probe)
-    e_hat = _invert(rho_out, probe, report.realigned_spectrum, FAITHFUL_REL_TOL)
+    e_hat = reconstruct_superop(rho_out, probe)
     choi_rec = superop_to_choi(e_hat, ch.d_in, noise_level=noise)
     choi_true = choi_of(ch)
     return ReconstructionResult(

@@ -262,12 +262,6 @@ class TestOperatorSchmidtRank:
     def test_zero_operator(self):
         assert operator_schmidt_rank(BipartiteOperator(np.zeros((4, 4)), 2, 2)) == 0
 
-    def test_rel_tol_validation(self, rng):
-        rho = random_density_matrix(2, 2, rng)
-        with pytest.raises(ValueError):
-            operator_schmidt_rank(rho, rel_tol=0.0)
-        with pytest.raises(ValueError):
-            operator_schmidt_rank(rho, rel_tol=1.5)
 
 
 class TestPermuteQubits:
@@ -338,6 +332,19 @@ class TestTypes:
         assert not rho.eigenvalues.flags.writeable
         assert "eigenvalues" not in repr(rho)
         assert [f.name for f in dataclasses.fields(rho) if f.compare] == ["mat", "dA", "dB"]
+
+    def test_realigned_spectrum_is_computed_once(self, rng):
+        rho = random_density_matrix(3, 2, rng)
+        s = rho.realigned_spectrum
+        assert rho.realigned_spectrum is s
+        assert np.array_equal(s, singular_values(realign(rho)))
+        assert "realigned_spectrum" not in repr(rho)
+
+    def test_realigned_spectrum_is_read_only(self, rng):
+        s = random_density_matrix(2, 2, rng).realigned_spectrum
+        assert not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0] = 0.0
 
 
 def test_purity_identity_on_random_states(rng):

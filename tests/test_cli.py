@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from beqpt import acceptance, channels, cli, seesaw, states
+from beqpt import acceptance, channels, cli, diagnostics, seesaw, states
 from beqpt import tomography as tomo
 from beqpt.bipartite import DensityMatrix
 from beqpt.cli import main
@@ -374,6 +374,7 @@ class TestReproduce:
                 best_value=1.0, history=(1.0,), ppt_residual=0.0,
                 psd_residual=0.0, restarts_summary=(1.0,), best_restart=0,
                 restarts=(seesaw.RestartStats(1, "converged", 1, 0),),
+                final_projection_iters=1,
             )
 
         monkeypatch.setattr(seesaw, "optimize", fake_optimize)
@@ -399,6 +400,8 @@ class TestSizeCaps:
         # one restart past the (restarts, 81, 81) stack bound at d=3
         (["optimize", "--d", "3", "--seed", "1",
           "--restarts", str(seesaw.MAX_STACK_ENTRIES // 3**4 + 1)], seesaw, "optimize"),
+        (["diagnose", "--state", "bell", "--which", "phi+", "--seed", "1",
+          "--rudolph-trials", str(cli.RUDOLPH_TRIALS.cap + 1)], diagnostics, "rudolph_checks"),
     ])
     def test_just_past_the_cap_exit_2_before_allocation(
             self, monkeypatch, capsys, argv, module, name):

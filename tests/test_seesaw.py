@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from beqpt import seesaw
 from beqpt.bipartite import (
     BipartiteOperator,
     DensityMatrix,
@@ -285,13 +284,14 @@ def serial_optimize(cfg):
         stats.append(RestartStats(len(history), reason, spent, caps))
     winner = max(range(cfg.restarts), key=lambda r: runs[r][0])
     _, best_x, history = runs[winner]
-    final_cfg = replace(cfg, projection_iters=max(iters, 500), projection_tol=min(tol, 1e-10))
-    state = primal_rho_step(DensityMatrix(best_x, d, d), np.zeros((d * d, d * d)), final_cfg)
+    final, _, _, final_iters = _dykstra(best_x, d, d, max(iters, 500), min(tol, 1e-10))
+    state = DensityMatrix(final, d, d)
     return SeesawResult(best_state=state, best_value=ccnr_value(state), history=history,
                         ppt_residual=is_ppt(state)[1],
                         psd_residual=float(state.eigenvalues[0]),
                         restarts_summary=tuple(hist[-1] for _, _, hist in runs),
-                        best_restart=winner, restarts=tuple(stats))
+                        best_restart=winner, restarts=tuple(stats),
+                        final_projection_iters=final_iters)
 
 
 class TestOptimize:
@@ -359,17 +359,15 @@ class TestOptimize:
         # every Dykstra iteration is two eigh matrices and nothing else calls
         # eigh, so the telemetry accounts for the whole projection work
         cfg = SeesawConfig(d=2, seed=3, restarts=4, max_outer=50, projection_iters=iters)
-        eigh, matrices, final = np.linalg.eigh, [], []
+        eigh, matrices = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: matrices.append(a.size // 16) or eigh(a))
-        dykstra = seesaw._dykstra
-        monkeypatch.setattr(seesaw, "_dykstra",
-                            lambda *a: final.append(dykstra(*a)) or final[-1])
         res = optimize(cfg)
         monkeypatch.undo()
         stats = res.restarts
         assert [s.stop_reason for s in stats] == reasons
-        assert sum(matrices) == 2 * (sum(s.dykstra_iters for s in stats) + final[0][3])
+        assert sum(matrices) == 2 * (sum(s.dykstra_iters for s in stats)
+                                     + res.final_projection_iters)
         # one projection per Y-step: the start state's, then one per gradient step
         for s in stats:
             assert s.outer_steps <= cfg.max_outer

@@ -11,6 +11,7 @@ from beqpt.channels import (
     random_cptp,
     superoperator_matrix,
 )
+from beqpt.diagnostics import ccnr_value, full_report, is_faithful
 from beqpt.states import (
     filtered_werner_closed_form,
     isotropic,
@@ -275,6 +276,18 @@ class TestFactorizationCount:
         # with noise the projected output; the probe's own spectrum comes
         # from its validation
         assert calls["eigvalsh"] == (6 if noise else 5)
+
+    def test_one_svd_per_probe(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        probe = rho_ccnr()
+        full_report(probe)
+        ccnr_value(probe)
+        is_faithful(probe)
+        run_aaqpt(depolarizing(4, 0.3), probe)
+        run_aaqpt(identity_channel(4), probe)
+        # the construction's self-check computes the only realigned spectrum
+        assert calls["svd"] == 1
+        assert calls["pinv"] == 2
 
     def test_simulate_output_reuses_probe_spectrum(self, monkeypatch):
         ch, probe = depolarizing(4, 0.3), rho_ccnr()
