@@ -16,7 +16,6 @@ from .bipartite import (
     operator_schmidt_rank,
     partial_trace,
     partial_transpose,
-    permute_qubit_subsystems,
     realign,
     realign_inverse,
     singular_values,
@@ -24,14 +23,12 @@ from .bipartite import (
     tensor,
     trace_norm,
     vec,
-    unvec,
 )
 from .channels import (
     ChoiMatrix,
     KrausChannel,
     apply,
     apply_extended,
-    channel_from_choi,
     choi_of,
     dephasing,
     depolarizing,

@@ -20,7 +20,8 @@ the convention against them.
 Each operator computes its descending realigned spectrum once, on first
 use of ``realigned_spectrum``; the Schmidt rank, and through it every
 faithfulness rule, cuts that spectrum at the module constant
-``SCHMIDT_REL_TOL``.
+``SCHMIDT_REL_TOL``.  Its realigned pseudo-inverse, cut at
+``PINV_RCOND``, is kept the same way (``realigned_pinv``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-12
 SCHMIDT_REL_TOL = 1e-9  # realigned singular values at or below this * sigma_max count as 0
+PINV_RCOND = 1e-12  # the realigned pseudo-inverse cuts at this * sigma_max
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -93,6 +95,15 @@ class BipartiteOperator:
         s.setflags(write=False)
         return s
 
+    @cached_property
+    def realigned_pinv(self) -> np.ndarray:
+        """pinv(realign(self)) cut at PINV_RCOND, read-only and computed on
+        first use, so a probe is inverted once however many channels it
+        reconstructs."""
+        m = np.linalg.pinv(realign(self), rcond=PINV_RCOND)
+        m.setflags(write=False)
+        return m
+
 
 @dataclass(frozen=True)
 class DensityMatrix(BipartiteOperator):
@@ -146,10 +157,6 @@ def basis_ket(d: int, i: int) -> np.ndarray:
 def vec(m: np.ndarray) -> np.ndarray:
     """Row-stacking vectorization, vec(|i><j|) = |i>|j>."""
     return np.asarray(m, dtype=complex).reshape(-1)
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(rows, cols)
 
 
 def swap_operator(k: int) -> BipartiteOperator:
@@ -271,22 +278,6 @@ def _permute_subsystems(mat: np.ndarray, dims, order) -> np.ndarray:
     axes = list(order) + [n + a for a in order]
     d = int(np.prod(dims))
     return t.transpose(axes).reshape(d, d)
-
-
-def permute_qubit_subsystems(rho: BipartiteOperator, perm) -> BipartiteOperator:
-    """Relabel the four qubit factors of a 16-dimensional operator.
-
-    ``perm`` lists the source slots in their new order (numpy transpose
-    semantics): perm=(0, 2, 1, 3) puts factor 2 into the second slot.
-    """
-    if rho.dim != 16:
-        raise ValueError("expects four qubits (total dimension 16)")
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != [0, 1, 2, 3]:
-        raise ValueError("perm must be a permutation of (0, 1, 2, 3)")
-    return BipartiteOperator(
-        _permute_subsystems(rho.mat, (2, 2, 2, 2), perm), rho.dA, rho.dB
-    )
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

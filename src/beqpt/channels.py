@@ -22,17 +22,14 @@ from .bipartite import (
     DensityMatrix,
     as_complex_matrix,
     basis_ket,
-    herm_part,
     partial_trace,
     vec,
-    unvec,
 )
 
 COMPLETENESS_TOL = 1e-10
 CHOI_PSD_TOL = 1e-10
 CHOI_TRACE_TOL = 1e-10
 CHOI_TP_TOL = 1e-9
-KRAUS_EIG_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,23 +116,6 @@ def choi_of(ch: KrausChannel) -> ChoiMatrix:
         v = vec(k)
         s += np.outer(v, v.conj())
     return ChoiMatrix(s / d, d)
-
-
-def channel_from_choi(s: ChoiMatrix) -> KrausChannel:
-    """Kraus operators from the eigendecomposition of the Choi state.
-
-    Eigenvalues at or below KRAUS_EIG_CUTOFF are dropped to avoid spurious
-    near-zero Kraus operators.  The resulting channel satisfies
-    E(rho) = d Tr_2[(Id kron rho^T) S].
-    """
-    d = s.d
-    w, v = np.linalg.eigh(herm_part(s.mat))
-    kraus = [
-        np.sqrt(d * wi) * unvec(v[:, i], d, d)
-        for i, wi in enumerate(w)
-        if wi > KRAUS_EIG_CUTOFF
-    ]
-    return KrausChannel(tuple(kraus), d, d)
 
 
 def identity_channel(d: int) -> KrausChannel:

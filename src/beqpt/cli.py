@@ -29,7 +29,6 @@ from . import tomography as tomo
 from .bipartite import DensityMatrix, haar_unitary
 from .reports import (
     load_density_matrix,
-    load_json,
     load_local_operator,
     make_report,
     matrix_file,
@@ -75,9 +74,8 @@ CHANNEL_SEED = Param("--channel-seed", int)
 RUDOLPH_TRIALS = Param("--rudolph-trials", int, cap=1000)  # 50x the acceptance row's 20
 FILE_A, FILE_B = Param("--filter-a", str), Param("--filter-b", str)
 # optimize overrides of the SeesawConfig field of the same name; validated there
-TUNABLES = (Param("--restarts", int), Param("--max-outer", int), Param("--step"),
-            Param("--projection-iters", int), Param("--projection-tol"),
-            Param("--objective-tol"))
+TUNABLES = (Param("--restarts", int), Param("--max-outer", int),
+            Param("--projection-iters", int))
 
 # name -> parameter sets (ordered params, constructor); the first set whose
 # flags are all given is used.  The lambdas look constructors up when they
@@ -192,23 +190,14 @@ def cmd_reconstruct(args, inputs: dict, timings: dict) -> tuple:
     result = tomo.run_aaqpt(channel, probe, noise=args.noise, seed=args.seed)
     return {**vars(result), "verdict": "ok"}, [
         f"choi trace distance  {result.trace_distance:.6e}",
-        f"probe condition      {result.probe_condition_number:.6g}",
+        f"probe condition      {result.probe_report.condition_number:.6g}",
     ], 0
 
 
 def cmd_optimize(args, inputs: dict, timings: dict) -> tuple:
-    flags = {p.dest: getattr(args, p.dest) for p in TUNABLES}
-    cfg_kwargs = {"d": D.value(args), "seed": args.seed}
-    if args.config is not None:
-        file_overrides = load_json(args.config)
-        if not isinstance(file_overrides, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-        bad = set(file_overrides) - set(flags)
-        if bad:
-            raise ValueError(f"{args.config}: unknown config keys {sorted(bad)}")
-        cfg_kwargs.update(file_overrides)
-    cfg_kwargs.update((key, value) for key, value in flags.items() if value is not None)
-    cfg = seesaw.SeesawConfig(**cfg_kwargs)
+    overrides = {p.dest: getattr(args, p.dest) for p in TUNABLES}
+    cfg = seesaw.SeesawConfig(d=D.value(args), seed=args.seed, **{
+        key: value for key, value in overrides.items() if value is not None})
     inputs.update(vars(cfg))
     result = seesaw.optimize(cfg)
     reasons = [s.stop_reason for s in result.restarts]
@@ -289,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     _add_params(p.add_argument_group("see-saw overrides"), TUNABLES)
-    p.add_argument("--config", default=None, metavar="PATH",
-                   help="JSON object with config overrides")
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=cmd_optimize)
 

@@ -50,7 +50,8 @@ def parse_matrix_file(obj: dict) -> tuple:
     try:
         re = np.array(obj["re"], dtype=float)
         im = np.array(obj["im"], dtype=float)
-    except (KeyError, ValueError, TypeError) as exc:
+    # OverflowError: an integer entry too large for a float
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad matrix payload: {exc}") from exc
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(

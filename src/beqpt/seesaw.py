@@ -14,7 +14,7 @@ alternating steps:
 Dykstra (with correction terms) converges to the true projection onto
 the intersection, unlike plain alternating projections.  The last
 projection in each cycle is the density-matrix one, so every iterate is
-exactly PSD with unit trace and PPT up to the projection tolerance.
+exactly PSD with unit trace and PPT up to PROJECTION_TOL.
 Within a restart each gradient step's projection starts warm: it keeps
 the corrections p, q of the projection before it and starts from
 x0 - p - q.  Dykstra is block coordinate ascent on the dual (Gaffke &
@@ -31,12 +31,14 @@ taken per matrix, so a batched run equals the serial one bit for bit.
 Each restart's outer steps, stop reason, Dykstra iterations and cap hits
 are counted from the state machine, with no extra eigh or svd, and so are
 the iterations of the final hard projection.
+
+A run is set by counts alone (SeesawConfig); the step STEP_SCALE/d and
+the stop tolerances are module constants.
 """
 
 from __future__ import annotations
 
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,23 +49,23 @@ from .diagnostics import ccnr_value, is_ppt
 from .reports import Record
 from .states import random_density_matrix
 
-MAX_STEP = 10.0
+STEP_SCALE = 0.1  # gradient step STEP_SCALE/d
+PROJECTION_TOL = 1e-9  # Dykstra stops when both iterate moves are at most this
+OBJECTIVE_TOL = 1e-9  # a restart stops when its objective gains less than this
+FINAL_PROJECTION_TOL = 1e-10  # the final hard projection's stop test
 MAX_STACK_ENTRIES = 2**22  # restarts * d**4: 64 MiB per complex stack array
 STOP_REASONS = ("converged", "decreased", "max_outer")
 
 
 @dataclass(frozen=True)
 class SeesawConfig(Record):
-    """Run parameters; ``step`` left as None becomes 0.1/d, and the three
-    real fields are stored as floats, so the config echoes as it runs."""
+    """Run counts; the gradient step is STEP_SCALE/d and the stop tests use
+    the module tolerances, so the config echoes as it runs."""
 
     d: int
     seed: int
     max_outer: int = 500
-    step: float | None = None
     projection_iters: int = 200
-    projection_tol: float = 1e-9
-    objective_tol: float = 1e-9
     restarts: int = 20
 
     def __post_init__(self):
@@ -71,35 +73,23 @@ class SeesawConfig(Record):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("step", "projection_tol", "objective_tol"):
-            value = getattr(self, name)
-            if value is None and name == "step":
-                continue
-            # False for NaN and for an int too large to become a float
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not abs(value) <= sys.float_info.max):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if self.max_outer < 1 or self.projection_iters < 1 or self.restarts < 1:
             raise ValueError("iteration and restart counts must be positive")
         if self.restarts * self.d**4 > MAX_STACK_ENTRIES:
             raise ValueError(f"restarts * d**4 must be at most {MAX_STACK_ENTRIES}")
-        if self.step is None:
-            object.__setattr__(self, "step", 0.1 / self.d)
-        # past MAX_STEP the gradient step swamps the state and the objective
-        # collapses to 1; from about 1e154 the Dykstra norms overflow
-        if not 0 < self.step <= MAX_STEP:
-            raise ValueError(f"step must lie in (0, {MAX_STEP:g}], got {self.step}")
-        if self.projection_tol <= 0 or self.objective_tol <= 0:
-            raise ValueError("tolerances must be positive")
+
+    @property
+    def step(self) -> float:
+        """The gradient step, derived from d and so not echoed."""
+        return STEP_SCALE / self.d
 
 
 @dataclass(frozen=True)
 class RestartStats(Record):
     """Telemetry of one restart: its Y-steps, why it stopped ("converged"
-    or "decreased" when the objective gained less than objective_tol, else
+    or "decreased" when the objective gained less than OBJECTIVE_TOL, else
     "max_outer"), the Dykstra iterations of all its projections and how
     many of those projections ran the full projection_iters."""
 
@@ -218,7 +208,7 @@ def primal_rho_step(rho: DensityMatrix, y: np.ndarray, cfg: SeesawConfig) -> Den
     unlike the steps inside ``optimize``."""
     x0 = _rho_step(rho.mat, realign_inverse(y, rho.dA, rho.dB).mat, cfg.step)
     return DensityMatrix(_dykstra(x0, rho.dA, rho.dB, cfg.projection_iters,
-                                  cfg.projection_tol)[0], rho.dA, rho.dB)
+                                  PROJECTION_TOL)[0], rho.dA, rho.dB)
 
 
 def optimize(cfg: SeesawConfig) -> SeesawResult:
@@ -238,7 +228,7 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     history, best = [[] for _ in live], [(-np.inf, None)] * cfg.restarts
     reasons = [""] * cfg.restarts
     while live.size:
-        x, p, q, done = _dykstra_step(x, p, q, d, d, cfg.projection_tol)
+        x, p, q, done = _dykstra_step(x, p, q, d, d, PROJECTION_TOL)
         k += 1
         stop = (k == iters) | done
         if not stop.any():
@@ -256,7 +246,7 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
             h.append(val)
             if val > best[r][0]:
                 best[r] = (val, mat)
-            stalled = val - prev < cfg.objective_tol
+            stalled = val - prev < OBJECTIVE_TOL
             alive[j] = len(h) < cfg.max_outer and not stalled
             if not alive[j]:
                 reasons[r] = ("decreased" if val < prev else "converged") if stalled else "max_outer"
@@ -271,7 +261,7 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     r = max(range(cfg.restarts), key=lambda r: best[r][0])
     # final hard projection so the reported state is feasible to <= 1e-7
     final, _, _, final_iters = _dykstra(best[r][1], d, d, max(iters, 500),
-                                        min(cfg.projection_tol, 1e-10))
+                                        FINAL_PROJECTION_TOL)
     state = DensityMatrix(final, d, d)
     stats = tuple(RestartStats(len(h), why, int(it), int(cap))
                   for h, why, it, cap in zip(history, reasons, spent, caps))

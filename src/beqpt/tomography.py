@@ -9,9 +9,10 @@ the row-stacking convention: writing rho = sum_m A_m kron B_m,
 so the superoperator is E_hat = realign(rho_out) realign(probe)^-1
 whenever the probe's realigned matrix is invertible.  Probes failing
 that invertibility test (non-faithful probes) are rejected up front.
-The gate reads the probe's cached realigned spectrum, so a probe is
-factorized once however many channels it reconstructs; its tolerance is
-the module constant SCHMIDT_REL_TOL.
+The gate reads the probe's cached realigned spectrum (cut at
+SCHMIDT_REL_TOL) and the inversion its cached pseudo-inverse
+(``realigned_pinv``), so a probe is factorized once for each, however
+many channels it reconstructs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .diagnostics import DiagnosticsReport, full_report, is_faithful
 from .reports import Record
 from .seesaw import project_psd_trace_one
 
-PINV_RCOND = 1e-12
 EXACT_CLIP_BUDGET = 1e-8
 
 
@@ -71,7 +71,6 @@ class ReconstructionResult(Record):
     choi_reconstructed: ChoiMatrix
     choi_true: ChoiMatrix | None
     trace_distance: float | None
-    probe_condition_number: float
     noise_level: float
 
 
@@ -98,14 +97,14 @@ def reconstruct_superop(rho_out: DensityMatrix, probe: DensityMatrix) -> np.ndar
     """E_hat = realign(rho_out) pinv(realign(probe)), behind the
     faithfulness gate.
 
-    The pseudo-inverse cuts at PINV_RCOND * sigma_max, well below the
-    faithfulness gate, so a probe that passes the gate is never silently
-    treated as singular.
+    The pseudo-inverse (``realigned_pinv``) cuts at PINV_RCOND * sigma_max,
+    well below the faithfulness gate, so a probe that passes the gate is
+    never silently treated as singular.
     """
     ok, smin, _ = is_faithful(probe)
     if not ok:
         raise UnfaithfulProbe(smin, float(probe.realigned_spectrum[0]), SCHMIDT_REL_TOL)
-    return realign(rho_out) @ np.linalg.pinv(realign(probe), rcond=PINV_RCOND)
+    return realign(rho_out) @ probe.realigned_pinv
 
 
 def superop_to_choi(e_hat: np.ndarray, d: int, noise_level: float = 0.0) -> ChoiMatrix:
@@ -182,6 +181,5 @@ def run_aaqpt(ch: KrausChannel, probe: DensityMatrix, noise: float = 0.0,
         choi_reconstructed=choi_rec,
         choi_true=choi_true,
         trace_distance=trace_distance(choi_true, choi_rec),
-        probe_condition_number=report.condition_number,
         noise_level=float(noise),
     )

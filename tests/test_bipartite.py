@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from beqpt.bipartite import (
+    PINV_RCOND,
     BipartiteOperator,
     DensityMatrix,
     check_realign,
@@ -13,7 +14,6 @@ from beqpt.bipartite import (
     operator_schmidt_rank,
     partial_trace,
     partial_transpose,
-    permute_qubit_subsystems,
     realign,
     realign_inverse,
     singular_values,
@@ -264,32 +264,6 @@ class TestOperatorSchmidtRank:
 
 
 
-class TestPermuteQubits:
-    def test_identity_perm(self, rng):
-        op = BipartiteOperator(rand_c(rng, (16, 16)), 4, 4)
-        assert np.array_equal(permute_qubit_subsystems(op, (0, 1, 2, 3)).mat, op.mat)
-
-    def test_double_swap_is_involution(self, rng):
-        op = BipartiteOperator(rand_c(rng, (16, 16)), 4, 4)
-        once = permute_qubit_subsystems(op, (1, 0, 2, 3))
-        twice = permute_qubit_subsystems(once, (1, 0, 2, 3))
-        assert np.array_equal(twice.mat, op.mat)
-
-    def test_eigenvalues_invariant(self, rng):
-        rho = random_density_matrix(4, 4, rng)
-        for perm in ((0, 2, 1, 3), (3, 1, 2, 0), (1, 2, 3, 0)):
-            permuted = permute_qubit_subsystems(rho, perm)
-            assert np.allclose(
-                np.linalg.eigvalsh(permuted.mat), np.linalg.eigvalsh(rho.mat), atol=1e-12
-            )
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            permute_qubit_subsystems(random_density_matrix(2, 3, rng), (0, 1, 2, 3))
-        with pytest.raises(ValueError):
-            permute_qubit_subsystems(random_density_matrix(4, 4, rng), (0, 1, 2, 2))
-
-
 class TestTypes:
     def test_operator_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -345,6 +319,14 @@ class TestTypes:
         assert not s.flags.writeable
         with pytest.raises(ValueError):
             s[0] = 0.0
+
+    def test_realigned_pinv_is_computed_once(self, rng):
+        rho = random_density_matrix(3, 2, rng)
+        m = rho.realigned_pinv
+        assert rho.realigned_pinv is m and not m.flags.writeable
+        # the call it replaces, so a reconstruction keeps its bits
+        assert m.tobytes() == np.linalg.pinv(realign(rho), rcond=PINV_RCOND).tobytes()
+        assert "realigned_pinv" not in repr(rho)
 
 
 def test_purity_identity_on_random_states(rng):

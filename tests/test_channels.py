@@ -7,7 +7,6 @@ from beqpt.channels import (
     KrausChannel,
     apply,
     apply_extended,
-    channel_from_choi,
     choi_of,
     dephasing,
     depolarizing,
@@ -90,6 +89,13 @@ class TestChoi:
         s = choi_of(depolarizing(3, 0.4))
         assert isinstance(s, DensityMatrix)
         assert (s.dA, s.dB, s.d) == (3, 3, 3)
+        # the two extreme channels give the two extreme states at d = 3, 4:
+        # the maximally mixed state and |Phi+><Phi+|
+        for d in (3, 4):
+            assert np.allclose(choi_of(depolarizing(d, 1.0)).mat, np.eye(d * d) / d**2,
+                               atol=1e-14)
+            assert np.allclose(choi_of(identity_channel(d)).mat, max_entangled_state(d).mat,
+                               atol=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="PSD"):
@@ -99,31 +105,6 @@ class TestChoi:
         tp_violating = np.diag([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="preservation"):
             ChoiMatrix(tp_violating, 2)
-
-
-class TestChannelFromChoi:
-    def test_roundtrip_superoperator(self):
-        for seed in (1, 2):
-            ch = random_cptp(3, 4, seed=seed)
-            back = channel_from_choi(choi_of(ch))
-            assert np.abs(
-                superoperator_matrix(back) - superoperator_matrix(ch)
-            ).max() <= 1e-9
-
-    def test_max_entangled_choi_is_identity_channel(self):
-        ch = channel_from_choi(ChoiMatrix(max_entangled_state(2).mat, 2))
-        assert np.allclose(superoperator_matrix(ch), np.eye(4), atol=1e-12)
-
-    def test_maximally_mixed_choi_is_depolarizing(self, rng):
-        d = 2
-        ch = channel_from_choi(ChoiMatrix(np.eye(d * d) / d**2, d))
-        # oracle: compare action on all basis matrices with the p=1 channel
-        full = depolarizing(d, 1.0)
-        for i in range(d):
-            for j in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = 1.0
-                assert np.allclose(apply(ch, e), apply(full, e), atol=1e-12)
 
 
 class TestSuperoperator:

@@ -2,6 +2,9 @@ import argparse
 import contextlib
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,17 +249,6 @@ class TestOptimize:
         assert r1["results"]["best_value"] <= 1.0 + 1e-6
         assert results_json(r1) == results_json(r2)
 
-    def test_config_file_overrides(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"restarts": 2, "max_outer": 40}))
-        out = tmp_path / "r.json"
-        code = main(["optimize", "--d", "2", "--seed", "1",
-                     "--config", str(cfg), "--out", str(out)])
-        assert code == 0
-        rep = read(out)
-        assert rep["inputs"]["restarts"] == 2
-        assert len(rep["results"]["restarts_summary"]) == 2
-
     def test_report_carries_restart_telemetry(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert main(["optimize", "--d", "2", "--seed", "3", "--restarts", "4",
@@ -270,39 +262,31 @@ class TestOptimize:
         assert ("best restart  1; stops: converged 1, decreased 0, max_outer 3"
                 in capsys.readouterr().out)
 
-    @pytest.mark.parametrize("overrides, expected_step, expected_tol", [
-        # an integer in the config echoes as the float the run uses
-        ({"step": 1, "projection_tol": 1}, "1.0", "1.0"),
-        # the default step is 0.1/d
-        ({}, "0.03333333333333333", "1e-09"),
-    ])
-    def test_inputs_echo_the_run_config(self, tmp_path, overrides, expected_step, expected_tol):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(overrides))
+    def test_inputs_echo_the_run_config(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["optimize", "--d", "3", "--seed", "1", "--restarts", "1",
-                     "--max-outer", "2", "--config", str(cfg), "--out", str(out)]) == 0
+                     "--max-outer", "2", "--out", str(out)]) == 0
+        # exactly the SeesawConfig fields; the step 0.1/d and the stop
+        # tolerances are module constants
         inputs = json.dumps(read(out)["inputs"], sort_keys=True)
         assert inputs == (
-            '{"d": 3, "max_outer": 2, "objective_tol": 1e-09, "projection_iters": 200, '
-            f'"projection_tol": {expected_tol}, "restarts": 1, "seed": 1, '
-            f'"step": {expected_step}}}')
-
-    def test_bad_config_exit_2(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        assert main(["optimize", "--d", "2", "--seed", "1", "--config", str(cfg)]) == 2
+            '{"d": 3, "max_outer": 2, "projection_iters": 200, "restarts": 1, "seed": 1}')
 
     @pytest.mark.parametrize("override", [
-        {"restarts": 2.5},
-        {"projection_tol": float("nan")},
-        {"max_outer": True},
-        {"objective_tol": 10**400},
+        ["--restarts", "2.5"],
+        ["--projection-iters", "nan"],
+        ["--max-outer", "true"],
+        ["--restarts", "1e400"],
     ])
-    def test_mistyped_config_exit_2(self, tmp_path, capsys, override):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(override))
-        assert main(["optimize", "--d", "2", "--seed", "1", "--config", str(cfg)]) == 2
+    def test_mistyped_config_exit_2(self, capsys, override):
+        # a SeesawConfig override flag that is not an integer
+        assert main(["optimize", "--d", "2", "--seed", "1", *override]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("flag", ["--config", "--step", "--projection-tol",
+                                      "--objective-tol"])
+    def test_removed_options_exit_2(self, capsys, flag):
+        assert main(["optimize", "--d", "2", "--seed", "1", flag, "1"]) == 2
         assert_one_line_error(capsys)
 
 
@@ -433,7 +417,7 @@ def _flag_value(draw, param, d):
     if param.type is int:
         return str(draw(st.integers(1, 2)))
     if param.type is str:
-        return draw(st.sampled_from(["eye.json", "proj.json", "big.json"]))
+        return draw(st.sampled_from(["eye.json", "proj.json", "big.json", "huge.json"]))
     return str(draw(st.floats(0.0, 1.0)))
 
 
@@ -446,7 +430,7 @@ def table_commands(draw):
         # past the stack bound at every d >= 2
         restarts = draw(st.sampled_from(["1", str(seesaw.MAX_STACK_ENTRIES // 2**4 + 1)]))
         argv = ["optimize", "--seed", "1", "--restarts", restarts, "--max-outer", "2"]
-        for param in (cli.D, *(p for p in cli.TUNABLES if p.type is float)):
+        for param in (cli.D, cli.TUNABLES[-1]):  # --d and --projection-iters
             value = draw(_flag_value(param, d))
             argv += [] if value is None else [param.flag, value]
         return argv
@@ -480,6 +464,9 @@ def filter_dir(tmp_path_factory):
     write_report(operator_file(np.diag([0.0, 0.0, 1.0, 1.0])), str(work / "proj.json"))
     # not a contraction, and A^dag A overflows
     write_report(operator_file(np.diag([1e200, 0.0])), str(work / "big.json"))
+    # an integer entry too large for a float
+    (work / "huge.json").write_text(json.dumps(
+        {"schema_version": 1, "dims": [1, 1], "re": [[10**400]], "im": [[0]]}))
     return work
 
 
@@ -492,13 +479,9 @@ class TestExitCodeContract:
                    "--filter", "files", "--filter-a", "proj.json", "--filter-b", "proj.json"])
     @example(argv=["filter", "--state", "werner", "--d", "2", "--f", "0.5",
                    "--filter", "files", "--filter-a", "big.json", "--filter-b", "big.json"])
-    # finite flags whose arithmetic overflows: the trace k^2+k+eps*n, the
-    # gradient step and the Dykstra norms
+    @example(argv=["diagnose", "--file", "huge.json"])
+    # a finite flag whose arithmetic overflows: the trace k^2+k+eps*n
     @example(argv=["diagnose", "--state", "gamma", "--k", "4", "--n", "2", "--eps", "1e308"])
-    @example(argv=["optimize", "--seed", "1", "--restarts", "1", "--max-outer", "2",
-                   "--d", "2", "--step", "1e200"])
-    @example(argv=["optimize", "--seed", "1", "--restarts", "1", "--max-outer", "2",
-                   "--d", "2", "--step", "1e308"])
     def test_exit_codes(self, filter_dir, argv):
         argv = [str(filter_dir / a) if a.endswith(".json") else a for a in argv]
         out = filter_dir / "r.json"
@@ -587,3 +570,31 @@ class TestStateFileInputs:
         path = tmp_path / "x.json"
         path.write_text("{}")
         assert main(["diagnose", "--state", "rho-ccnr", "--file", str(path)]) == 2
+
+
+def _readme_commands():
+    """Each ``beqpt`` line of the README's sh blocks, continuations joined,
+    as (argv, the exit code its comment names); ``reproduce`` is left to
+    the acceptance tests, which run its rows one by one."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cases = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            command, _, comment = line.partition("#")
+            argv = shlex.split(command)
+            if argv[:1] == ["beqpt"] and argv[1] != "reproduce":
+                slow = argv[1:] == ["optimize", "--d", "3", "--seed", "1"]
+                cases.append(pytest.param(argv[1:], 1 if "exits 1" in comment else 0,
+                                          id=" ".join(argv[1:]),
+                                          marks=[pytest.mark.slow] if slow else []))
+    return cases
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv, code", _readme_commands())
+    def test_example_runs(self, tmp_path, monkeypatch, capsys, argv, code):
+        monkeypatch.chdir(tmp_path)  # the examples read state.json from here
+        assert main(["diagnose", "--state", "rho-ccnr", "--dump-state", "state.json",
+                     "--out", "dump.json"]) == 0
+        assert main([*argv, "--out", "r.json"]) == code
+        assert capsys.readouterr().err == ""

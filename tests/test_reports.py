@@ -75,6 +75,13 @@ class TestParseValidation:
         with pytest.raises(ValueError, match="shape"):
             parse_matrix_file({"schema_version": 1, "dims": [2, 2], "re": re, "im": re})
 
+    def test_integer_entry_too_large_for_a_float(self):
+        # json reads it as an int; converting it raises OverflowError
+        with pytest.raises(ValueError, match="payload"):
+            parse_matrix_file(
+                {"schema_version": 1, "dims": [1, 1], "re": [[10**400]], "im": [[0]]}
+            )
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

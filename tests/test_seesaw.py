@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,8 +15,10 @@ from beqpt.bipartite import (
 )
 from beqpt.diagnostics import ccnr_value, is_ppt
 from beqpt.seesaw import (
+    FINAL_PROJECTION_TOL,
     MAX_STACK_ENTRIES,
-    MAX_STEP,
+    OBJECTIVE_TOL,
+    PROJECTION_TOL,
     RestartStats,
     SeesawConfig,
     SeesawResult,
@@ -136,11 +136,11 @@ class TestDualYStep:
 
 class TestPrimalRhoStep:
     def test_zero_step_is_fixed_point(self):
-        cfg = SeesawConfig(d=3, seed=0, step=1e-30)
+        # the half-step's kernels, at a step too small to move the state
         rho = werner_f(3, 0.2)  # PPT, interior-ish feasible point
-        y = dual_y_step(rho)
-        out = primal_rho_step(rho, y, cfg)
-        assert np.abs(out.mat - rho.mat).max() <= cfg.projection_tol
+        x0 = _rho_step(rho.mat, realign_inverse(dual_y_step(rho), 3, 3).mat, 1e-30)
+        out = _dykstra(x0, 3, 3, 200, PROJECTION_TOL)[0]
+        assert np.abs(out - rho.mat).max() <= PROJECTION_TOL
 
     def test_output_feasibility(self, rng):
         cfg = SeesawConfig(d=3, seed=0)
@@ -151,14 +151,15 @@ class TestPrimalRhoStep:
         y = dual_y_step(rho)
         out = primal_rho_step(rho, y, cfg)
         assert out.mat.trace().real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(partial_transpose(out, "B").mat).min() >= -cfg.projection_tol
+        assert np.linalg.eigvalsh(partial_transpose(out, "B").mat).min() >= -PROJECTION_TOL
 
     def test_ascent_direction(self, rng):
         # the projected-gradient inequality <rho', H> >= <rho, H> holds for
-        # feasible base points; separable states are feasible by construction
+        # feasible base points and any step > 0; separable states are
+        # feasible by construction
         from conftest import random_separable_state
 
-        cfg = SeesawConfig(d=3, seed=0, step=0.02)
+        cfg = SeesawConfig(d=3, seed=0)
         for _ in range(5):
             rho = random_separable_state(3, 3, rng)
             y = dual_y_step(rho)
@@ -166,7 +167,7 @@ class TestPrimalRhoStep:
             out = primal_rho_step(rho, y, cfg)
             before = np.trace(rho.mat @ h).real
             after = np.trace(out.mat @ h).real
-            assert after >= before - cfg.projection_tol
+            assert after >= before - PROJECTION_TOL
 
 
 def serial_simplex(v):
@@ -256,7 +257,7 @@ def serial_optimize(cfg):
     dual_y_step, then a gradient step whose Dykstra projection starts from
     the corrections of the projection before it; the start and the final
     projections start cold.  Counts each restart's telemetry as it goes."""
-    d, iters, tol = cfg.d, cfg.projection_iters, cfg.projection_tol
+    d, iters, tol = cfg.d, cfg.projection_iters, PROJECTION_TOL
     runs, stats = [], []
     for r in range(cfg.restarts):
         start = random_density_matrix(d, d, np.random.default_rng([cfg.seed, r]))
@@ -270,7 +271,7 @@ def serial_optimize(cfg):
             history.append(val)
             if val > best:
                 best, best_x = val, x
-            if val - prev < cfg.objective_tol:
+            if val - prev < OBJECTIVE_TOL:
                 reason = "decreased" if val < prev else "converged"
                 break
             if len(history) == cfg.max_outer:
@@ -284,7 +285,7 @@ def serial_optimize(cfg):
         stats.append(RestartStats(len(history), reason, spent, caps))
     winner = max(range(cfg.restarts), key=lambda r: runs[r][0])
     _, best_x, history = runs[winner]
-    final, _, _, final_iters = _dykstra(best_x, d, d, max(iters, 500), min(tol, 1e-10))
+    final, _, _, final_iters = _dykstra(best_x, d, d, max(iters, 500), FINAL_PROJECTION_TOL)
     state = DensityMatrix(final, d, d)
     return SeesawResult(best_state=state, best_value=ccnr_value(state), history=history,
                         ppt_residual=is_ppt(state)[1],
@@ -298,7 +299,8 @@ class TestOptimize:
     @pytest.mark.parametrize("kwargs, capped", [
         pytest.param({"d": 2, "seed": 1, "restarts": 20}, 2, marks=pytest.mark.slow),
         ({"d": 3, "seed": 1, "restarts": 3, "max_outer": 40}, 3),
-        ({"d": 3, "seed": 7, "step": 0.05, "restarts": 3, "max_outer": 216}, 1),
+        # restarts 0 and 2 converge in 303 and 302 steps, restart 1 would take 333
+        ({"d": 3, "seed": 7, "restarts": 3, "max_outer": 320}, 1),
         ({"d": 4, "seed": 1, "restarts": 1, "max_outer": 60}, 1),  # runs as an (n, n) matrix
     ])
     def test_batched_run_equals_serial_reference(self, kwargs, capped):
@@ -328,12 +330,13 @@ class TestOptimize:
 
     def test_runs_the_public_half_steps(self):
         # one restart stepped by hand must reproduce optimize bit for bit:
-        # the start and final projections are primal_rho_step with Y = 0
-        # (a cold Dykstra projection), and each step between them is
+        # the start projection is primal_rho_step with Y = 0 (a cold
+        # Dykstra projection), the final one a cold Dykstra projection of
+        # the best iterate, and each step between them is
         # dual_y_step and a gradient step whose projection starts from the
         # corrections of the projection before it
         cfg = SeesawConfig(d=3, seed=5, restarts=1, max_outer=25)
-        iters, tol = cfg.projection_iters, cfg.projection_tol
+        iters, tol = cfg.projection_iters, PROJECTION_TOL
         res = optimize(cfg)
         zero_y = np.zeros((9, 9))
         start = random_density_matrix(3, 3, np.random.default_rng([cfg.seed, 0]))
@@ -347,9 +350,8 @@ class TestOptimize:
             iterates.append(DensityMatrix(x, 3, 3))
         assert res.history == pytest.approx([ccnr_value(r) for r in iterates], abs=1e-12)
         best = iterates[int(np.argmax(res.history))]
-        final_cfg = replace(cfg, projection_iters=500, projection_tol=1e-10)
-        final = primal_rho_step(best, zero_y, final_cfg)
-        assert np.array_equal(final.mat, res.best_state.mat)
+        final = _dykstra(best.mat, 3, 3, 500, FINAL_PROJECTION_TOL)[0]
+        assert np.array_equal(final, res.best_state.mat)
 
     @pytest.mark.parametrize("iters, reasons", [
         (8, ["max_outer", "converged", "max_outer", "max_outer"]),
@@ -399,12 +401,7 @@ class TestOptimize:
         with pytest.raises(ValueError):
             SeesawConfig(d=3, seed=0, restarts=0)
         with pytest.raises(ValueError):
-            SeesawConfig(d=3, seed=0, step=-0.1)
-        assert SeesawConfig(d=3, seed=0, step=MAX_STEP).step == MAX_STEP
-        with pytest.raises(ValueError, match="step must lie in"):
-            SeesawConfig(d=3, seed=0, step=MAX_STEP * (1 + 1e-15))
-        with pytest.raises(ValueError):
-            SeesawConfig(d=3, seed=0, objective_tol=0.0)
+            SeesawConfig(d=3, seed=0, projection_iters=0)
         # the (restarts, d^2, d^2) stacks are bounded before allocation
         assert SeesawConfig(d=16, seed=0, restarts=MAX_STACK_ENTRIES // 16**4).restarts == 64
         with pytest.raises(ValueError, match="restarts"):
@@ -417,16 +414,18 @@ class TestOptimize:
         {"max_outer": True},
         {"seed": 1.0},
         {"d": "3"},
-        {"projection_tol": float("nan")},
-        {"objective_tol": float("inf")},
-        {"step": False},
-        {"step": "0.1"},
-        {"projection_tol": 10**400},  # an int too large for a float
+        {"projection_iters": 2.5},
+        {"projection_iters": float("nan")},
+        {"restarts": None},
+        {"max_outer": "10"},
+        {"seed": float(10**300)},
     ])
     def test_config_types_validated(self, override):
         with pytest.raises(ValueError, match="must be"):
             SeesawConfig(**{"d": 3, "seed": 0, **override})
 
     def test_default_step_scales_with_dimension(self):
-        assert SeesawConfig(d=4, seed=0).step == pytest.approx(0.025)
-        assert SeesawConfig(d=4, seed=0, step=0.5).step == 0.5
+        cfg = SeesawConfig(d=4, seed=0)
+        assert cfg.step == pytest.approx(0.025)
+        # derived, not a field: the config's record holds only the counts
+        assert set(cfg.to_dict()) == {"d", "seed", "max_outer", "projection_iters", "restarts"}

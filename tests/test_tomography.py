@@ -233,7 +233,7 @@ class TestRunAaqpt:
             # round so the analytically equal condition numbers (both
             # exactly 3) tie and get midranked instead of being ordered
             # by floating-point noise
-            kappas.append(round(res.probe_condition_number, 9))
+            kappas.append(round(res.probe_report.condition_number, 9))
             errors.append(float(np.mean(runs)))
         corr = spearmanr(kappas, errors).statistic
         assert corr > 0.9
@@ -241,13 +241,13 @@ class TestRunAaqpt:
     def test_result_fields(self):
         res = run_aaqpt(depolarizing(4, 0.3), rho_ccnr())
         assert isinstance(res, ReconstructionResult)
-        assert res.probe_condition_number == pytest.approx(3.0, abs=1e-9)
+        assert res.probe_report.condition_number == pytest.approx(3.0, abs=1e-9)
         assert res.choi_true is not None
         assert res.probe_report.ppt
 
 
 class TestFactorizationCount:
-    """One spectrum SVD per probe, plus one pinv when the gate passes."""
+    """One spectrum SVD per probe, plus one pinv once the gate passes."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -285,9 +285,10 @@ class TestFactorizationCount:
         is_faithful(probe)
         run_aaqpt(depolarizing(4, 0.3), probe)
         run_aaqpt(identity_channel(4), probe)
-        # the construction's self-check computes the only realigned spectrum
+        # the construction's self-check computes the only realigned spectrum,
+        # and the first reconstruction the only pseudo-inverse
         assert calls["svd"] == 1
-        assert calls["pinv"] == 2
+        assert calls["pinv"] == 1
 
     def test_simulate_output_reuses_probe_spectrum(self, monkeypatch):
         ch, probe = depolarizing(4, 0.3), rho_ccnr()
