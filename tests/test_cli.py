@@ -262,15 +262,41 @@ class TestOptimize:
         assert ("best restart  1; stops: converged 1, decreased 0, max_outer 3"
                 in capsys.readouterr().out)
 
-    def test_inputs_echo_the_run_config(self, tmp_path):
+    @pytest.mark.parametrize("overrides, expected_step, expected_tol", [
+        # integer module constants still give the float step STEP_SCALE/d
+        ({"STEP_SCALE": 3, "PROJECTION_TOL": 1}, "1.0", "1.0"),
+        # the default step is 0.1/d
+        ({}, "0.03333333333333333", "1e-09"),
+    ])
+    def test_inputs_echo_the_run_config(self, tmp_path, monkeypatch, overrides,
+                                        expected_step, expected_tol):
+        for name, value in overrides.items():
+            monkeypatch.setattr(seesaw, name, value)
+        configs, tols = [], set()
+        optimize, dykstra_step = seesaw.optimize, seesaw._dykstra_step
+
+        def spy_optimize(cfg):
+            configs.append(cfg)
+            return optimize(cfg)
+
+        def spy_dykstra_step(*args):
+            tols.add(args[-1])
+            return dykstra_step(*args)
+
+        monkeypatch.setattr(seesaw, "optimize", spy_optimize)
+        monkeypatch.setattr(seesaw, "_dykstra_step", spy_dykstra_step)
         out = tmp_path / "r.json"
         assert main(["optimize", "--d", "3", "--seed", "1", "--restarts", "1",
                      "--max-outer", "2", "--out", str(out)]) == 0
-        # exactly the SeesawConfig fields; the step 0.1/d and the stop
-        # tolerances are module constants
-        inputs = json.dumps(read(out)["inputs"], sort_keys=True)
-        assert inputs == (
+        # exactly the SeesawConfig fields, whatever the module constants;
+        # they rebuild the config that ran
+        inputs = read(out)["inputs"]
+        assert json.dumps(inputs, sort_keys=True) == (
             '{"d": 3, "max_outer": 2, "projection_iters": 200, "restarts": 1, "seed": 1}')
+        assert configs == [seesaw.SeesawConfig(**inputs)]
+        # the step and the see-saw projections' tolerance come from the constants
+        assert repr(configs[0].step) == expected_step
+        assert tols == {float(expected_tol), seesaw.FINAL_PROJECTION_TOL}
 
     @pytest.mark.parametrize("override", [
         ["--restarts", "2.5"],
