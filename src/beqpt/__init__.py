@@ -60,14 +60,10 @@ from .filtering import (
 from .seesaw import (
     SeesawConfig,
     SeesawResult,
-    dual_y_step,
     optimize,
-    primal_rho_step,
-    project_ppt,
     project_psd_trace_one,
 )
 from .states import (
-    GammaParams,
     bell_ket,
     bell_state,
     cariello_gamma,

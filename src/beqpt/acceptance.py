@@ -183,13 +183,13 @@ def row_gamma_family() -> RowResult:
     ok = True
     for k in (4, 5, 6):
         for eps in (0.01, 0.1, 1.0):
-            rho = states.cariello_gamma(states.GammaParams(k=k, n=2, eps=eps))
+            rho = states.cariello_gamma(k, 2, eps)
             ppt, min_eig = diag.is_ppt(rho)
             s = rho.realigned_spectrum
             rel = float(s[-1] / s[0])
             measured[f"k{k}_eps{eps:g}"] = {"min_eig_pt": min_eig, "sigma_min_rel": rel}
             ok = ok and ppt and rel > 1e-8
-        tn = diag.ccnr_value(states.cariello_gamma(states.GammaParams(k=k, n=2, eps=1e-8)))
+        tn = diag.ccnr_value(states.cariello_gamma(k, 2, 1e-8))
         measured[f"k{k}_trace_norm_small_eps"] = tn
         ok = ok and abs(tn - 1.0) <= 1e-6
     return _row(

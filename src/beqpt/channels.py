@@ -1,7 +1,9 @@
 """Quantum channel representations and conversions.
 
-Channels are kept in Kraus form E(rho) = sum_n K_n rho K_n^dag with the
-completeness relation sum_n K_n^dag K_n = Id enforced at construction.
+Channels map C^d to itself and are kept in Kraus form
+E(rho) = sum_n K_n rho K_n^dag with the completeness relation
+sum_n K_n^dag K_n = Id enforced at construction; a channel, like its
+Choi state, exposes its dimension as ``.d``.
 The Choi state uses the trace-1 normalization
 
     S = (E kron Id)(|Phi+><Phi+|),
@@ -34,25 +36,21 @@ CHOI_TP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """CPTP map as an ordered tuple of d_out x d_in Kraus operators."""
+    """CPTP map on C^d as an ordered tuple of d x d Kraus operators."""
 
     kraus: tuple
-    d_in: int
-    d_out: int
+    d: int
 
     def __post_init__(self):
-        if self.d_in != self.d_out:
-            raise ValueError("only d_in == d_out channels are supported")
         ops = tuple(as_complex_matrix(k) for k in self.kraus)
         if not ops:
             raise ValueError("need at least one Kraus operator")
         for k in ops:
-            if k.shape != (self.d_out, self.d_in):
-                raise ValueError(f"Kraus operator shape {k.shape} != "
-                                 f"({self.d_out}, {self.d_in})")
+            if k.shape != (self.d, self.d):
+                raise ValueError(f"Kraus operator shape {k.shape} != ({self.d}, {self.d})")
             k.setflags(write=False)
         total = sum(k.conj().T @ k for k in ops)
-        residual = np.linalg.norm(total - np.eye(self.d_in))
+        residual = np.linalg.norm(total - np.eye(self.d))
         if residual > COMPLETENESS_TOL:
             raise ValueError(f"completeness relation violated: residual {residual:.3e}")
         object.__setattr__(self, "kraus", ops)
@@ -79,9 +77,9 @@ class ChoiMatrix(DensityMatrix):
 def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """E(rho) = sum_n K_n rho K_n^dag."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.d_in, ch.d_in):
-        raise ValueError(f"state shape {rho.shape} != ({ch.d_in}, {ch.d_in})")
-    out = np.zeros((ch.d_out, ch.d_out), dtype=complex)
+    if rho.shape != (ch.d, ch.d):
+        raise ValueError(f"state shape {rho.shape} != ({ch.d}, {ch.d})")
+    out = np.zeros((ch.d, ch.d), dtype=complex)
     for k in ch.kraus:
         out += k @ rho @ k.conj().T
     return out
@@ -89,19 +87,19 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
 
 def apply_extended(ch: KrausChannel, rho: BipartiteOperator) -> BipartiteOperator:
     """(E kron Id) acting on the A factor of a bipartite operator."""
-    if rho.dA != ch.d_in:
-        raise ValueError(f"probe dA={rho.dA} does not match channel d_in={ch.d_in}")
+    if rho.dA != ch.d:
+        raise ValueError(f"probe dA={rho.dA} does not match channel d={ch.d}")
     eye = np.eye(rho.dB)
-    out = np.zeros((ch.d_out * rho.dB,) * 2, dtype=complex)
+    out = np.zeros((ch.d * rho.dB,) * 2, dtype=complex)
     for k in ch.kraus:
         kk = np.kron(k, eye)
         out += kk @ rho.mat @ kk.conj().T
-    return BipartiteOperator(out, ch.d_out, rho.dB)
+    return BipartiteOperator(out, ch.d, rho.dB)
 
 
 def superoperator_matrix(ch: KrausChannel) -> np.ndarray:
     """Matrix E_hat with E_hat vec(X) = vec(E(X)) (row-stacking vec)."""
-    d2 = ch.d_in * ch.d_out
+    d2 = ch.d * ch.d
     out = np.zeros((d2, d2), dtype=complex)
     for k in ch.kraus:
         out += np.kron(k, k.conj())
@@ -110,7 +108,7 @@ def superoperator_matrix(ch: KrausChannel) -> np.ndarray:
 
 def choi_of(ch: KrausChannel) -> ChoiMatrix:
     """S = (E kron Id)(|Phi+><Phi+|) = (1/d) sum_n vec(K_n) vec(K_n)^dag."""
-    d = ch.d_in
+    d = ch.d
     s = np.zeros((d * d, d * d), dtype=complex)
     for k in ch.kraus:
         v = vec(k)
@@ -119,7 +117,7 @@ def choi_of(ch: KrausChannel) -> ChoiMatrix:
 
 
 def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel((np.eye(d),), d, d)
+    return KrausChannel((np.eye(d),), d)
 
 
 def depolarizing(d: int, p: float) -> KrausChannel:
@@ -134,7 +132,7 @@ def depolarizing(d: int, p: float) -> KrausChannel:
         for i in range(d):
             for j in range(d):
                 kraus.append(scale * np.outer(basis_ket(d, i), basis_ket(d, j).conj()))
-    return KrausChannel(tuple(kraus), d, d)
+    return KrausChannel(tuple(kraus), d)
 
 
 def dephasing(d: int, p: float) -> KrausChannel:
@@ -148,7 +146,7 @@ def dephasing(d: int, p: float) -> KrausChannel:
         for i in range(d):
             e = basis_ket(d, i)
             kraus.append(np.sqrt(p) * np.outer(e, e.conj()))
-    return KrausChannel(tuple(kraus), d, d)
+    return KrausChannel(tuple(kraus), d)
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
@@ -156,7 +154,7 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     d = u.shape[0]
     if u.shape != (d, d) or np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-10:
         raise ValueError("matrix is not unitary")
-    return KrausChannel((u,), d, d)
+    return KrausChannel((u,), d)
 
 
 def random_cptp(d: int, n_kraus: int, seed: int) -> KrausChannel:
@@ -168,4 +166,4 @@ def random_cptp(d: int, n_kraus: int, seed: int) -> KrausChannel:
     g = rng.standard_normal((n_kraus * d, d)) + 1j * rng.standard_normal((n_kraus * d, d))
     q, _ = np.linalg.qr(g)
     kraus = tuple(q[i * d:(i + 1) * d, :] for i in range(n_kraus))
-    return KrausChannel(kraus, d, d)
+    return KrausChannel(kraus, d)

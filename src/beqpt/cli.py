@@ -87,7 +87,7 @@ STATES = {
                ((D, V), lambda d, v: states.werner_v(d, v))],
     "isotropic": [((D, ALPHA), lambda d, alpha: states.isotropic(d, alpha))],
     "gamma": [((Param("--k", int, cap=MAX_D), Param("--n", int), EPS),
-               lambda k, n, eps: states.cariello_gamma(states.GammaParams(k=k, n=n, eps=eps)))],
+               lambda k, n, eps: states.cariello_gamma(k, n, eps))],
     "rho-ccnr": [((), lambda: states.rho_ccnr())],
     "rho-ccnr-3x3": [((), lambda: states.rho_ccnr_3x3())],
     "filtered-werner": [((D, V), lambda d, v: states.filtered_werner_closed_form(d, v))],
@@ -101,11 +101,11 @@ CHANNELS = {
     "random-cptp": [((CHANNEL_D, CHANNEL_SEED, Param("--kraus", int, cap=MAX_D**2, default=3)),
                      lambda d, seed, n: ch.random_cptp(d, n, seed))],
 }
-# filter constructors take the state's local dimension first
+# filter constructors take the state's local dimensions dA, dB first
 FILTERS = {
-    "werner": [((), lambda d: filt.werner_filters(d))],
-    "identity": [((), lambda d: filt.identity_filters(d))],
-    "files": [((FILE_A, FILE_B), lambda _d, a, b: filt.FilterPair(
+    "werner": [((), lambda dA, _dB: filt.werner_filters(dA))],
+    "identity": [((), lambda dA, dB: filt.identity_filters(dA, dB))],
+    "files": [((FILE_A, FILE_B), lambda _dA, _dB, a, b: filt.FilterPair(
         load_local_operator(a), load_local_operator(b)))],
 }
 
@@ -123,6 +123,8 @@ def build(table: dict, kind: str, args, inputs: dict, *context):
     name = getattr(args, kind)
     for params, make in table[name]:
         if all(getattr(args, p.dest) is not None for p in params):
+            chosen = " ".join([f"--{kind}", name, *(p.flag for p in params)])
+            _reject_unused(table, args, params, chosen)
             values = [p.value(args) for p in params]
             inputs[kind] = name
             inputs.update((p.key or p.dest, v) for p, v in zip(params, values))
@@ -139,8 +141,21 @@ def build_state(args, inputs: dict, kind: str = "state") -> DensityMatrix:
         raise ValueError(f"give exactly one of --{kind} or {_file_flag(kind)}")
     if path is None:
         return build(STATES, kind, args, inputs)
+    _reject_unused(STATES, args, (), _file_flag(kind))
     inputs[f"{kind}_file"] = path
     return load_density_matrix(path)
+
+
+def _reject_unused(table: dict, args, used: tuple, chosen: str):
+    """Refuse a flag of ``table`` that is set (differs from its default)
+    but not among the ``used`` flags of the ``chosen`` entry."""
+    for p in _table_params(table):
+        if p not in used and getattr(args, p.dest) != p.default:
+            raise ValueError(f"{p.flag} is not used by {chosen}")
+
+
+def _table_params(table: dict):
+    return {p.flag: p for sets in table.values() for ps, _ in sets for p in ps}.values()
 
 
 def _file_flag(kind: str) -> str:
@@ -152,8 +167,7 @@ def _add_table_flags(parser, table: dict, kind: str, required: bool = False):
     # formatter for it, which would dominate the cost of a short command
     group = parser.add_argument_group(f"{kind} specification")
     group.add_argument(f"--{kind}", choices=tuple(table), required=required)
-    params = {p.flag: p for sets in table.values() for ps, _ in sets for p in ps}
-    _add_params(group, params.values())
+    _add_params(group, _table_params(table))
     return group
 
 
@@ -164,12 +178,12 @@ def _add_params(group, params):
 
 def cmd_diagnose(args, inputs: dict, timings: dict) -> tuple:
     trials = None if args.rudolph_trials is None else RUDOLPH_TRIALS.value(args)
+    if (trials is None) != (args.seed is None):
+        raise ValueError("--rudolph-trials and --seed go together")
     rho = build_state(args, inputs)
     report = diag.full_report(rho)
     results = {"report": report}
     if trials is not None:
-        if args.seed is None:
-            raise ValueError("--rudolph-trials requires --seed")
         inputs.update(rudolph_trials=trials, seed=args.seed)
         results["rudolph"] = diag.rudolph_checks(rho, trials, args.seed)
     if args.dump_state is not None:
@@ -212,7 +226,7 @@ def cmd_optimize(args, inputs: dict, timings: dict) -> tuple:
 
 def cmd_filter(args, inputs: dict, timings: dict) -> tuple:
     rho = build_state(args, inputs)
-    analysis = filt.filter_analysis(rho, build(FILTERS, "filter", args, inputs, rho.dA))
+    analysis = filt.filter_analysis(rho, build(FILTERS, "filter", args, inputs, rho.dA, rho.dB))
     return {**vars(analysis), "verdict": "ok"}, [
         f"ccnr before  {analysis.before.ccnr_value:.12g}",
         f"ccnr after   {analysis.after.ccnr_value:.12g}",

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import (
-    SCHMIDT_REL_TOL,
     BipartiteOperator,
     DensityMatrix,
     haar_unitary,
@@ -74,21 +73,16 @@ def faithfulness(rho: DensityMatrix) -> float:
 def is_faithful(rho: BipartiteOperator) -> tuple:
     """(flag, sigma_min, condition number) of the realigned matrix.
 
-    Faithful means sigma_min > SCHMIDT_REL_TOL * sigma_max, i.e. full
-    operator Schmidt rank; the condition number is reported as inf below
-    that threshold.  Requires dA == dB, since only square realigned
-    matrices can be inverted.
+    Faithful means full operator Schmidt rank, read from
+    :func:`operator_schmidt_rank`; the condition number is reported as inf
+    otherwise.  Requires dA == dB, since only square realigned matrices
+    can be inverted.
     """
     if rho.dA != rho.dB:
         raise ValueError("faithfulness is defined for square bipartitions only")
     s = rho.realigned_spectrum
-    smax = float(s[0])
-    smin = float(s[-1])
-    if smax <= 0.0:
-        return False, 0.0, float("inf")
-    ok = smin > SCHMIDT_REL_TOL * smax
-    cond = smax / smin if ok else float("inf")
-    return bool(ok), smin, float(cond)
+    ok = operator_schmidt_rank(rho) == rho.dA * rho.dB
+    return ok, float(s[-1]), float(s[0] / s[-1]) if ok else float("inf")
 
 
 def analytic_ccnr(family: str, d: int, param: float) -> float:

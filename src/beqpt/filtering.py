@@ -53,8 +53,9 @@ class FilterPair:
             object.__setattr__(self, name, m)
 
 
-def identity_filters(d: int) -> FilterPair:
-    return FilterPair(np.eye(d), np.eye(d))
+def identity_filters(dA: int, dB: int) -> FilterPair:
+    """Identity on each side: leaves any state on C^dA kron C^dB unchanged."""
+    return FilterPair(np.eye(dA), np.eye(dB))
 
 
 def werner_filters(d: int) -> FilterPair:

@@ -33,7 +33,10 @@ are counted from the state machine, with no extra eigh or svd, and so are
 the iterations of the final hard projection.
 
 A run is set by counts alone (SeesawConfig); the step STEP_SCALE/d and
-the stop tolerances are module constants.
+the stop tolerances are module constants.  The public surface is
+``optimize`` and the density-set projection ``project_psd_trace_one``;
+the half-steps are only the kernels ``optimize`` runs (``_y_step``,
+``_rho_step``, ``_dykstra`` and ``_project_ppt_mat``).
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import (BipartiteOperator, DensityMatrix, herm_part, realign_inverse,
-                        _partial_transpose, _realign, _realign_inverse)
+from .bipartite import DensityMatrix, herm_part, _partial_transpose, _realign, _realign_inverse
 from .diagnostics import ccnr_value, is_ppt
 from .reports import Record
 from .states import random_density_matrix
@@ -148,12 +150,6 @@ def _project_ppt_mat(x: np.ndarray, dA: int, dB: int) -> np.ndarray:
     return _partial_transpose(_from_spectrum(np.maximum(w, 0.0), v), dA, dB, "B")
 
 
-def project_ppt(x: BipartiteOperator) -> BipartiteOperator:
-    """Nearest operator with PSD partial transpose (transpose, clip the
-    negative eigenvalues, transpose back); its fixed points are the PPT ones."""
-    return BipartiteOperator(_project_ppt_mat(x.mat, x.dA, x.dB), x.dA, x.dB)
-
-
 def _norm(a: np.ndarray) -> np.ndarray:
     """Per-matrix np.linalg.norm, bit for bit (norm(axis=(-2, -1)) is not)."""
     flat = a.reshape(a.shape[:-2] + (-1,))
@@ -193,22 +189,6 @@ def _y_step(mat: np.ndarray, dA: int, dB: int) -> tuple:
 def _rho_step(mat: np.ndarray, y_inv: np.ndarray, step: float) -> np.ndarray:
     """Gradient step along H = Herm(R^-1(Y)), given R^-1(Y)."""
     return mat + step * herm_part(y_inv)
-
-
-def dual_y_step(rho: BipartiteOperator) -> np.ndarray:
-    """Polar factor Y = U V^dag of realign(rho): the dual variable with
-    Y Y^dag <= Id attaining Tr(realign(rho)^dag Y) = ||realign(rho)||_1."""
-    return _y_step(rho.mat, rho.dA, rho.dB)[1]
-
-
-def primal_rho_step(rho: DensityMatrix, y: np.ndarray, cfg: SeesawConfig) -> DensityMatrix:
-    """One projected-gradient ascent step on <rho, H>, H = Herm(R^-1(Y)),
-    followed by the Dykstra projection back onto the feasible set.  It
-    starts Dykstra cold: a lone half-step holds no earlier corrections,
-    unlike the steps inside ``optimize``."""
-    x0 = _rho_step(rho.mat, realign_inverse(y, rho.dA, rho.dB).mat, cfg.step)
-    return DensityMatrix(_dykstra(x0, rho.dA, rho.dB, cfg.projection_iters,
-                                  PROJECTION_TOL)[0], rho.dA, rho.dB)
 
 
 def optimize(cfg: SeesawConfig) -> SeesawResult:

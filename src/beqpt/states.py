@@ -1,6 +1,7 @@
 """Constructors for the bipartite state families used by the toolkit.
 
-Every constructor returns a validated :class:`DensityMatrix`; the one
+Every constructor takes plain arguments (dimensions, family parameters,
+a generator) and returns a validated :class:`DensityMatrix`; the one
 transcribed from rounded published data (:func:`rho_ccnr_3x3`) uses a
 relaxed positivity tolerance to absorb the 5-decimal rounding.
 """
@@ -8,8 +9,6 @@ relaxed positivity tolerance to absorb the 5-decimal rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bipartite import (
@@ -106,44 +105,26 @@ def isotropic(d: int, alpha: float) -> DensityMatrix:
     return DensityMatrix(mat, d, d)
 
 
-@dataclass(frozen=True)
-class GammaParams:
-    """Parameters of the family Id + F + eps |v><v| on C^k kron C^k.
+def cariello_gamma(k: int, n: int, eps: float) -> DensityMatrix:
+    """Id + F + eps |v><v| on C^k kron C^k, divided by its trace k^2 + k + eps n.
 
     |v> = sum_i |a_i>|b_i> with the basis vectors a_i = |2(i-1)>,
-    b_i = |2i-1>, i = 1..n (so 2n <= k).  The state is PPT for every
-    eps > 0 when n = 1, and for n >= 2 exactly when eps <= 1: past 1 the
-    smallest eigenvalue of the unnormalized partial transpose is 1 - eps.
+    b_i = |2i-1>, i = 1..n (so 2n <= k).  The state is entangled for
+    n >= 2.  It is PPT for every eps > 0 when n = 1, and for n >= 2
+    exactly when eps <= 1: past 1 the smallest eigenvalue of the
+    unnormalized partial transpose is 1 - eps.
     """
-
-    k: int
-    n: int
-    eps: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if 2 * self.n > self.k:
-            raise ValueError(f"need 2n <= k, got n={self.n}, k={self.k}")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-        # the state is divided by this trace; the check also rejects NaN
-        if not math.isfinite(self.k * self.k + self.k + self.eps * self.n):
-            raise ValueError(f"eps={self.eps} gives a trace k^2+k+eps*n that is not finite")
-
-    @property
-    def v(self) -> np.ndarray:
-        out = np.zeros(self.k * self.k, dtype=complex)
-        for i in range(self.n):
-            out += tensor(basis_ket(self.k, 2 * i), basis_ket(self.k, 2 * i + 1))
-        return out
-
-
-def cariello_gamma(params: GammaParams) -> DensityMatrix:
-    """Id + F + eps |v><v| divided by its trace k^2 + k + eps n: entangled
-    for n >= 2, PPT over the range given in :class:`GammaParams`."""
-    k = params.k
-    gamma = np.eye(k * k, dtype=complex) + swap_operator(k).mat + params.eps * projector(params.v)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if 2 * n > k:
+        raise ValueError(f"need 2n <= k, got n={n}, k={k}")
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    # the state is divided by this trace; the check also rejects NaN
+    if not math.isfinite(k * k + k + eps * n):
+        raise ValueError(f"eps={eps} gives a trace k^2+k+eps*n that is not finite")
+    v = sum(tensor(basis_ket(k, 2 * i), basis_ket(k, 2 * i + 1)) for i in range(n))
+    gamma = np.eye(k * k, dtype=complex) + swap_operator(k).mat + eps * projector(v)
     return DensityMatrix(gamma / gamma.trace().real, k, k)
 
 

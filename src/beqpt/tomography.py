@@ -173,11 +173,11 @@ def run_aaqpt(ch: KrausChannel, probe: DensityMatrix, noise: float = 0.0,
         rho_out = project_psd_trace_one(perturbed, rho_out.dA, rho_out.dB)
     report = full_report(probe)
     e_hat = reconstruct_superop(rho_out, probe)
-    choi_rec = superop_to_choi(e_hat, ch.d_in, noise_level=noise)
+    choi_rec = superop_to_choi(e_hat, ch.d, noise_level=noise)
     choi_true = choi_of(ch)
     return ReconstructionResult(
         probe_report=report,
-        superop_reconstructed=BipartiteOperator(e_hat, ch.d_in, ch.d_in),
+        superop_reconstructed=BipartiteOperator(e_hat, ch.d, ch.d),
         choi_reconstructed=choi_rec,
         choi_true=choi_true,
         trace_distance=trace_distance(choi_true, choi_rec),

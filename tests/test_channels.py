@@ -142,7 +142,7 @@ class TestStandardChannels:
     def test_completeness_residuals(self):
         for ch in (depolarizing(4, 0.3), dephasing(3, 0.5), random_cptp(3, 4, seed=7)):
             total = sum(k.conj().T @ k for k in ch.kraus)
-            assert np.linalg.norm(total - np.eye(ch.d_in)) < 1e-10
+            assert np.linalg.norm(total - np.eye(ch.d)) < 1e-10
 
     def test_random_cptp_deterministic(self):
         a = random_cptp(3, 4, seed=7)
@@ -165,12 +165,13 @@ class TestStandardChannels:
 class TestKrausChannelType:
     def test_incomplete_set_rejected(self):
         with pytest.raises(ValueError, match="completeness"):
-            KrausChannel((np.eye(2) * 0.5,), 2, 2)
+            KrausChannel((np.eye(2) * 0.5,), 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            KrausChannel((), 2, 2)
+            KrausChannel((), 2)
 
     def test_rectangular_rejected(self):
-        with pytest.raises(ValueError):
-            KrausChannel((np.eye(2),), 2, 3)
+        # a 3 x 2 isometry is complete, but it maps C^2 into C^3
+        with pytest.raises(ValueError, match="shape"):
+            KrausChannel((np.eye(3)[:, :2],), 2)

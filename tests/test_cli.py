@@ -72,6 +72,28 @@ class TestDiagnose:
         assert results["rudolph"]["all_passed"]
         assert "trace_out_demo" not in results
 
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--state", "bell", "--which", "phi+", "--d", "4"],
+        ["diagnose", "--state", "werner", "--d", "3", "--f", "-0.5", "--v", "0.2"],
+        ["diagnose", "--state", "rho-ccnr", "--seed", "5"],
+        ["diagnose", "--file", "state.json", "--d", "4"],
+        ["reconstruct", "--probe-file", "state.json", "--alpha", "0.2",
+         "--channel", "identity", "--channel-d", "4"],
+        ["reconstruct", "--probe", "rho-ccnr", "--channel", "identity",
+         "--channel-d", "4", "--p", "0.3"],
+        ["reconstruct", "--probe", "rho-ccnr", "--channel", "random-unitary",
+         "--channel-d", "4", "--channel-seed", "1", "--kraus", "4"],
+        ["filter", "--state", "rho-ccnr", "--filter", "identity",
+         "--filter-a", "state.json"],
+    ])
+    def test_flag_the_entry_does_not_take_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(["diagnose", "--state", "rho-ccnr", "--dump-state", "state.json",
+                     "--out", "dump.json"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert_one_line_error(capsys)
+
     def test_missing_params_exit_2(self):
         assert main(["diagnose", "--state", "werner", "--d", "4"]) == 2
         assert main(["diagnose", "--state", "isotropic", "--alpha", "0.2"]) == 2
@@ -339,6 +361,19 @@ class TestFilter:
         assert results["before"]["ccnr_value"] == pytest.approx(
             results["after"]["ccnr_value"], abs=1e-12
         )
+
+    def test_identity_filters_on_a_non_square_state(self, tmp_path, rng):
+        from beqpt.reports import matrix_file
+
+        path, out = tmp_path / "state.json", tmp_path / "r.json"
+        write_report(matrix_file(random_density_matrix(2, 3, rng)), str(path))
+        assert main(["filter", "--file", str(path), "--filter", "identity",
+                     "--out", str(out)]) == 0
+        results = read(out)["results"]
+        assert results["after"]["dims"] == [2, 3]
+        assert results["after"]["ccnr_value"] == pytest.approx(
+            results["before"]["ccnr_value"], abs=1e-12)
+        assert not results["faithfulness_lost"]
 
     def test_annihilating_filter_exit_1(self, tmp_path):
         proj = np.zeros((4, 4))

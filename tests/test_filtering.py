@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from beqpt.bipartite import haar_unitary, realign, singular_values
+from beqpt.bipartite import haar_unitary, operator_schmidt_rank, realign, singular_values
 from beqpt.diagnostics import ccnr_value
 from beqpt.filtering import (
+    ANNIHILATION_TOL,
     AnnihilatedState,
     FilterPair,
     filter_analysis,
@@ -16,6 +19,8 @@ from beqpt.states import (
     random_density_matrix,
     werner_v,
 )
+
+from conftest import drawn_states
 
 
 class TestFilterPair:
@@ -57,7 +62,7 @@ class TestFilterPair:
 class TestLocalFilter:
     def test_identity_filters_do_nothing(self, rng):
         rho = random_density_matrix(3, 3, rng)
-        out = local_filter(rho, identity_filters(3))
+        out = local_filter(rho, identity_filters(3, 3))
         assert np.abs(out.mat - rho.mat).max() <= 1e-14
 
     def test_unitary_filters_preserve_ccnr(self, rng):
@@ -89,7 +94,46 @@ class TestLocalFilter:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
-            local_filter(random_density_matrix(3, 3, rng), identity_filters(4))
+            local_filter(random_density_matrix(3, 3, rng), identity_filters(4, 4))
+
+
+@st.composite
+def contractions(draw, d):
+    """(A, r): a complex d x d contraction of rank r in 1..d, a product of
+    d x r and r x d Ginibre matrices scaled to a largest singular value in
+    [0.1, 1]."""
+    r = d - draw(st.integers(0, d - 1))  # full rank first as it shrinks
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+         for shape in ((d, r), (r, d))]
+    a = g[0] @ g[1]
+    return draw(st.floats(0.1, 1.0)) * a / np.linalg.norm(a, 2), r
+
+
+class TestFilteringMechanism:
+    """A local filter acts on the realigned matrix R as
+    (A kron conj A) R (B kron conj B)^T, so it cannot raise the operator
+    Schmidt rank above rank(A)^2 or rank(B)^2, and an invertible filter
+    lowers sigma_min / sigma_max by at most cond(A)^2 cond(B)^2: only a
+    rank-deficient filter can take a faithful state's full rank away."""
+
+    @given(st.data())
+    def test_filter_acts_on_the_realigned_matrix(self, data):
+        rho = data.draw(drawn_states())
+        a, ra = data.draw(contractions(rho.dA))
+        b, rb = data.draw(contractions(rho.dB))
+        weight = np.trace(rho.mat @ np.kron(a.conj().T @ a, b.conj().T @ b)).real
+        assume(weight > ANNIHILATION_TOL)
+        out = local_filter(rho, FilterPair(a, b))
+        r = realign(rho)
+        expected = np.kron(a, a.conj()) @ r @ np.kron(b, b.conj()).T
+        # contractions do not raise the Frobenius norm, which bounds every entry
+        assert np.abs(realign(out) * weight - expected).max() <= 1e-13 * np.linalg.norm(r)
+        assert operator_schmidt_rank(out) <= min(ra, rb) ** 2
+        if ra == rho.dA and rb == rho.dB:
+            s, t = rho.realigned_spectrum, out.realigned_spectrum
+            kappa = (np.linalg.cond(a) * np.linalg.cond(b)) ** 2
+            assert t[-1] / t[0] >= s[-1] / s[0] / kappa - 1e-12
 
 
 class TestFilterAnalysis:
@@ -107,7 +151,7 @@ class TestFilterAnalysis:
 
     def test_identity_filters_change_nothing(self, rng):
         rho = random_density_matrix(3, 3, rng)
-        out = filter_analysis(rho, identity_filters(3))
+        out = filter_analysis(rho, identity_filters(3, 3))
         assert out.before.ccnr_value == pytest.approx(out.after.ccnr_value, abs=1e-12)
         assert not out.ccnr_increased
         assert not out.faithfulness_lost

@@ -29,10 +29,7 @@ from beqpt.seesaw import (
     _project_ppt_mat,
     _rho_step,
     _y_step,
-    dual_y_step,
     optimize,
-    primal_rho_step,
-    project_ppt,
     project_psd_trace_one,
     project_simplex,
 )
@@ -86,70 +83,74 @@ class TestProjectPsdTraceOne:
 
 
 class TestProjectPpt:
+    """The PPT projection kernel: transpose, clip the negative eigenvalues,
+    transpose back."""
+
     def test_ppt_input_unchanged(self, rng):
         rho = werner_f(3, 0.5)  # separable, hence PPT
-        out = project_ppt(rho)
-        assert np.abs(out.mat - rho.mat).max() <= 1e-12
+        out = _project_ppt_mat(rho.mat, 3, 3)
+        assert np.abs(out - rho.mat).max() <= 1e-12
 
     def test_max_entangled_gets_clipped(self):
-        out = project_ppt(max_entangled_state(2))
+        out = BipartiteOperator(_project_ppt_mat(max_entangled_state(2).mat, 2, 2), 2, 2)
         w = np.linalg.eigvalsh(partial_transpose(out, "B").mat)
         assert w.min() >= -1e-14
 
     def test_idempotent(self, rng):
-        x = BipartiteOperator(
-            herm_part(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))), 3, 3
-        )
-        once = project_ppt(x)
-        twice = project_ppt(once)
-        assert np.abs(twice.mat - once.mat).max() <= 1e-12
+        x = herm_part(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+        once = _project_ppt_mat(x, 3, 3)
+        twice = _project_ppt_mat(once, 3, 3)
+        assert np.abs(twice - once).max() <= 1e-12
 
     @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_idempotent_on_drawn_operators(self, dA, dB, seed):
         rng = np.random.default_rng(seed)
         n = dA * dB
-        x = BipartiteOperator(
-            herm_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))), dA, dB
-        )
-        once = project_ppt(x)
-        twice = project_ppt(once)
-        assert np.abs(twice.mat - once.mat).max() <= 1e-12 * max(1.0, np.abs(once.mat).max())
+        x = herm_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        once = _project_ppt_mat(x, dA, dB)
+        twice = _project_ppt_mat(once, dA, dB)
+        assert np.abs(twice - once).max() <= 1e-12 * max(1.0, np.abs(once).max())
 
 
 class TestDualYStep:
     def test_attains_trace_norm(self, rng):
         rho = random_density_matrix(3, 3, rng)
-        y = dual_y_step(rho)
+        value, y = _y_step(rho.mat, 3, 3)
         attained = np.trace(realign(rho).conj().T @ y).real
         assert attained == pytest.approx(trace_norm(realign(rho)), abs=1e-10)
+        assert value == pytest.approx(attained, abs=1e-12)
 
     def test_y_is_contraction(self, rng):
-        y = dual_y_step(random_density_matrix(2, 4, rng))
+        y = _y_step(random_density_matrix(2, 4, rng).mat, 2, 4)[1]
         top = np.linalg.eigvalsh(y.conj().T @ y).max()
         assert top <= 1.0 + 1e-12
 
     def test_max_entangled_objective_is_d(self):
         rho = max_entangled_state(3)
-        y = dual_y_step(rho)
+        value, y = _y_step(rho.mat, 3, 3)
         assert np.trace(realign(rho).conj().T @ y).real == pytest.approx(3.0, abs=1e-10)
+        assert value == pytest.approx(3.0, abs=1e-12)
+
+
+def cold_rho_step(rho: DensityMatrix, step: float) -> DensityMatrix:
+    """A gradient step along Herm(R^-1(Y)) from the Y-step at rho, then a
+    cold Dykstra projection back onto the PPT density set."""
+    y_inv = realign_inverse(_y_step(rho.mat, rho.dA, rho.dB)[1], rho.dA, rho.dB).mat
+    x0 = _rho_step(rho.mat, y_inv, step)
+    return DensityMatrix(_dykstra(x0, rho.dA, rho.dB, 200, PROJECTION_TOL)[0], rho.dA, rho.dB)
 
 
 class TestPrimalRhoStep:
     def test_zero_step_is_fixed_point(self):
-        # the half-step's kernels, at a step too small to move the state
+        # a step too small to move the state
         rho = werner_f(3, 0.2)  # PPT, interior-ish feasible point
-        x0 = _rho_step(rho.mat, realign_inverse(dual_y_step(rho), 3, 3).mat, 1e-30)
-        out = _dykstra(x0, 3, 3, 200, PROJECTION_TOL)[0]
-        assert np.abs(out - rho.mat).max() <= PROJECTION_TOL
+        out = cold_rho_step(rho, 1e-30)
+        assert np.abs(out.mat - rho.mat).max() <= PROJECTION_TOL
 
     def test_output_feasibility(self, rng):
-        cfg = SeesawConfig(d=3, seed=0)
         rho = random_density_matrix(3, 3, rng)
-        rho = project_psd_trace_one(
-            project_ppt(rho).mat, 3, 3
-        )
-        y = dual_y_step(rho)
-        out = primal_rho_step(rho, y, cfg)
+        rho = project_psd_trace_one(_project_ppt_mat(rho.mat, 3, 3), 3, 3)
+        out = cold_rho_step(rho, SeesawConfig(d=3, seed=0).step)
         assert out.mat.trace().real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(partial_transpose(out, "B").mat).min() >= -PROJECTION_TOL
 
@@ -159,12 +160,11 @@ class TestPrimalRhoStep:
         # feasible by construction
         from conftest import random_separable_state
 
-        cfg = SeesawConfig(d=3, seed=0)
+        step = SeesawConfig(d=3, seed=0).step
         for _ in range(5):
             rho = random_separable_state(3, 3, rng)
-            y = dual_y_step(rho)
-            h = herm_part(realign_inverse(y, 3, 3).mat)
-            out = primal_rho_step(rho, y, cfg)
+            h = herm_part(realign_inverse(_y_step(rho.mat, 3, 3)[1], 3, 3).mat)
+            out = cold_rho_step(rho, step)
             before = np.trace(rho.mat @ h).real
             after = np.trace(out.mat @ h).real
             assert after >= before - PROJECTION_TOL
@@ -254,7 +254,7 @@ class TestWarmStart:
 
 def serial_optimize(cfg):
     """optimize as one restart after another.  Each outer step is
-    dual_y_step, then a gradient step whose Dykstra projection starts from
+    the Y-step, then a gradient step whose Dykstra projection starts from
     the corrections of the projection before it; the start and the final
     projections start cold.  Counts each restart's telemetry as it goes."""
     d, iters, tol = cfg.d, cfg.projection_iters, PROJECTION_TOL
@@ -265,9 +265,9 @@ def serial_optimize(cfg):
         spent, caps = k, int(k == iters)
         best, best_x, prev, history = -np.inf, x, -np.inf, []
         while True:
-            op = BipartiteOperator(x, d, d)
-            y = dual_y_step(op)
-            val = float(np.linalg.svd(realign(op), full_matrices=False)[1].sum())
+            y = _y_step(x, d, d)[1]
+            val = float(np.linalg.svd(realign(BipartiteOperator(x, d, d)),
+                                      full_matrices=False)[1].sum())
             history.append(val)
             if val > best:
                 best, best_x = val, x
@@ -328,24 +328,21 @@ class TestOptimize:
         res = optimize(cfg)
         assert res.best_value == ccnr_value(res.best_state)
 
-    def test_runs_the_public_half_steps(self):
+    def test_runs_the_half_step_kernels(self):
         # one restart stepped by hand must reproduce optimize bit for bit:
-        # the start projection is primal_rho_step with Y = 0 (a cold
-        # Dykstra projection), the final one a cold Dykstra projection of
-        # the best iterate, and each step between them is
-        # dual_y_step and a gradient step whose projection starts from the
-        # corrections of the projection before it
+        # the start and final projections are cold Dykstra projections (of
+        # the start state and of the best iterate), and each step between
+        # them is the Y-step and a gradient step whose projection starts
+        # from the corrections of the projection before it
         cfg = SeesawConfig(d=3, seed=5, restarts=1, max_outer=25)
         iters, tol = cfg.projection_iters, PROJECTION_TOL
         res = optimize(cfg)
-        zero_y = np.zeros((9, 9))
         start = random_density_matrix(3, 3, np.random.default_rng([cfg.seed, 0]))
         x, p, q, _ = _dykstra(start.mat, 3, 3, iters, tol)
-        assert x.tobytes() == primal_rho_step(start, zero_y, cfg).mat.tobytes()
         iterates = [DensityMatrix(x, 3, 3)]
         while len(iterates) < len(res.history):
             rho = iterates[-1]
-            x0 = _rho_step(rho.mat, realign_inverse(dual_y_step(rho), 3, 3).mat, cfg.step)
+            x0 = _rho_step(rho.mat, realign_inverse(_y_step(rho.mat, 3, 3)[1], 3, 3).mat, cfg.step)
             x, p, q, _ = _dykstra(x0 - p - q, 3, 3, iters, tol, p, q)
             iterates.append(DensityMatrix(x, 3, 3))
         assert res.history == pytest.approx([ccnr_value(r) for r in iterates], abs=1e-12)

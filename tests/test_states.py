@@ -14,7 +14,6 @@ from beqpt.bipartite import (
 )
 from beqpt.diagnostics import is_ppt
 from beqpt.states import (
-    GammaParams,
     RHO_CCNR_3X3_SPECTRUM,
     RHO_CCNR_3X3_TRACE_NORM,
     bell_ket,
@@ -132,10 +131,11 @@ class TestGammaFamily:
         # realign(gamma) = |u><u| + F + eps * realign(|v><v|) by linearity
         # and the three fixed points
         k, eps = 4, 0.3
-        params = GammaParams(k=k, n=2, eps=eps)
-        raw = cariello_gamma(params).mat * (k * k + k + eps * 2)
+        raw = cariello_gamma(k, 2, eps).mat * (k * k + k + eps * 2)
         u = max_entangled(k)
-        vv = np.outer(params.v, params.v.conj())
+        e = np.eye(k)
+        v = np.kron(e[0], e[1]) + np.kron(e[2], e[3])
+        vv = np.outer(v, v)
         expected = (
             np.outer(u, u.conj())
             + swap_operator(k).mat
@@ -157,11 +157,11 @@ class TestGammaFamily:
     @pytest.mark.parametrize("k", (4, 5, 6))
     def test_small_eps_trace_norm_limit(self, k):
         # by the oracle above, || realign(gamma) ||_1 -> (k^2+k)/(k^2+k) = 1
-        rho = cariello_gamma(GammaParams(k=k, n=2, eps=1e-8))
+        rho = cariello_gamma(k, 2, 1e-8)
         assert trace_norm(realign(rho)) == pytest.approx(1.0, abs=1e-6)
 
     def test_ppt_and_faithful(self):
-        rho = cariello_gamma(GammaParams(k=4, n=2, eps=0.1))
+        rho = cariello_gamma(4, 2, 0.1)
         min_eig = np.linalg.eigvalsh(partial_transpose(rho, "B").mat).min()
         assert min_eig >= -1e-10
         s = singular_values(realign(rho))
@@ -171,7 +171,7 @@ class TestGammaFamily:
         # the state times its trace k^2 + k + eps n is Id + F + eps |v><v|
         # with |v> = |0>|1> + |2>|3>
         k, n, eps = 4, 2, 0.5
-        raw = cariello_gamma(GammaParams(k=k, n=n, eps=eps)).mat * (k * k + k + eps * n)
+        raw = cariello_gamma(k, n, eps).mat * (k * k + k + eps * n)
         e = np.eye(k)
         v = np.kron(e[0], e[1]) + np.kron(e[2], e[3])
         expected = np.eye(k * k) + swap_operator(k).mat + eps * np.outer(v, v)
@@ -180,17 +180,19 @@ class TestGammaFamily:
 
     @pytest.mark.parametrize("k", (4, 5, 6))
     def test_ppt_exactly_up_to_eps_one(self, k):
-        assert is_ppt(cariello_gamma(GammaParams(k=k, n=2, eps=1.0)))[0]
-        assert not is_ppt(cariello_gamma(GammaParams(k=k, n=2, eps=1.0 + 1e-6)))[0]
+        assert is_ppt(cariello_gamma(k, 2, 1.0))[0]
+        assert not is_ppt(cariello_gamma(k, 2, 1.0 + 1e-6))[0]
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            GammaParams(k=3, n=2, eps=0.1)  # 2n > k
-        with pytest.raises(ValueError):
-            GammaParams(k=4, n=2, eps=0.0)
+        with pytest.raises(ValueError, match="n must be"):
+            cariello_gamma(4, 0, 0.1)
+        with pytest.raises(ValueError, match="2n <= k"):
+            cariello_gamma(3, 2, 0.1)
+        with pytest.raises(ValueError, match="positive"):
+            cariello_gamma(4, 2, 0.0)
         for eps in (float("nan"), float("inf"), 1e308):  # 1e308 * n overflows
             with pytest.raises(ValueError, match="not finite"):
-                GammaParams(k=4, n=2, eps=eps)
+                cariello_gamma(4, 2, eps)
 
 
 class TestRhoCcnr:
