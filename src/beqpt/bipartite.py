@@ -143,11 +143,6 @@ class DensityMatrix(BipartiteOperator):
         object.__setattr__(self, "eigenvalues", w)
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (a kron b)_{(i,k),(j,l)} = a_ij b_kl."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def basis_ket(d: int, i: int) -> np.ndarray:
     v = np.zeros(d, dtype=complex)
     v[i] = 1.0

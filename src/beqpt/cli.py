@@ -326,11 +326,11 @@ def main(argv=None) -> int:
             lines, code = [f"{verdict.replace('_', ' ')}: {exc}"], 1
         timings = {"total_s": time.perf_counter() - t0, **timings}
         report = make_report(args.cmd, inputs, results, timings)
+        if args.out is not None:  # written first, so a failed write prints no summary
+            write_report(report, args.out)
         print(*lines, sep="\n")
         if args.out is None:
             print(report_json(report))
-        else:
-            write_report(report, args.out)
         return code
     except SystemExit as exc:  # --help
         return int(exc.code) if exc.code is not None else 0

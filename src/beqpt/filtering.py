@@ -19,6 +19,7 @@ from .reports import Record
 
 CONTRACTION_TOL = 1e-10
 ANNIHILATION_TOL = 1e-14
+CCNR_INCREASE_TOL = 1e-12  # a CCNR gain at or below this is not an increase
 
 
 class AnnihilatedState(Exception):
@@ -102,6 +103,6 @@ def filter_analysis(rho: DensityMatrix, f: FilterPair) -> FilterAnalysis:
     return FilterAnalysis(
         before=before,
         after=after,
-        ccnr_increased=bool(after.ccnr_value > before.ccnr_value + 1e-12),
+        ccnr_increased=bool(after.ccnr_value > before.ccnr_value + CCNR_INCREASE_TOL),
         faithfulness_lost=bool(before.faithful and not after.faithful),
     )

@@ -16,7 +16,6 @@ from .bipartite import (
     basis_ket,
     max_entangled,
     swap_operator,
-    tensor,
     _permute_subsystems,
 )
 
@@ -34,7 +33,7 @@ def bell_ket(which: str) -> np.ndarray:
         (a1, b1), (a2, b2), sign = _BELL_COMPONENTS[which]
     except KeyError:
         raise ValueError(f"unknown Bell state {which!r}") from None
-    v = tensor(basis_ket(2, a1), basis_ket(2, b1)) + sign * tensor(
+    v = np.kron(basis_ket(2, a1), basis_ket(2, b1)) + sign * np.kron(
         basis_ket(2, a2), basis_ket(2, b2)
     )
     return v / np.sqrt(2)
@@ -123,7 +122,7 @@ def cariello_gamma(k: int, n: int, eps: float) -> DensityMatrix:
     # the state is divided by this trace; the check also rejects NaN
     if not math.isfinite(k * k + k + eps * n):
         raise ValueError(f"eps={eps} gives a trace k^2+k+eps*n that is not finite")
-    v = sum(tensor(basis_ket(k, 2 * i), basis_ket(k, 2 * i + 1)) for i in range(n))
+    v = sum(np.kron(basis_ket(k, 2 * i), basis_ket(k, 2 * i + 1)) for i in range(n))
     gamma = np.eye(k * k, dtype=complex) + swap_operator(k).mat + eps * projector(v)
     return DensityMatrix(gamma / gamma.trace().real, k, k)
 
@@ -217,8 +216,8 @@ def filtered_werner_closed_form(d: int, v: float) -> DensityMatrix:
     norm = (d + 1) * (1.0 - v) + 3.0 * v * (d - 1)
     if norm <= 0.0:
         raise ValueError("normalization vanished")
-    phi2 = (tensor(basis_ket(d, 0), basis_ket(d, 0)) +
-            tensor(basis_ket(d, 1), basis_ket(d, 1))) / np.sqrt(2)
+    phi2 = (np.kron(basis_ket(d, 0), basis_ket(d, 0)) +
+            np.kron(basis_ket(d, 1), basis_ket(d, 1))) / np.sqrt(2)
     block_eye = np.zeros((d * d, d * d), dtype=complex)
     for i in (0, 1):
         for j in (0, 1):

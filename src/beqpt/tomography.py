@@ -69,8 +69,8 @@ class ReconstructionResult(Record):
     probe_report: DiagnosticsReport
     superop_reconstructed: BipartiteOperator
     choi_reconstructed: ChoiMatrix
-    choi_true: ChoiMatrix | None
-    trace_distance: float | None
+    choi_true: ChoiMatrix
+    trace_distance: float
     noise_level: float
 
 

@@ -18,7 +18,6 @@ from beqpt.bipartite import (
     realign_inverse,
     singular_values,
     swap_operator,
-    tensor,
     trace_norm,
     vec,
 )
@@ -31,14 +30,17 @@ def rand_c(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-class TestTensor:
+class TestKronConvention:
+    """np.kron is the tensor product everywhere in the package; these pin
+    its composite ordering, |i>|k> -> i*dB + k."""
+
     def test_identity(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_basis_projectors(self):
         p0 = np.diag([1.0, 0.0])
         p1 = np.diag([0.0, 1.0])
-        out = tensor(p0, p1)
+        out = np.kron(p0, p1)
         expected = np.zeros((4, 4))
         expected[1, 1] = 1.0  # row 0*2+1, col 0*2+1
         assert np.array_equal(out, expected)
@@ -46,7 +48,7 @@ class TestTensor:
     def test_entry_oracle(self, rng):
         a = rand_c(rng, (3, 3))
         b = rand_c(rng, (3, 3))
-        out = tensor(a, b)
+        out = np.kron(a, b)
         for i in range(3):
             for j in range(3):
                 for k in range(3):

@@ -137,6 +137,13 @@ class TestDiagnose:
         assert (read(out)["results"]["report"]["ccnr_value"]
                 == read(out2)["results"]["report"]["ccnr_value"])
 
+    def test_failed_out_write_prints_no_summary(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert main(["diagnose", "--state", "bell", "--which", "phi+", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestReconstruct:
     def test_bound_entangled_probe(self, tmp_path):
@@ -498,16 +505,24 @@ def table_commands(draw):
     kinds = {"diagnose": [("state", cli.STATES)],
              "reconstruct": [("probe", cli.STATES), ("channel", cli.CHANNELS)],
              "filter": [("state", cli.STATES), ("filter", cli.FILTERS)]}[command]
-    argv = [command]
+    argv, used = [command], set()
     for kind, table in kinds:
         name = draw(st.sampled_from(sorted(table)))
         argv += [f"--{kind}", name]
         d = {"bell": 2, "rho-ccnr-3x3": 3, "rho-ccnr": 4}.get(name, d)
-        flags = {p.flag: p for params, _ in table[name] for p in params}
-        for flag, param in flags.items():
+        # one parameter set, so a werner draw takes --f or --v, not both
+        params, _ = draw(st.sampled_from(table[name]))
+        for param in params:
+            used.add(param.flag)
             value = draw(_flag_value(param, d))
             if value is not None:
-                argv += [flag, value]
+                argv += [param.flag, value]
+    # now and then a flag of another set or entry: exit 2 unless it is the default
+    if draw(st.integers(0, 9)) == 0:
+        others = {p.flag: p for _, table in kinds for p in cli._table_params(table)}
+        param = others[draw(st.sampled_from(sorted(others.keys() - used)))]
+        value = draw(_flag_value(param, d))
+        argv += [] if value is None else [param.flag, value]
     if command == "reconstruct":
         noise = draw(st.sampled_from([None, "1e-6", "1e-3", "1e200"]))
         if noise is not None:
