@@ -39,16 +39,22 @@ from .reports import (
 MAX_D = 16  # largest --d, --k, --channel-d; every published state has d <= 6
 
 
+def seed(text: str) -> int:
+    """The argparse type of a seed flag: numpy seeds only from integers >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Param:
-    """One flag of a table entry: its argparse type (or choices), the key
-    it is echoed under in ``inputs`` (default: its dest) and, for a size,
-    the largest value allowed.  ``value`` checks finiteness and size
-    before anything is allocated."""
+    """One flag of a table entry, echoed in ``inputs`` under its dest: its
+    argparse type (or choices) and, for a size, the largest value allowed.
+    ``value`` checks finiteness and size before anything is allocated."""
 
     flag: str
     type: Callable = float
-    key: str | None = None
     cap: int | None = None
     choices: tuple | None = None
     default: object = None
@@ -69,13 +75,12 @@ class Param:
 D = Param("--d", int, cap=MAX_D)
 V, F, ALPHA, EPS, P = (Param(flag) for flag in ("--v", "--f", "--alpha", "--eps", "--p"))
 WHICH = Param("--which", str, choices=("phi+", "phi-", "psi+", "psi-"))
-CHANNEL_D = Param("--channel-d", int, key="d", cap=MAX_D)
-CHANNEL_SEED = Param("--channel-seed", int)
+CHANNEL_D = Param("--channel-d", int, cap=MAX_D)
+CHANNEL_SEED = Param("--channel-seed", seed)
 RUDOLPH_TRIALS = Param("--rudolph-trials", int, cap=1000)  # 50x the acceptance row's 20
 FILE_A, FILE_B = Param("--filter-a", str), Param("--filter-b", str)
 # optimize overrides of the SeesawConfig field of the same name; validated there
-TUNABLES = (Param("--restarts", int), Param("--max-outer", int),
-            Param("--projection-iters", int))
+TUNABLES = (Param("--restarts", int), Param("--max-outer", int))
 
 # name -> parameter sets (ordered params, constructor); the first set whose
 # flags are all given is used.  The lambdas look constructors up when they
@@ -127,7 +132,7 @@ def build(table: dict, kind: str, args, inputs: dict, *context):
             _reject_unused(table, args, params, chosen)
             values = [p.value(args) for p in params]
             inputs[kind] = name
-            inputs.update((p.key or p.dest, v) for p, v in zip(params, values))
+            inputs.update((p.dest, v) for p, v in zip(params, values))
             return make(*context, *values)
     missing = dict.fromkeys(next(p.flag for p in params if getattr(args, p.dest) is None)
                             for params, _ in table[name])
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(RUDOLPH_TRIALS.flag, type=int, default=None,
                    help="also run the monotonicity checks with this many trials "
                         f"(at most {RUDOLPH_TRIALS.cap})")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed, default=None)
     p.add_argument("--dump-state", default=None, metavar="PATH",
                    help="write the constructed state as a matrix file")
     p.add_argument("--out", default=None, metavar="PATH")
@@ -283,14 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     state_flags(p, "probe")
     _add_table_flags(p, CHANNELS, "channel", required=True)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed, default=None)
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("optimize", help="see-saw search for PPT states with "
                                         "large realigned trace norm")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=seed, required=True)
     _add_params(p.add_argument_group("see-saw overrides"), TUNABLES)
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=cmd_optimize)

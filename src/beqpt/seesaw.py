@@ -25,18 +25,20 @@ The start states' projections and the final hard projection start cold.
 All restarts run as one state machine over an (R, n, n) stack: a round
 is one Dykstra iteration of each live restart, then one Y-step and
 gradient step of those whose projection stopped.  A finished restart
-leaves the stack; the last one runs as an (n, n) matrix.  Stacked eigh,
+leaves the stack; the last one runs as an (n, n) matrix, since a stack
+of one costs 8-9% more per round at d=4.  Stacked eigh,
 svd and matmul give the bits of per-matrix calls and the stop norms are
 taken per matrix, so a batched run equals the serial one bit for bit.
 Each restart's outer steps, stop reason, Dykstra iterations and cap hits
 are counted from the state machine, with no extra eigh or svd, and so are
 the iterations of the final hard projection.
 
-A run is set by counts alone (SeesawConfig); the step STEP_SCALE/d and
-the stop tolerances are module constants.  The public surface is
-``optimize`` and the density-set projection ``project_psd_trace_one``;
-the half-steps are only the kernels ``optimize`` runs (``_y_step``,
-``_rho_step``, ``_dykstra`` and ``_project_ppt_mat``).
+A run is set by counts alone (SeesawConfig); the step STEP_SCALE/d, the
+projection caps and the stop tolerances are module constants.  The
+public surface is ``optimize`` and the density-set projection
+``project_psd_trace_one``; the half-steps are only the kernels
+``optimize`` runs (``_y_step``, ``_rho_step``, ``_dykstra`` and
+``_project_ppt_mat``).
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ from .reports import Record
 from .states import random_density_matrix
 
 STEP_SCALE = 0.1  # gradient step STEP_SCALE/d
+PROJECTION_ITERS = 200  # Dykstra iterations allowed per projection of a restart
+FINAL_PROJECTION_ITERS = 500  # the same for the winner's final hard projection
 PROJECTION_TOL = 1e-9  # Dykstra stops when both iterate moves are at most this
 OBJECTIVE_TOL = 1e-9  # a restart stops when its objective gains less than this
 FINAL_PROJECTION_TOL = 1e-10  # the final hard projection's stop test
@@ -61,23 +65,23 @@ STOP_REASONS = ("converged", "decreased", "max_outer")
 
 @dataclass(frozen=True)
 class SeesawConfig(Record):
-    """Run counts; the gradient step is STEP_SCALE/d and the stop tests use
-    the module tolerances, so the config echoes as it runs."""
+    """Run counts; the gradient step is STEP_SCALE/d and the projection
+    caps and stop tests are module constants, so the config echoes as it
+    runs."""
 
     d: int
     seed: int
     max_outer: int = 500
-    projection_iters: int = 200
     restarts: int = 20
 
     def __post_init__(self):
-        for name in ("d", "seed", "max_outer", "projection_iters", "restarts"):
+        for name in ("d", "seed", "max_outer", "restarts"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.d < 2:
             raise ValueError("d must be >= 2")
-        if self.max_outer < 1 or self.projection_iters < 1 or self.restarts < 1:
+        if self.max_outer < 1 or self.restarts < 1:
             raise ValueError("iteration and restart counts must be positive")
         if self.restarts * self.d**4 > MAX_STACK_ENTRIES:
             raise ValueError(f"restarts * d**4 must be at most {MAX_STACK_ENTRIES}")
@@ -87,18 +91,25 @@ class SeesawConfig(Record):
         """The gradient step, derived from d and so not echoed."""
         return STEP_SCALE / self.d
 
+    @property
+    def projection_iters(self) -> int:
+        """The cap of each restart's projections, a module constant."""
+        return PROJECTION_ITERS
+
 
 @dataclass(frozen=True)
 class RestartStats(Record):
     """Telemetry of one restart: its Y-steps, why it stopped ("converged"
     or "decreased" when the objective gained less than OBJECTIVE_TOL, else
-    "max_outer"), the Dykstra iterations of all its projections and how
-    many of those projections ran the full projection_iters."""
+    "max_outer"), the Dykstra iterations of all its projections, how many
+    of those projections ran the full PROJECTION_ITERS and its last
+    objective value."""
 
     outer_steps: int
     stop_reason: str
     dykstra_iters: int
     cap_hits: int
+    final_value: float
 
 
 @dataclass(frozen=True)
@@ -112,7 +123,6 @@ class SeesawResult(Record):
     history: tuple
     ppt_residual: float
     psd_residual: float
-    restarts_summary: tuple
     best_restart: int
     restarts: tuple
     final_projection_iters: int
@@ -196,7 +206,7 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     default_rng([seed, r]).  The restart with the best value wins, the
     lower index on ties; it gets a final hard projection, and its value and
     residuals are read from the validated state."""
-    d, n, iters = cfg.d, cfg.d * cfg.d, cfg.projection_iters
+    d, n, iters = cfg.d, cfg.d * cfg.d, PROJECTION_ITERS
     # the projections of the start states are the first stacked projection
     x = np.stack([random_density_matrix(d, d, np.random.default_rng([cfg.seed, r])).mat
                   for r in range(cfg.restarts)])
@@ -240,13 +250,12 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
             x, p, q = (a[alive][0] if live.size == 1 else a[alive] for a in rows)
     r = max(range(cfg.restarts), key=lambda r: best[r][0])
     # final hard projection so the reported state is feasible to <= 1e-7
-    final, _, _, final_iters = _dykstra(best[r][1], d, d, max(iters, 500),
+    final, _, _, final_iters = _dykstra(best[r][1], d, d, FINAL_PROJECTION_ITERS,
                                         FINAL_PROJECTION_TOL)
     state = DensityMatrix(final, d, d)
-    stats = tuple(RestartStats(len(h), why, int(it), int(cap))
+    stats = tuple(RestartStats(len(h), why, int(it), int(cap), h[-1])
                   for h, why, it, cap in zip(history, reasons, spent, caps))
     return SeesawResult(best_state=state, best_value=ccnr_value(state),
                         history=tuple(history[r]), ppt_residual=is_ppt(state)[1],
                         psd_residual=float(state.eigenvalues[0]),
-                        restarts_summary=tuple(h[-1] for h in history),
                         best_restart=r, restarts=stats, final_projection_iters=final_iters)

@@ -36,10 +36,11 @@ def random_separable_state(dA, dB, rng, terms=6):
 
 
 @st.composite
-def drawn_states(draw, max_d=5):
-    """Wishart state of random rank on C^dA kron C^dB, dA, dB in 2..max_d."""
+def drawn_states(draw, max_d=5, square=False):
+    """Wishart state of random rank on C^dA kron C^dB, dA, dB in 2..max_d
+    (dB = dA if ``square``)."""
     dA = draw(st.integers(2, max_d))
-    dB = draw(st.integers(2, max_d))
+    dB = dA if square else draw(st.integers(2, max_d))
     rank = draw(st.integers(1, dA * dB))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return random_density_matrix(dA, dB, rng, rank=rank)

@@ -201,6 +201,14 @@ class TestReconstruct:
                             to_jsonable({**run.to_dict(), "verdict": "ok"}), {})
         assert results_json(rep) == results_json(twice)
 
+    def test_probe_and_channel_dimensions_echo_apart(self, tmp_path):
+        # --d and --channel-d each keep their own key in inputs
+        out = tmp_path / "r.json"
+        assert main(["reconstruct", "--probe", "max-entangled", "--d", "3",
+                     "--channel", "identity", "--channel-d", "3", "--out", str(out)]) == 0
+        inputs = read(out)["inputs"]
+        assert (inputs["d"], inputs["channel_d"]) == (3, 3)
+
     def test_noise_requires_seed(self):
         code = main([
             "reconstruct", "--probe", "bell", "--which", "phi+",
@@ -287,7 +295,8 @@ class TestOptimize:
         assert [r["stop_reason"] for r in results["restarts"]] == [
             "max_outer", "converged", "max_outer", "max_outer"]
         assert set(results["restarts"][0]) == {
-            "outer_steps", "stop_reason", "dykstra_iters", "cap_hits"}
+            "outer_steps", "stop_reason", "dykstra_iters", "cap_hits", "final_value"}
+        assert "restarts_summary" not in results
         assert ("best restart  1; stops: converged 1, decreased 0, max_outer 3"
                 in capsys.readouterr().out)
 
@@ -321,7 +330,7 @@ class TestOptimize:
         # they rebuild the config that ran
         inputs = read(out)["inputs"]
         assert json.dumps(inputs, sort_keys=True) == (
-            '{"d": 3, "max_outer": 2, "projection_iters": 200, "restarts": 1, "seed": 1}')
+            '{"d": 3, "max_outer": 2, "restarts": 1, "seed": 1}')
         assert configs == [seesaw.SeesawConfig(**inputs)]
         # the step and the see-saw projections' tolerance come from the constants
         assert repr(configs[0].step) == expected_step
@@ -329,7 +338,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize("override", [
         ["--restarts", "2.5"],
-        ["--projection-iters", "nan"],
+        ["--max-outer", "nan"],
         ["--max-outer", "true"],
         ["--restarts", "1e400"],
     ])
@@ -339,7 +348,7 @@ class TestOptimize:
         assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("flag", ["--config", "--step", "--projection-tol",
-                                      "--objective-tol"])
+                                      "--objective-tol", "--projection-iters"])
     def test_removed_options_exit_2(self, capsys, flag):
         assert main(["optimize", "--d", "2", "--seed", "1", flag, "1"]) == 2
         assert_one_line_error(capsys)
@@ -424,8 +433,8 @@ class TestReproduce:
             return seesaw.SeesawResult(
                 best_state=DensityMatrix(np.eye(n) / n, cfg.d, cfg.d),
                 best_value=1.0, history=(1.0,), ppt_residual=0.0,
-                psd_residual=0.0, restarts_summary=(1.0,), best_restart=0,
-                restarts=(seesaw.RestartStats(1, "converged", 1, 0),),
+                psd_residual=0.0, best_restart=0,
+                restarts=(seesaw.RestartStats(1, "converged", 1, 0, 1.0),),
                 final_projection_iters=1,
             )
 
@@ -468,6 +477,23 @@ class TestSizeCaps:
         assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["optimize", "--d", "2", "--seed", "-1", "--restarts", "1", "--max-outer", "2"],
+     "--seed", -1),
+    (["reconstruct", "--probe", "bell", "--which", "phi+", "--channel", "random-unitary",
+      "--channel-d", "2", "--channel-seed", "-4"], "--channel-seed", -4),
+    (["reconstruct", "--probe", "bell", "--which", "phi+", "--channel", "identity",
+      "--channel-d", "2", "--noise", "1e-6", "--seed", "-1"], "--seed", -1),
+    (["diagnose", "--state", "rho-ccnr", "--rudolph-trials", "2", "--seed", "-3"],
+     "--seed", -3),
+], ids=["optimize", "channel-seed", "reconstruct", "diagnose"])
+def test_negative_seed_exit_2_names_its_flag(capsys, argv, flag, value):
+    # numpy seeds only from integers >= 0; the parser says which flag is at fault
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: argument {flag}: must be non-negative, got {value}\n")
+
+
 @st.composite
 def _flag_value(draw, param, d):
     """A command-line value for a table parameter: mostly in range, else
@@ -482,7 +508,7 @@ def _flag_value(draw, param, d):
         return draw(st.sampled_from(param.choices))
     if param.cap is not None:
         return str(d if kind > 3 else draw(st.integers(1, min(param.cap, 4))))
-    if param.type is int:
+    if param.type in (int, cli.seed):
         return str(draw(st.integers(1, 2)))
     if param.type is str:
         return draw(st.sampled_from(["eye.json", "proj.json", "big.json", "huge.json"]))
@@ -497,11 +523,12 @@ def table_commands(draw):
     if command == "optimize":
         # past the stack bound at every d >= 2
         restarts = draw(st.sampled_from(["1", str(seesaw.MAX_STACK_ENTRIES // 2**4 + 1)]))
-        argv = ["optimize", "--seed", "1", "--restarts", restarts, "--max-outer", "2"]
-        for param in (cli.D, cli.TUNABLES[-1]):  # --d and --projection-iters
-            value = draw(_flag_value(param, d))
-            argv += [] if value is None else [param.flag, value]
-        return argv
+        argv = ["optimize", "--seed", "1", "--restarts", restarts]
+        value = draw(_flag_value(cli.D, d))
+        argv += [] if value is None else [cli.D.flag, value]
+        # --max-outer is always given: its default would run 500 steps
+        max_outer = cli.TUNABLES[-1]
+        return argv + [max_outer.flag, draw(_flag_value(max_outer, d).filter(bool))]
     kinds = {"diagnose": [("state", cli.STATES)],
              "reconstruct": [("probe", cli.STATES), ("channel", cli.CHANNELS)],
              "filter": [("state", cli.STATES), ("filter", cli.FILTERS)]}[command]

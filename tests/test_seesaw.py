@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from beqpt import seesaw
 from beqpt.bipartite import (
     BipartiteOperator,
     DensityMatrix,
@@ -15,9 +16,11 @@ from beqpt.bipartite import (
 )
 from beqpt.diagnostics import ccnr_value, is_ppt
 from beqpt.seesaw import (
+    FINAL_PROJECTION_ITERS,
     FINAL_PROJECTION_TOL,
     MAX_STACK_ENTRIES,
     OBJECTIVE_TOL,
+    PROJECTION_ITERS,
     PROJECTION_TOL,
     RestartStats,
     SeesawConfig,
@@ -257,7 +260,7 @@ def serial_optimize(cfg):
     the Y-step, then a gradient step whose Dykstra projection starts from
     the corrections of the projection before it; the start and the final
     projections start cold.  Counts each restart's telemetry as it goes."""
-    d, iters, tol = cfg.d, cfg.projection_iters, PROJECTION_TOL
+    d, iters, tol = cfg.d, PROJECTION_ITERS, PROJECTION_TOL
     runs, stats = [], []
     for r in range(cfg.restarts):
         start = random_density_matrix(d, d, np.random.default_rng([cfg.seed, r]))
@@ -282,15 +285,15 @@ def serial_optimize(cfg):
             x, p, q, k = _dykstra(x0 - p - q, d, d, iters, tol, p, q)
             spent, caps = spent + k, caps + int(k == iters)
         runs.append((best, best_x, tuple(history)))
-        stats.append(RestartStats(len(history), reason, spent, caps))
+        stats.append(RestartStats(len(history), reason, spent, caps, history[-1]))
     winner = max(range(cfg.restarts), key=lambda r: runs[r][0])
     _, best_x, history = runs[winner]
-    final, _, _, final_iters = _dykstra(best_x, d, d, max(iters, 500), FINAL_PROJECTION_TOL)
+    final, _, _, final_iters = _dykstra(best_x, d, d, FINAL_PROJECTION_ITERS,
+                                        FINAL_PROJECTION_TOL)
     state = DensityMatrix(final, d, d)
     return SeesawResult(best_state=state, best_value=ccnr_value(state), history=history,
                         ppt_residual=is_ppt(state)[1],
                         psd_residual=float(state.eigenvalues[0]),
-                        restarts_summary=tuple(hist[-1] for _, _, hist in runs),
                         best_restart=winner, restarts=tuple(stats),
                         final_projection_iters=final_iters)
 
@@ -335,7 +338,7 @@ class TestOptimize:
         # them is the Y-step and a gradient step whose projection starts
         # from the corrections of the projection before it
         cfg = SeesawConfig(d=3, seed=5, restarts=1, max_outer=25)
-        iters, tol = cfg.projection_iters, PROJECTION_TOL
+        iters, tol = PROJECTION_ITERS, PROJECTION_TOL
         res = optimize(cfg)
         start = random_density_matrix(3, 3, np.random.default_rng([cfg.seed, 0]))
         x, p, q, _ = _dykstra(start.mat, 3, 3, iters, tol)
@@ -347,7 +350,7 @@ class TestOptimize:
             iterates.append(DensityMatrix(x, 3, 3))
         assert res.history == pytest.approx([ccnr_value(r) for r in iterates], abs=1e-12)
         best = iterates[int(np.argmax(res.history))]
-        final = _dykstra(best.mat, 3, 3, 500, FINAL_PROJECTION_TOL)[0]
+        final = _dykstra(best.mat, 3, 3, FINAL_PROJECTION_ITERS, FINAL_PROJECTION_TOL)[0]
         assert np.array_equal(final, res.best_state.mat)
 
     @pytest.mark.parametrize("iters, reasons", [
@@ -357,7 +360,8 @@ class TestOptimize:
     def test_telemetry_counts_the_eigh_work(self, monkeypatch, iters, reasons):
         # every Dykstra iteration is two eigh matrices and nothing else calls
         # eigh, so the telemetry accounts for the whole projection work
-        cfg = SeesawConfig(d=2, seed=3, restarts=4, max_outer=50, projection_iters=iters)
+        monkeypatch.setattr(seesaw, "PROJECTION_ITERS", iters)
+        cfg = SeesawConfig(d=2, seed=3, restarts=4, max_outer=50)
         eigh, matrices = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: matrices.append(a.size // 16) or eigh(a))
@@ -382,15 +386,15 @@ class TestOptimize:
         b = optimize(cfg)
         assert a.best_value == b.best_value
         assert a.history == b.history
-        assert a.restarts_summary == b.restarts_summary
+        assert a.restarts == b.restarts
         assert np.array_equal(a.best_state.mat, b.best_state.mat)
 
     def test_history_matches_objective_trace(self):
         cfg = SeesawConfig(d=2, seed=4, restarts=1, max_outer=50)
         res = optimize(cfg)
         assert len(res.history) >= 1
-        assert len(res.restarts_summary) == 1
-        assert res.restarts_summary[0] == pytest.approx(res.history[-1])
+        assert len(res.restarts) == 1
+        assert res.restarts[0].final_value == res.history[-1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -398,7 +402,7 @@ class TestOptimize:
         with pytest.raises(ValueError):
             SeesawConfig(d=3, seed=0, restarts=0)
         with pytest.raises(ValueError):
-            SeesawConfig(d=3, seed=0, projection_iters=0)
+            SeesawConfig(d=3, seed=0, max_outer=0)
         # the (restarts, d^2, d^2) stacks are bounded before allocation
         assert SeesawConfig(d=16, seed=0, restarts=MAX_STACK_ENTRIES // 16**4).restarts == 64
         with pytest.raises(ValueError, match="restarts"):
@@ -411,8 +415,8 @@ class TestOptimize:
         {"max_outer": True},
         {"seed": 1.0},
         {"d": "3"},
-        {"projection_iters": 2.5},
-        {"projection_iters": float("nan")},
+        {"max_outer": 2.5},
+        {"max_outer": float("nan")},
         {"restarts": None},
         {"max_outer": "10"},
         {"seed": float(10**300)},
@@ -425,4 +429,6 @@ class TestOptimize:
         cfg = SeesawConfig(d=4, seed=0)
         assert cfg.step == pytest.approx(0.025)
         # derived, not a field: the config's record holds only the counts
-        assert set(cfg.to_dict()) == {"d", "seed", "max_outer", "projection_iters", "restarts"}
+        assert set(cfg.to_dict()) == {"d", "seed", "max_outer", "restarts"}
+        # so are the projection caps
+        assert cfg.projection_iters == PROJECTION_ITERS
