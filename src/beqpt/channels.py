@@ -74,17 +74,6 @@ class ChoiMatrix(DensityMatrix):
         return self.dA
 
 
-def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """E(rho) = sum_n K_n rho K_n^dag."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.d, ch.d):
-        raise ValueError(f"state shape {rho.shape} != ({ch.d}, {ch.d})")
-    out = np.zeros((ch.d, ch.d), dtype=complex)
-    for k in ch.kraus:
-        out += k @ rho @ k.conj().T
-    return out
-
-
 def apply_extended(ch: KrausChannel, rho: BipartiteOperator) -> BipartiteOperator:
     """(E kron Id) acting on the A factor of a bipartite operator."""
     if rho.dA != ch.d:
@@ -162,6 +151,8 @@ def random_cptp(d: int, n_kraus: int, seed: int) -> KrausChannel:
     gives an isometry C^d -> C^d kron C^n whose blocks are the Kraus set."""
     if n_kraus < 1:
         raise ValueError("n_kraus must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n_kraus * d, d)) + 1j * rng.standard_normal((n_kraus * d, d))
     q, _ = np.linalg.qr(g)

@@ -53,7 +53,7 @@ def ccnr_value(rho: DensityMatrix) -> float:
 
 def is_ppt(rho: BipartiteOperator) -> tuple:
     """(flag, min eigenvalue of the partial transpose); PPT within PPT_TOL."""
-    min_eig = float(np.linalg.eigvalsh(partial_transpose(rho, "B").mat).min())
+    min_eig = float(np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dA, rho.dB)).min())
     return min_eig >= -PPT_TOL, min_eig
 
 
@@ -179,6 +179,8 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int) -> RudolphReport:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     base = ccnr_value(rho)
 
     def changes(prop, transform):

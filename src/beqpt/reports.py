@@ -29,11 +29,6 @@ def matrix_file(op: BipartiteOperator) -> dict:
     }
 
 
-def operator_file(mat: np.ndarray) -> dict:
-    """Serialize a single local operator as a [d, 1] matrix file."""
-    return matrix_file(BipartiteOperator(mat, len(mat), 1))
-
-
 def parse_matrix_file(obj: dict) -> tuple:
     """Return (matrix, dA, dB) from a matrix-file dict, validating shapes."""
     if not isinstance(obj, dict):
@@ -129,16 +124,6 @@ def make_report(command: str, inputs: dict, results, timings: dict) -> dict:
 
 def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
-
-
-def results_json(report: dict) -> str:
-    """The deterministic part of a report (no timings), for byte-level
-    reproducibility checks."""
-    return json.dumps(
-        {k: report[k] for k in ("schema_version", "command", "inputs", "results")},
-        indent=2,
-        sort_keys=True,
-    )
 
 
 def write_report(report: dict, path: str) -> None:

@@ -38,7 +38,7 @@ projection caps and the stop tolerances are module constants.  The
 public surface is ``optimize`` and the density-set projection
 ``project_psd_trace_one``; the half-steps are only the kernels
 ``optimize`` runs (``_y_step``, ``_rho_step``, ``_dykstra`` and
-``_project_ppt_mat``).
+``_project_ppt_mat``) over the stack kernels of ``bipartite``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import DensityMatrix, herm_part, _partial_transpose, _realign, _realign_inverse
+from .bipartite import DensityMatrix, herm_part, partial_transpose, realign_inverse, _realign
 from .diagnostics import ccnr_value, is_ppt
 from .reports import Record
 from .states import random_density_matrix
@@ -81,6 +81,8 @@ class SeesawConfig(Record):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.d < 2:
             raise ValueError("d must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_outer < 1 or self.restarts < 1:
             raise ValueError("iteration and restart counts must be positive")
         if self.restarts * self.d**4 > MAX_STACK_ENTRIES:
@@ -156,8 +158,8 @@ def _project_dm_mat(x: np.ndarray) -> np.ndarray:
 
 
 def _project_ppt_mat(x: np.ndarray, dA: int, dB: int) -> np.ndarray:
-    w, v = np.linalg.eigh(_partial_transpose(herm_part(x), dA, dB, "B"))
-    return _partial_transpose(_from_spectrum(np.maximum(w, 0.0), v), dA, dB, "B")
+    w, v = np.linalg.eigh(partial_transpose(herm_part(x), dA, dB))
+    return partial_transpose(_from_spectrum(np.maximum(w, 0.0), v), dA, dB)
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
@@ -243,7 +245,7 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
         ok = alive[js]
         go = js[ok]
         # warm start: keep p, q and start from x0 - p - q
-        x0 = _rho_step(mats[ok], _realign_inverse(ys[ok], d, d), cfg.step)
+        x0 = _rho_step(mats[ok], realign_inverse(ys[ok], d, d), cfg.step)
         rows[0][go], k[go] = x0 - rows[1][go] - rows[2][go], 0
         if not alive.all():
             live, k = live[alive], k[alive]

@@ -213,16 +213,12 @@ def filtered_werner_closed_form(d: int, v: float) -> DensityMatrix:
         raise ValueError("d must be >= 3")
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"v={v} outside [0, 1]")
-    norm = (d + 1) * (1.0 - v) + 3.0 * v * (d - 1)
-    if norm <= 0.0:
-        raise ValueError("normalization vanished")
+    norm = (d + 1) * (1.0 - v) + 3.0 * v * (d - 1)  # > 0 for d >= 3 and v in [0, 1]
     phi2 = (np.kron(basis_ket(d, 0), basis_ket(d, 0)) +
             np.kron(basis_ket(d, 1), basis_ket(d, 1))) / np.sqrt(2)
     block_eye = np.zeros((d * d, d * d), dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            idx = i * d + j
-            block_eye[idx, idx] = 1.0
+    idx = [0, 1, d, d + 1]  # |00>, |01>, |10>, |11>
+    block_eye[idx, idx] = 1.0
     p2 = projector(phi2)
     mat = ((d + 1) * (1.0 - v) * p2 + v * (d - 1) * (block_eye - p2)) / norm
     return DensityMatrix(mat, d, d)

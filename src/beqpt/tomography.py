@@ -119,7 +119,7 @@ def superop_to_choi(e_hat: np.ndarray, d: int, noise_level: float = 0.0) -> Choi
     e_hat = np.asarray(e_hat, dtype=complex)
     if e_hat.shape != (d * d, d * d):
         raise ValueError(f"superoperator shape {e_hat.shape} != ({d*d}, {d*d})")
-    s = herm_part(realign_inverse(e_hat, d, d).mat) / d
+    s = herm_part(realign_inverse(e_hat, d, d)) / d
     w, v = np.linalg.eigh(s)
     clipped = abs(float(w[w < 0].sum()))  # abs, so no negative weight is 0.0, not -0.0
     budget = 10.0 * noise_level + EXACT_CLIP_BUDGET
@@ -166,6 +166,8 @@ def run_aaqpt(ch: KrausChannel, probe: DensityMatrix, noise: float = 0.0,
         raise ValueError(f"noise must be finite and lie in [0, 1], got {noise}")
     if noise > 0 and seed is None:
         raise ValueError("a seed is required when noise > 0")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rho_out = simulate_output(ch, probe)
     if noise > 0:
         rng = np.random.default_rng(seed)

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from beqpt.bipartite import DensityMatrix, haar_unitary, max_entangled, realign_inverse, vec
+from beqpt.bipartite import (
+    BipartiteOperator,
+    DensityMatrix,
+    haar_unitary,
+    max_entangled,
+    realign_inverse,
+    vec,
+)
 from beqpt.channels import (
     ChoiMatrix,
     KrausChannel,
-    apply,
     apply_extended,
     choi_of,
     dephasing,
@@ -22,6 +28,11 @@ def rand_state_mat(d, rng):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
     return m / m.trace().real
+
+
+def apply(ch, rho):
+    """E(rho) for a d x d matrix, as (E kron Id) on a [d, 1] operator."""
+    return apply_extended(ch, BipartiteOperator(rho, len(rho), 1)).mat
 
 
 class TestApply:
@@ -122,7 +133,7 @@ class TestSuperoperator:
         for seed in (3, 4):
             ch = random_cptp(3, 3, seed=seed)
             e_hat = superoperator_matrix(ch)
-            expected = realign_inverse(e_hat, 3, 3).mat / 3
+            expected = realign_inverse(e_hat, 3, 3) / 3
             assert np.abs(choi_of(ch).mat - expected).max() <= 1e-12
 
 
@@ -150,6 +161,10 @@ class TestStandardChannels:
         assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
         c = random_cptp(3, 4, seed=8)
         assert not all(np.allclose(x, y) for x, y in zip(a.kraus, c.kraus))
+
+    def test_random_cptp_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            random_cptp(2, 2, -1)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

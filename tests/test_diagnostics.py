@@ -152,6 +152,10 @@ class TestRudolphChecks:
         with pytest.raises(ValueError):
             rudolph_checks(rho_ccnr(), trials=0, seed=1)
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            rudolph_checks(rho_ccnr(), 2, -1)
+
     def test_deterministic_in_seed(self):
         a = rudolph_checks(werner_f(3, 0.5), trials=3, seed=7)
         b = rudolph_checks(werner_f(3, 0.5), trials=3, seed=7)

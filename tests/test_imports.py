@@ -1,6 +1,8 @@
 """Each module imports on its own, in a fresh interpreter: the package
-re-exports nothing, so no fixed import order can hide a cycle."""
+re-exports nothing, so no fixed import order can hide a cycle.  And each
+public name has a caller outside the tests."""
 
+import ast
 import os
 import re
 import subprocess
@@ -13,6 +15,7 @@ import beqpt
 
 SRC = Path(beqpt.__file__).resolve().parents[1]
 README = Path(__file__).resolve().parents[1] / "README.md"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 LAYOUT = re.findall(r"^\| `(beqpt\.\w+)` \|", README.read_text(), flags=re.M)
 
 
@@ -38,3 +41,20 @@ def test_package_import_loads_no_submodule():
     out = run_python("import sys, beqpt; print(sorted(m for m in sys.modules "
                      "if m.startswith('beqpt.')))")
     assert out.strip() == "[]"
+
+
+def test_every_public_name_has_a_caller():
+    # a use is a name or an attribute in the library or the benchmark, or a
+    # word in a README code span; definitions and imports are not uses
+    modules = sorted((SRC / "beqpt").glob("*.py"))
+    trees = {p: ast.parse(p.read_text()) for p in [*modules, *BENCH.glob("*.py")]}
+    used = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+    for span in re.findall(r"`([^`\n]+)`", README.read_text()):
+        used.update(re.findall(r"\w+", span))
+    unused = {f"{p.stem}.{node.name}" for p in modules for node in trees[p].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used}
+    # the tests' reference superoperator, kept as their oracle
+    assert unused == {"channels.superoperator_matrix"}

@@ -6,13 +6,11 @@ from beqpt.bipartite import (
     haar_unitary,
     max_entangled,
     operator_schmidt_rank,
-    partial_transpose,
     realign,
     singular_values,
     swap_operator,
-    trace_norm,
 )
-from beqpt.diagnostics import is_ppt
+from beqpt.diagnostics import ccnr_value, is_ppt
 from beqpt.states import (
     RHO_CCNR_3X3_SPECTRUM,
     RHO_CCNR_3X3_TRACE_NORM,
@@ -74,13 +72,13 @@ class TestWerner:
             assert purity == pytest.approx(2.0 / (d * (d - 1)), abs=1e-12)
 
     def test_d4_v0_trace_norm(self):
-        assert trace_norm(realign(werner_v(4, 0.0))) == pytest.approx(1.5, abs=1e-10)
+        assert ccnr_value(werner_v(4, 0.0)) == pytest.approx(1.5, abs=1e-10)
 
     def test_kink_point_is_maximally_mixed(self):
         d = 3
         rho = werner_f(d, 1.0 / d)
         assert np.allclose(rho.mat, np.eye(d * d) / d**2)
-        assert trace_norm(realign(rho)) == pytest.approx(1.0 / d, abs=1e-12)
+        assert ccnr_value(rho) == pytest.approx(1.0 / d, abs=1e-12)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -104,7 +102,7 @@ class TestIsotropic:
 
     @pytest.mark.parametrize("d", (2, 3, 4, 5))
     def test_boundary_trace_norm_is_one(self, d):
-        assert trace_norm(realign(isotropic(d, 1.0 / (d + 1)))) == pytest.approx(1.0, abs=1e-9)
+        assert ccnr_value(isotropic(d, 1.0 / (d + 1))) == pytest.approx(1.0, abs=1e-9)
 
     def test_boundary_purity(self):
         for d in (3, 4):
@@ -158,11 +156,11 @@ class TestGammaFamily:
     def test_small_eps_trace_norm_limit(self, k):
         # by the oracle above, || realign(gamma) ||_1 -> (k^2+k)/(k^2+k) = 1
         rho = cariello_gamma(k, 2, 1e-8)
-        assert trace_norm(realign(rho)) == pytest.approx(1.0, abs=1e-6)
+        assert ccnr_value(rho) == pytest.approx(1.0, abs=1e-6)
 
     def test_ppt_and_faithful(self):
         rho = cariello_gamma(4, 2, 0.1)
-        min_eig = np.linalg.eigvalsh(partial_transpose(rho, "B").mat).min()
+        min_eig = is_ppt(rho)[1]
         assert min_eig >= -1e-10
         s = singular_values(realign(rho))
         assert s[-1] / s[0] > 1e-8
@@ -203,8 +201,8 @@ class TestRhoCcnr:
 
     def test_trace_norm_ppt_purity(self):
         rho = rho_ccnr()
-        assert trace_norm(realign(rho)) == pytest.approx(1.5, abs=1e-10)
-        assert np.linalg.eigvalsh(partial_transpose(rho, "B").mat).min() >= -1e-10
+        assert ccnr_value(rho) == pytest.approx(1.5, abs=1e-10)
+        assert is_ppt(rho)[1] >= -1e-10
         assert np.vdot(rho.mat, rho.mat).real == pytest.approx(1 / 6, abs=1e-10)
 
 
@@ -213,11 +211,11 @@ class TestRhoCcnr3x3:
         rho = rho_ccnr_3x3()
         s = np.sort(singular_values(realign(rho)))[::-1]
         assert np.abs(s - np.array(RHO_CCNR_3X3_SPECTRUM)).max() <= 5e-4
-        assert abs(trace_norm(realign(rho)) - RHO_CCNR_3X3_TRACE_NORM) <= 5e-4
+        assert abs(ccnr_value(rho) - RHO_CCNR_3X3_TRACE_NORM) <= 5e-4
 
     def test_ppt_within_rounding(self):
         rho = rho_ccnr_3x3()
-        assert np.linalg.eigvalsh(partial_transpose(rho, "B").mat).min() >= -1e-4
+        assert is_ppt(rho)[1] >= -1e-4
 
     def test_faithful(self):
         s = singular_values(realign(rho_ccnr_3x3()))
@@ -232,7 +230,7 @@ class TestFilteredWernerClosedForm:
         s = np.sort(singular_values(realign(rho)))[::-1]
         assert np.allclose(s[:4], 0.5, atol=1e-12)
         assert np.allclose(s[4:], 0.0, atol=1e-14)
-        assert trace_norm(realign(rho)) == pytest.approx(2.0, abs=1e-12)
+        assert ccnr_value(rho) == pytest.approx(2.0, abs=1e-12)
 
     def test_rank_deficient_for_d4(self):
         rho = filtered_werner_closed_form(4, 0.5)

