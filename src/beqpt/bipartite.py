@@ -27,6 +27,12 @@ The index kernels ``partial_transpose``, ``realign_inverse`` and
 ``_realign`` act on the last two axes of an array, so the see-saw runs
 them on its stacks.  ``realign`` stays typed over ``_realign``, which keeps
 the see-saw's Y-step off the benchmark tracer's ``bipartite.realign``.
+
+The density set lives here too: ``project_psd_trace_one`` is the
+Frobenius-nearest state, its spectrum moved onto the simplex
+(``project_simplex``); ``_project_dm_mat`` is its kernel on a matrix or
+a stack, which the see-saw's Dykstra projection and the noisy
+reconstruction share.
 """
 
 from __future__ import annotations
@@ -146,6 +152,33 @@ class DensityMatrix(BipartiteOperator):
             raise ValueError(f"not PSD: min eigenvalue {min_eig:.3e}")
         w.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
+
+
+def project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a real vector, or of each row of an array,
+    onto the probability simplex (sort-and-threshold algorithm)."""
+    u = np.sort(v, axis=-1)[..., ::-1]
+    idx = np.arange(1, v.shape[-1] + 1)
+    t = (u.cumsum(axis=-1) - 1.0) / idx
+    # theta is t at the last index that passes.  The largest entry always
+    # passes in exact arithmetic; once it reaches 2**53 its test rounds to
+    # 0, so a row where none passes takes that entry alone (argmax 0)
+    last = ((u - t > 0) * idx).argmax(axis=-1, keepdims=True)
+    return np.maximum(v - np.take_along_axis(t, last, axis=-1), 0.0)
+
+
+def _from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (v * w[..., None, :]) @ v.conj().mT
+
+
+def _project_dm_mat(x: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(herm_part(x))
+    return _from_spectrum(project_simplex(w), v)
+
+
+def project_psd_trace_one(x: np.ndarray, dA: int, dB: int) -> DensityMatrix:
+    """Frobenius-nearest PSD unit-trace matrix: the spectrum onto the simplex."""
+    return DensityMatrix(_project_dm_mat(np.asarray(x, dtype=complex)), dA, dB)
 
 
 def basis_ket(d: int, i: int) -> np.ndarray:

@@ -28,13 +28,13 @@ from .bipartite import (
     BipartiteOperator,
     DensityMatrix,
     herm_part,
+    project_psd_trace_one,
     realign,
     realign_inverse,
 )
 from .channels import ChoiMatrix, KrausChannel, apply_extended, choi_of
 from .diagnostics import DiagnosticsReport, full_report, is_faithful
 from .reports import Record
-from .seesaw import project_psd_trace_one
 
 EXACT_CLIP_BUDGET = 1e-8
 

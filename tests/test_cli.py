@@ -293,25 +293,25 @@ class TestOptimize:
         results = read(out)["results"]
         assert results["best_restart"] == 1
         assert [r["stop_reason"] for r in results["restarts"]] == [
-            "max_outer", "converged", "max_outer", "max_outer"]
+            "max_outer", "converged", "converged", "max_outer"]
         assert set(results["restarts"][0]) == {
             "outer_steps", "stop_reason", "dykstra_iters", "cap_hits", "final_value"}
         assert "restarts_summary" not in results
-        assert ("best restart  1; stops: converged 1, decreased 0, max_outer 3"
+        assert ("best restart  1; stops: converged 2, decreased 0, max_outer 2"
                 in capsys.readouterr().out)
 
     @pytest.mark.parametrize("overrides, expected_step, expected_tol", [
-        # integer module constants still give the float step STEP_SCALE/d
-        ({"STEP_SCALE": 3, "PROJECTION_TOL": 1}, "1.0", "1.0"),
-        # the default step is 0.1/d
-        ({}, "0.03333333333333333", "1e-09"),
+        # integer module constants run as they stand
+        ({"STEP": 1, "PROJECTION_TOL": 1}, "1.0", "1.0"),
+        # the default step is 0.1 at every d
+        ({}, "0.1", "1e-09"),
     ])
     def test_inputs_echo_the_run_config(self, tmp_path, monkeypatch, overrides,
                                         expected_step, expected_tol):
         for name, value in overrides.items():
             monkeypatch.setattr(seesaw, name, value)
-        configs, tols = [], set()
-        optimize, dykstra_step = seesaw.optimize, seesaw._dykstra_step
+        configs, steps, tols = [], set(), set()
+        optimize, dykstra_step, rho_step = seesaw.optimize, seesaw._dykstra_step, seesaw._rho_step
 
         def spy_optimize(cfg):
             configs.append(cfg)
@@ -321,7 +321,12 @@ class TestOptimize:
             tols.add(args[-1])
             return dykstra_step(*args)
 
+        def spy_rho_step(mat, y_inv, step):
+            steps.add(step)
+            return rho_step(mat, y_inv, step)
+
         monkeypatch.setattr(seesaw, "optimize", spy_optimize)
+        monkeypatch.setattr(seesaw, "_rho_step", spy_rho_step)
         monkeypatch.setattr(seesaw, "_dykstra_step", spy_dykstra_step)
         out = tmp_path / "r.json"
         assert main(["optimize", "--d", "3", "--seed", "1", "--restarts", "1",
@@ -333,7 +338,7 @@ class TestOptimize:
             '{"d": 3, "max_outer": 2, "restarts": 1, "seed": 1}')
         assert configs == [seesaw.SeesawConfig(**inputs)]
         # the step and the see-saw projections' tolerance come from the constants
-        assert repr(configs[0].step) == expected_step
+        assert steps == {float(expected_step)}
         assert tols == {float(expected_tol), seesaw.FINAL_PROJECTION_TOL}
 
     @pytest.mark.parametrize("override", [

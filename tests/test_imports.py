@@ -43,6 +43,14 @@ def test_package_import_loads_no_submodule():
     assert out.strip() == "[]"
 
 
+def test_tomography_loads_no_optimizer():
+    # the density-set projection lives in bipartite, so a reconstruction
+    # imports neither the see-saw nor the state catalogue
+    out = run_python("import sys, beqpt.tomography; print(sorted(m for m in sys.modules "
+                     "if m in ('beqpt.seesaw', 'beqpt.states')))")
+    assert out.strip() == "[]"
+
+
 def test_every_public_name_has_a_caller():
     # a use is a name or an attribute in the library or the benchmark, or a
     # word in a README code span; definitions and imports are not uses
