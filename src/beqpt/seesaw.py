@@ -50,6 +50,20 @@ Each restart's outer steps, stop reason, Dykstra iterations and cap hits
 are counted from the state machine, with no extra eigh or svd, and so are
 the iterations of the final hard projection.
 
+The restarts race (Maron & Moore, NIPS 1993; Jamieson & Talwalkar,
+AISTATS 2016).  At each Y-step of a restart with more than RACE_WINDOW
+values, its mean gain over the last RACE_WINDOW steps is extrapolated to
+max_outer; if that lands below the bar, the restart is retired as
+"dominated".  The bar is the best value of any restart that finished
+unretired in an earlier round, read once per round, so the order of the
+rows within a round cannot matter.  A live restart gained at least
+OBJECTIVE_TOL on every step, or it would have stopped, so its
+extrapolation is at least its current value, which is also its best: a
+dominated restart's best is below the winner's.  Retiring a restart
+moves no other restart, so the winner, its history and its state are
+those of the unraced run.  The rule itself is a heuristic, not a bound:
+a retired restart might later have passed the winner.
+
 A run is set by counts alone (SeesawConfig); the step STEP, the
 projection caps and the stop tolerances are module constants.  The
 public surface is ``optimize``; the density-set projection comes from
@@ -83,9 +97,10 @@ PROJECTION_ITERS = 200  # Dykstra iterations allowed per projection of a restart
 FINAL_PROJECTION_ITERS = 500  # the same for the winner's final hard projection
 PROJECTION_TOL = 1e-9  # Dykstra stops when both iterate moves are at most this
 OBJECTIVE_TOL = 1e-9  # a restart stops when its objective gains less than this
+RACE_WINDOW = 20  # Y-steps whose mean gain a restart's race extrapolates
 FINAL_PROJECTION_TOL = 1e-10  # the final hard projection's stop test
 MAX_STACK_ENTRIES = 2**22  # restarts * d**4: 64 MiB per complex stack array
-STOP_REASONS = ("converged", "decreased", "max_outer")
+STOP_REASONS = ("converged", "decreased", "max_outer", "dominated")
 
 
 @dataclass(frozen=True)
@@ -121,10 +136,11 @@ class SeesawConfig(Record):
 @dataclass(frozen=True)
 class RestartStats(Record):
     """Telemetry of one restart: its Y-steps, why it stopped ("converged"
-    or "decreased" when the objective gained less than OBJECTIVE_TOL, else
-    "max_outer"), the Dykstra iterations of all its projections, how many
-    of those projections ran the full PROJECTION_ITERS and its last
-    objective value."""
+    or "decreased" when the objective gained less than OBJECTIVE_TOL,
+    "max_outer", or "dominated" when the race retired it because its
+    extrapolated value fell below the bar), the Dykstra iterations of all
+    its projections, how many of those projections ran the full
+    PROJECTION_ITERS and its last objective value."""
 
     outer_steps: int
     stop_reason: str
@@ -176,7 +192,9 @@ def _dykstra_step(x, p, q, dA: int, dB: int, tol: float) -> tuple:
 def _dykstra(x, dA: int, dB: int, iters: int, tol: float, p=0.0, q=0.0) -> tuple:
     """Dykstra on one matrix from iterate ``x`` and corrections ``p, q``,
     which projects x + p + q (zero corrections: a cold start from x).
-    Returns (the last density-set projection, exactly PSD, p, q, iterations)."""
+    Returns (the last density-set projection, exactly PSD, p, q, iterations).
+    The stop test bounds the iterate moves by ``tol``, not the distance to
+    the true projection, which a slow run can leave much larger."""
     for k in range(1, iters + 1):
         x, p, q, done = _dykstra_step(x, p, q, dA, dB, tol)
         if done:
@@ -197,9 +215,10 @@ def _rho_step(mat: np.ndarray, y_inv: np.ndarray, step: float) -> np.ndarray:
 
 def optimize(cfg: SeesawConfig) -> SeesawResult:
     """Run the see-saw from seeded Wishart restarts; restart r draws from
-    default_rng([seed, r]).  The restart with the best value wins, the
-    lower index on ties; it gets a final hard projection, and its value and
-    residuals are read from the validated state."""
+    default_rng([seed, r]).  The restarts race (see the module docstring).
+    The restart with the best value wins, the lower index on ties; it gets
+    a final hard projection, and its value and residuals are read from the
+    validated state."""
     d, n, iters = cfg.d, cfg.d * cfg.d, PROJECTION_ITERS
     # the projections of the start states are the first stacked projection
     x = np.stack([random_density_matrix(d, d, np.random.default_rng([cfg.seed, r])).mat
@@ -211,6 +230,7 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     spent, caps = np.zeros_like(k), np.zeros_like(k)  # per restart, not per row
     history, best = [[] for _ in live], [(-np.inf, None)] * cfg.restarts
     reasons = [""] * cfg.restarts
+    top = -np.inf  # the best value of a restart that finished unretired
     while live.size:
         x, p, q, done = _dykstra_step(x, p, q, d, d, PROJECTION_TOL)
         k += 1
@@ -224,6 +244,7 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
         rows = [a.reshape(-1, n, n) for a in (x, p, q)]  # views: writes reach x, p, q
         mats = rows[0][js]
         vals, ys = _y_step(mats, d, d)
+        bar = top  # finishers of this round raise the bar from the next one
         for j, val, mat in zip(js, vals.tolist(), mats):
             h, r = history[live[j]], live[j]
             prev = h[-1] if h else -np.inf
@@ -234,6 +255,10 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
             alive[j] = len(h) < cfg.max_outer and not stalled
             if not alive[j]:
                 reasons[r] = ("decreased" if val < prev else "converged") if stalled else "max_outer"
+                top = max(top, best[r][0])
+            elif (len(h) > RACE_WINDOW and val + (val - h[-RACE_WINDOW - 1]) / RACE_WINDOW
+                  * (cfg.max_outer - len(h)) < bar):
+                alive[j], reasons[r] = False, "dominated"
         ok = alive[js]
         go = js[ok]
         # warm start: keep p, q and start from x0 - p - q

@@ -293,11 +293,11 @@ class TestOptimize:
         results = read(out)["results"]
         assert results["best_restart"] == 1
         assert [r["stop_reason"] for r in results["restarts"]] == [
-            "max_outer", "converged", "converged", "max_outer"]
+            "max_outer", "converged", "converged", "dominated"]
         assert set(results["restarts"][0]) == {
             "outer_steps", "stop_reason", "dykstra_iters", "cap_hits", "final_value"}
         assert "restarts_summary" not in results
-        assert ("best restart  1; stops: converged 2, decreased 0, max_outer 2"
+        assert ("best restart  1; stops: converged 2, decreased 0, max_outer 1, dominated 1"
                 in capsys.readouterr().out)
 
     @pytest.mark.parametrize("overrides, expected_step, expected_tol", [

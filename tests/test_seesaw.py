@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from beqpt import seesaw
@@ -23,6 +23,7 @@ from beqpt.seesaw import (
     OBJECTIVE_TOL,
     PROJECTION_ITERS,
     PROJECTION_TOL,
+    RACE_WINDOW,
     STEP,
     RestartStats,
     SeesawConfig,
@@ -276,24 +277,26 @@ class TestWarmStart:
 
 
 def serial_optimize(cfg):
-    """optimize as one restart after another.  Each outer step is
-    the Y-step, then a gradient step whose Dykstra projection starts from
-    the corrections of the projection before it; the start and the final
-    projections start cold.  Counts each restart's telemetry as it goes."""
+    """optimize as one restart after another, then the race replayed.
+    Each outer step is the Y-step, then a gradient step whose Dykstra
+    projection starts from the corrections of the projection before it;
+    the start and the final projections start cold.  Each restart runs to
+    its own stop first, recording the round of each Y-step: its Dykstra
+    iterations so far, the start projection included.  Retiring a restart
+    moves no other one, so the race is then replayed in round order and
+    cuts each dominated restart's history and counts at its retirement."""
     d, iters, tol = cfg.d, PROJECTION_ITERS, PROJECTION_TOL
-    runs, stats = [], []
+    runs = []
     for r in range(cfg.restarts):
         start = random_density_matrix(d, d, np.random.default_rng([cfg.seed, r]))
         x, p, q, k = _dykstra(start.mat, d, d, iters, tol)
-        spent, caps = k, int(k == iters)
-        best, best_x, prev, history = -np.inf, x, -np.inf, []
+        rounds, caps, states, history, prev = [k], [int(k == iters)], [], [], -np.inf
         while True:
             y = _y_step(x, d, d)[1]
             val = float(np.linalg.svd(realign(BipartiteOperator(x, d, d)),
                                       full_matrices=False)[1].sum())
             history.append(val)
-            if val > best:
-                best, best_x = val, x
+            states.append(x)
             if val - prev < OBJECTIVE_TOL:
                 reason = "decreased" if val < prev else "converged"
                 break
@@ -303,11 +306,36 @@ def serial_optimize(cfg):
             prev = val
             x0 = _rho_step(x, realign_inverse(y, d, d), STEP)
             x, p, q, k = _dykstra(x0 - p - q, d, d, iters, tol, p, q)
-            spent, caps = spent + k, caps + int(k == iters)
-        runs.append((best, best_x, tuple(history)))
-        stats.append(RestartStats(len(history), reason, spent, caps, history[-1]))
-    winner = max(range(cfg.restarts), key=lambda r: runs[r][0])
-    _, best_x, history = runs[winner]
+            rounds.append(rounds[-1] + k)
+            caps.append(caps[-1] + int(k == iters))
+        runs.append([history, reason, rounds, caps, states])
+    # the bar of a round is the best value of the restarts that finished
+    # unretired in an earlier one, so same-round finishers do not count
+    steps = sorted((run[2][i], r, i) for r, run in enumerate(runs)
+                   for i in range(len(run[0])))
+    finished, retired = [], set()
+    for t, r, i in steps:
+        history = runs[r][0]
+        if r in retired:
+            continue
+        if i == len(history) - 1:
+            finished.append((t, max(history)))
+            continue
+        bar = max((v for s, v in finished if s < t), default=-np.inf)
+        h, n = history[:i + 1], i + 1
+        if n > RACE_WINDOW and h[-1] + (h[-1] - h[-1 - RACE_WINDOW]) / RACE_WINDOW \
+                * (cfg.max_outer - n) < bar:
+            retired.add(r)
+            runs[r][:2] = h, "dominated"
+    stats, bests = [], []
+    for history, reason, rounds, caps, states in runs:
+        n = len(history)
+        stats.append(RestartStats(n, reason, rounds[n - 1], caps[n - 1], history[-1]))
+        # the first step that attains the restart's best value
+        i = history.index(max(history))
+        bests.append((history[i], states[i], tuple(history)))
+    winner = max(range(cfg.restarts), key=lambda r: bests[r][0])
+    _, best_x, history = bests[winner]
     final, _, _, final_iters = _dykstra(best_x, d, d, FINAL_PROJECTION_ITERS,
                                         FINAL_PROJECTION_TOL)
     state = DensityMatrix(final, d, d)
@@ -320,11 +348,14 @@ def serial_optimize(cfg):
 
 class TestOptimize:
     @pytest.mark.parametrize("kwargs, capped", [
-        # restarts 4 and 10 would take 500 steps, the other 18 converge in 28 to 211
-        pytest.param({"d": 2, "seed": 1, "restarts": 20, "max_outer": 300}, 2,
+        # restarts 4 and 10 would take 500 steps; the other 18 converge in 28
+        # to 211, and the race retires 4 and 10 after 153 and 225
+        pytest.param({"d": 2, "seed": 1, "restarts": 20, "max_outer": 300}, 0,
                      marks=pytest.mark.slow),
-        ({"d": 3, "seed": 1, "restarts": 3, "max_outer": 40}, 3),
-        # restarts 1 and 2 converge in 100 and 130 steps, restart 0 runs on to 500
+        # restarts 0 and 1 run to max_outer, the race retires 2 after 36 steps
+        ({"d": 3, "seed": 1, "restarts": 3, "max_outer": 40}, 2),
+        # restarts 1 and 2 converge in 100 and 130 steps, restart 0 runs on to
+        # max_outer: its extrapolation stays above the bar
         ({"d": 3, "seed": 4, "restarts": 3, "max_outer": 150}, 1),
         # runs as an (n, n) matrix; it would converge in 41 steps
         ({"d": 4, "seed": 1, "restarts": 1, "max_outer": 30}, 1),
@@ -337,19 +368,55 @@ class TestOptimize:
         assert got.to_dict() == want.to_dict()
         # a restart's Dykstra iterations are the round its batched run ends
         # in: the restarts leave the stack in different rounds, ``capped``
-        # of them at max_outer and the others on a stalled objective
+        # of them at max_outer and the others on a stalled objective or
+        # retired by the race
         stats = want.restarts
         assert len({s.dykstra_iters for s in stats}) == cfg.restarts, stats
         assert [s.stop_reason for s in stats].count("max_outer") == capped, stats
+
+    @settings(max_examples=10)
+    @given(st.sampled_from([2, 3]), st.integers(2, 6), st.integers(20, 120),
+           st.integers(0, 2**32 - 1))
+    # restart 0 reaches max_outer in a round in which restart 3's
+    # extrapolation falls below restart 0's value: the bar rises only from
+    # the next round, so restart 3 is retired in a later one
+    @example(3, 5, 51, 1613121606)
+    def test_race_equals_serial_replay(self, d, restarts, max_outer, seed):
+        cfg = SeesawConfig(d=d, seed=seed, restarts=restarts, max_outer=max_outer)
+        want = serial_optimize(cfg)
+        got = optimize(cfg)
+        assert got.best_state.mat.tobytes() == want.best_state.mat.tobytes()
+        assert got.to_dict() == want.to_dict()
+        # a live restart gains on every step, so a retired one's last value
+        # is its best, and that is below the bar, hence below the winner
+        for s in got.restarts:
+            if s.stop_reason == "dominated":
+                assert s.final_value < max(got.history)
 
     def test_benchmark_d4_instance_takes_few_steps(self):
         # the seesaw-d4 benchmark call; counts, not seconds, so any host
         # gives them.  At the old step 0.1/d a restart crept to max_outer and
         # the call took 661 outer steps and 47,640 Dykstra iterations
         stats = optimize(SeesawConfig(d=4, seed=1, restarts=2)).restarts
-        assert "max_outer" not in [s.stop_reason for s in stats], stats
+        reasons = [s.stop_reason for s in stats]
+        # both restarts converge, so the race retires neither
+        assert "max_outer" not in reasons and "dominated" not in reasons, stats
         assert sum(s.outer_steps for s in stats) <= 100, stats
         assert sum(s.dykstra_iters for s in stats) <= 8000, stats
+
+    @pytest.mark.slow
+    def test_benchmark_d3_instance_races(self):
+        # the seesaw-d3 benchmark call.  Unraced, restart 18 ran alone to
+        # max_outer, below the winner, and the batched run took 14,909
+        # rounds; the race retires it and two others and leaves 4,162.  A
+        # round is one stacked Dykstra iteration, so the last round is the
+        # largest Dykstra count of any restart
+        res = optimize(SeesawConfig(d=3, seed=1, restarts=20))
+        stats = res.restarts
+        assert "max_outer" not in [s.stop_reason for s in stats], stats
+        assert max(s.dykstra_iters for s in stats) <= 5000, stats
+        assert res.best_restart == 19
+        assert res.best_value == float.fromhex("0x1.30676952ac856p+0")
 
     def test_d2_stays_at_most_one(self):
         cfg = SeesawConfig(d=2, seed=1, restarts=4, max_outer=150)
@@ -372,7 +439,7 @@ class TestOptimize:
         assert got.to_dict() == want.to_dict()
 
     @pytest.mark.parametrize("iters, reasons", [
-        (8, ["max_outer", "converged", "converged", "max_outer"]),
+        (8, ["max_outer", "converged", "converged", "dominated"]),
         (3, ["decreased", "decreased", "decreased", "decreased"]),
     ])
     def test_telemetry_counts_the_eigh_work(self, monkeypatch, iters, reasons):
