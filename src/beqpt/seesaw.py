@@ -18,10 +18,13 @@ adjoint).  For rho' = P(rho + tH), the projection inequality gives
 t <H, rho' - rho> >= ||rho' - rho||^2 >= 0, so f(rho') >= <rho', H> >=
 <rho, H> = f(rho) for every t > 0.  A Dykstra run that stops within its
 cap, with PPT correction p, loses at most PROJECTION_TOL ||p|| / t of
-that.  This is the generalized power method for maximizing a convex
-function over a convex set (Journee, Nesterov, Richtarik & Sepulchre,
-JMLR 11, 517 (2010)); as t grows the step tends to the classic
-see-saw's exact linear maximization.  STEP is therefore a tuning
+that: its last cycle alone gives rho + tH = rho' + p + q, p normal to
+the PPT set at its PPT iterate y and q normal to the density set at
+rho', whichever corrections the cycle started from, and the stop test
+bounds ||rho' - y||.  This is the generalized power method for
+maximizing a convex function over a convex set (Journee, Nesterov,
+Richtarik & Sepulchre, JMLR 11, 517 (2010)); as t grows the step tends
+to the classic see-saw's exact linear maximization.  STEP is therefore a tuning
 constant, not a safety bound: a longer step takes fewer outer steps, a
 too long one starts each projection far from the feasible set and caps
 more of them.  Over d = 2..5, 0.1 took no more Dykstra iterations than
@@ -39,16 +42,35 @@ Mathar, Metrika 36, 29 (1989)), and those corrections are dual-feasible,
 so it still converges to the projection of x0, in far fewer iterations.
 The start states' projections and the final hard projection start cold.
 
+Each projection is Anderson-accelerated (type II, with the safeguard of
+Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30, 3170 (2020)).  A cycle
+keeps x + p + q = x0, so only the corrections z = (p, q) are
+extrapolated, and x = x0 - p - q; each round still runs one cycle, two
+eigh per matrix.  With T(z) the corrections after one cycle and g =
+T(z) - z, the next z is T(z) - dF gamma, gamma minimizing ||g - dG gamma||
+over the last ANDERSON_MEMORY differences dG of g and dF of T(z),
+Tikhonov-regularized by ANDERSON_REG times the trace of the Gram matrix.
+gamma is complex: the Frobenius product of two Hermitian differences is
+real, but z picks up anti-Hermitian parts that a cycle ignores and
+x = x0 - p - q cancels, and over those the complex fit reaches further;
+in a replay of the seesaw-d4 call's projections a complex gamma took
+2,394 iterations with 1 cap hit, a real one 2,814 with 7.  A row whose
+residual ||g|| rose after an extrapolated step falls back to its last
+image T(z) and clears its memory; each new projection clears it too.
+The memory of a row is cleared by zeroing its dG columns, so a cleared
+column needs no mask beyond an identity on the Gram diagonal.
+
 All restarts run as one state machine over an (R, n, n) stack: a round
 is one Dykstra iteration of each live restart, then one Y-step and
 gradient step of those whose projection stopped.  A finished restart
 leaves the stack; the last one runs as an (n, n) matrix, since a stack
-of one costs 8-9% more per round at d=4.  Stacked eigh,
-svd and matmul give the bits of per-matrix calls and the stop norms are
-taken per matrix, so a batched run equals the serial one bit for bit.
-Each restart's outer steps, stop reason, Dykstra iterations and cap hits
-are counted from the state machine, with no extra eigh or svd, and so are
-the iterations of the final hard projection.
+of one costs 8-9% more per round at d=4; the Anderson memory keeps its
+row axis.  Stacked eigh, svd, matmul, vecdot and solve give the bits of
+per-matrix calls and the stop norms are taken per matrix, so a batched
+run equals the serial one bit for bit.  Each restart's outer steps, stop
+reason, Dykstra iterations, cap hits and safeguard fallbacks are counted
+from the state machine, with no extra eigh or svd, and so are the
+iterations of the final hard projection.
 
 The restarts race (Maron & Moore, NIPS 1993; Jamieson & Talwalkar,
 AISTATS 2016).  At each Y-step of a restart with more than RACE_WINDOW
@@ -68,8 +90,9 @@ A run is set by counts alone (SeesawConfig); the step STEP, the
 projection caps and the stop tolerances are module constants.  The
 public surface is ``optimize``; the density-set projection comes from
 ``bipartite``, and the half-steps are only the kernels
-``optimize`` runs (``_y_step``, ``_rho_step``, ``_dykstra`` and
-``_project_ppt_mat``) over the stack kernels of ``bipartite``.
+``optimize`` runs (``_y_step``, ``_rho_step``, ``_dykstra_round``,
+``_dykstra`` and ``_project_ppt_mat``) over the stack kernels of
+``bipartite``.
 """
 
 from __future__ import annotations
@@ -99,7 +122,11 @@ PROJECTION_TOL = 1e-9  # Dykstra stops when both iterate moves are at most this
 OBJECTIVE_TOL = 1e-9  # a restart stops when its objective gains less than this
 RACE_WINDOW = 20  # Y-steps whose mean gain a restart's race extrapolates
 FINAL_PROJECTION_TOL = 1e-10  # the final hard projection's stop test
-MAX_STACK_ENTRIES = 2**22  # restarts * d**4: 64 MiB per complex stack array
+ANDERSON_MEMORY = 5  # Anderson differences each projection keeps
+ANDERSON_REG = 1e-10  # Tikhonov weight, relative to the trace of the Gram matrix
+MAX_STACK_ENTRIES = 2**22  # 64 MiB per complex array; the largest is an Anderson buffer
+_TINY = np.finfo(float).tiny  # the floor of the Anderson regularization
+_COLUMNS, _EYE = np.arange(ANDERSON_MEMORY), np.eye(ANDERSON_MEMORY)
 STOP_REASONS = ("converged", "decreased", "max_outer", "dominated")
 
 
@@ -124,8 +151,10 @@ class SeesawConfig(Record):
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_outer < 1 or self.restarts < 1:
             raise ValueError("iteration and restart counts must be positive")
-        if self.restarts * self.d**4 > MAX_STACK_ENTRIES:
-            raise ValueError(f"restarts * d**4 must be at most {MAX_STACK_ENTRIES}")
+        # an Anderson buffer holds ANDERSON_MEMORY (p, q) pairs per restart
+        if self.restarts * self.d**4 * 2 * ANDERSON_MEMORY > MAX_STACK_ENTRIES:
+            raise ValueError(f"restarts * d**4 * {2 * ANDERSON_MEMORY} must be at most "
+                             f"{MAX_STACK_ENTRIES}")
 
     @property
     def projection_iters(self) -> int:
@@ -140,12 +169,14 @@ class RestartStats(Record):
     "max_outer", or "dominated" when the race retired it because its
     extrapolated value fell below the bar), the Dykstra iterations of all
     its projections, how many of those projections ran the full
-    PROJECTION_ITERS and its last objective value."""
+    PROJECTION_ITERS, how many extrapolated points the Anderson safeguard
+    rejected in them, and its last objective value."""
 
     outer_steps: int
     stop_reason: str
     dykstra_iters: int
     cap_hits: int
+    safeguard_resets: int
     final_value: float
 
 
@@ -189,17 +220,97 @@ def _dykstra_step(x, p, q, dA: int, dB: int, tol: float) -> tuple:
     return out, xp - y, yq - out, done
 
 
-def _dykstra(x, dA: int, dB: int, iters: int, tol: float, p=0.0, q=0.0) -> tuple:
-    """Dykstra on one matrix from iterate ``x`` and corrections ``p, q``,
-    which projects x + p + q (zero corrections: a cold start from x).
-    Returns (the last density-set projection, exactly PSD, p, q, iterations).
-    The stop test bounds the iterate moves by ``tol``, not the distance to
-    the true projection, which a slow run can leave much larger."""
+class _Anderson:
+    """The type-II Anderson memory of a stack of projections, one row per
+    matrix: ring buffers of the last ANDERSON_MEMORY residual differences
+    dG and image differences dF, the Gram matrix of dG, the last residual
+    g, image f and squared residual norm, how many images the row has seen
+    since its memory was cleared (from two on, its point is extrapolated)
+    and its safeguard fallbacks over all its projections.  A cleared
+    column of dG, and its Gram row and column, are zero."""
+
+    __slots__ = ("dG", "dF", "gram", "g", "f", "res", "seen", "resets")
+
+    def __init__(self, rows: int, size: int):
+        m = ANDERSON_MEMORY
+        self.dG, self.dF = np.zeros((2, rows, m, size), dtype=complex)
+        self.gram = np.zeros((rows, m, m), dtype=complex)
+        self.g, self.f = np.zeros((2, rows, size), dtype=complex)
+        self.res = np.zeros(rows)
+        self.seen, self.resets = np.zeros((2, rows), dtype=int)
+
+    def take(self, rows) -> None:
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name)[rows])
+
+    def clear(self, rows) -> None:
+        self.dG[rows], self.gram[rows], self.seen[rows] = 0.0, 0.0, 0
+
+
+def _accelerate(acc: _Anderson, z: np.ndarray, f: np.ndarray, done) -> np.ndarray:
+    """The next corrections per row, from z = (p, q) and its Dykstra image
+    f = T(z): f - dF gamma with gamma = argmin ||g - dG gamma|| over the
+    stored columns (Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30, 3170
+    (2020)).  A row that goes on and whose residual rose after an
+    extrapolated step falls back to its last image and clears its memory."""
+    m, rows = ANDERSON_MEMORY, acc.seen.shape[0]
+    i, z, f = np.arange(rows), z.reshape(rows, -1), f.reshape(rows, -1)
+    g = f - z
+    res = np.vecdot(g, g).real
+    # a row with no last image writes a zero into a cleared column
+    slot = (acc.seen - 1) % m
+    dg = g - acc.g
+    dg *= (acc.seen > 0)[:, None]
+    acc.dG[i, slot], acc.dF[i, slot] = dg, f - acc.f
+    acc.gram[i, :, slot] = col = np.vecdot(acc.dG, dg[:, None])
+    acc.gram[i, slot] = col.conj()
+    new = f
+    if acc.seen.any():
+        # the regularization scales with the trace, and its floor keeps a
+        # zero Gram solvable; an invalid column gets an identity diagonal,
+        # so its gamma is 0
+        valid = _COLUMNS < acc.seen[:, None]
+        reg = ANDERSON_REG * acc.gram.trace(axis1=1, axis2=2).real + _TINY
+        a = acc.gram + np.where(valid, reg[:, None], 1.0)[:, :, None] * _EYE
+        gamma = np.linalg.solve(a, np.vecdot(acc.dG, g[:, None])[:, :, None])
+        new = np.where(valid[:, :1], f - (gamma.mT @ acc.dF)[:, 0], f)
+    bad = (acc.seen > 1) & (res > acc.res)
+    acc.seen += 1
+    if bad.any():
+        bad &= ~np.reshape(done, rows)
+        new = np.where(bad[:, None], acc.f, new)
+        acc.clear(bad)
+        acc.resets += bad
+    acc.g, acc.f, acc.res = g, f, res
+    return new
+
+
+def _dykstra_round(x0, z, acc: _Anderson, dA: int, dB: int, tol: float) -> tuple:
+    """One accelerated Dykstra round projecting x0 from corrections z =
+    (p, q) along axis -3: (the density-set projection, the image T(z), the
+    next corrections, stop test per matrix)."""
+    p, q = z[..., 0, :, :], z[..., 1, :, :]
+    out, p, q, done = _dykstra_step(x0 - p - q, p, q, dA, dB, tol)
+    f = np.stack((p, q), axis=-3)
+    return out, f, _accelerate(acc, z, f, done).reshape(z.shape), done
+
+
+def _dykstra(x0, dA: int, dB: int, iters: int, tol: float, p=0.0, q=0.0) -> tuple:
+    """Anderson-accelerated Dykstra projecting one matrix ``x0`` from
+    corrections ``p, q`` (zero corrections: a cold start), with the round
+    ``optimize`` runs on its stack.  Returns (the last density-set
+    projection, exactly PSD, the corrections of its cycle, iterations,
+    safeguard fallbacks).  The stop test bounds the moves of the last
+    cycle by ``tol``, not the distance to the true projection, which a
+    slow run can leave much larger."""
+    z = np.empty((2,) + x0.shape, dtype=complex)
+    z[0], z[1] = p, q
+    acc = _Anderson(1, z.size)
     for k in range(1, iters + 1):
-        x, p, q, done = _dykstra_step(x, p, q, dA, dB, tol)
+        out, f, z, done = _dykstra_round(x0, z, acc, dA, dB, tol)
         if done:
             break
-    return x, p, q, k
+    return out, f[0], f[1], k, int(acc.resets[0])
 
 
 def _y_step(mat: np.ndarray, dA: int, dB: int) -> tuple:
@@ -221,18 +332,19 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     validated state."""
     d, n, iters = cfg.d, cfg.d * cfg.d, PROJECTION_ITERS
     # the projections of the start states are the first stacked projection
-    x = np.stack([random_density_matrix(d, d, np.random.default_rng([cfg.seed, r])).mat
-                  for r in range(cfg.restarts)])
-    x = x[0] if cfg.restarts == 1 else x  # one matrix runs faster than a stack of one
-    p, q = np.zeros_like(x), np.zeros_like(x)
+    x0 = np.stack([random_density_matrix(d, d, np.random.default_rng([cfg.seed, r])).mat
+                   for r in range(cfg.restarts)])
+    x0 = x0[0] if cfg.restarts == 1 else x0  # one matrix runs faster than a stack of one
+    z = np.zeros(x0.shape[:-2] + (2, n, n), dtype=complex)  # the corrections (p, q)
+    acc = _Anderson(cfg.restarts, 2 * n * n)
     live = np.arange(cfg.restarts)  # the restart in each stack row
     k = np.zeros(cfg.restarts, dtype=int)  # iterations of each row's projection
-    spent, caps = np.zeros_like(k), np.zeros_like(k)  # per restart, not per row
+    spent, caps, resets = np.zeros_like(k), np.zeros_like(k), np.zeros_like(k)  # per restart
     history, best = [[] for _ in live], [(-np.inf, None)] * cfg.restarts
     reasons = [""] * cfg.restarts
     top = -np.inf  # the best value of a restart that finished unretired
     while live.size:
-        x, p, q, done = _dykstra_step(x, p, q, d, d, PROJECTION_TOL)
+        out, f, z, done = _dykstra_round(x0, z, acc, d, d, PROJECTION_TOL)
         k += 1
         stop = (k == iters) | done
         if not stop.any():
@@ -240,9 +352,11 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
         js = np.flatnonzero(stop)
         spent[live[js]] += k[js]
         caps[live[js]] += k[js] == iters
+        resets[live[js]] = acc.resets[js]  # a row counts its restart's fallbacks
         alive = ~stop
-        rows = [a.reshape(-1, n, n) for a in (x, p, q)]  # views: writes reach x, p, q
-        mats = rows[0][js]
+        # views: writes reach x0 and z
+        rows = [a.reshape((-1,) + a.shape[-core:]) for a, core in ((x0, 2), (z, 3), (f, 3))]
+        mats = out.reshape(-1, n, n)[js]
         vals, ys = _y_step(mats, d, d)
         bar = top  # finishers of this round raise the bar from the next one
         for j, val, mat in zip(js, vals.tolist(), mats):
@@ -261,19 +375,22 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
                 alive[j], reasons[r] = False, "dominated"
         ok = alive[js]
         go = js[ok]
-        # warm start: keep p, q and start from x0 - p - q
-        x0 = _rho_step(mats[ok], realign_inverse(ys[ok], d, d), STEP)
-        rows[0][go], k[go] = x0 - rows[1][go] - rows[2][go], 0
+        # warm start: keep the corrections p, q of the last image; the
+        # Anderson memory is cleared at each new projection
+        rows[0][go] = _rho_step(mats[ok], realign_inverse(ys[ok], d, d), STEP)
+        rows[1][go], k[go] = rows[2][go], 0
+        acc.clear(go)
         if not alive.all():
             live, k = live[alive], k[alive]
-            x, p, q = (a[alive][0] if live.size == 1 else a[alive] for a in rows)
+            acc.take(alive)
+            x0, z = (a[alive][0] if live.size == 1 else a[alive] for a in rows[:2])
     r = max(range(cfg.restarts), key=lambda r: best[r][0])
     # final hard projection so the reported state is feasible to <= 1e-7
-    final, _, _, final_iters = _dykstra(best[r][1], d, d, FINAL_PROJECTION_ITERS,
-                                        FINAL_PROJECTION_TOL)
+    final, _, _, final_iters, _ = _dykstra(best[r][1], d, d, FINAL_PROJECTION_ITERS,
+                                           FINAL_PROJECTION_TOL)
     state = DensityMatrix(final, d, d)
-    stats = tuple(RestartStats(len(h), why, int(it), int(cap), h[-1])
-                  for h, why, it, cap in zip(history, reasons, spent, caps))
+    stats = tuple(RestartStats(len(h), why, int(it), int(cap), int(fell), h[-1])
+                  for h, why, it, cap, fell in zip(history, reasons, spent, caps, resets))
     return SeesawResult(best_state=state, best_value=ccnr_value(state),
                         history=tuple(history[r]), ppt_residual=is_ppt(state)[1],
                         psd_residual=float(state.eigenvalues[0]),

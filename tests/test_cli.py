@@ -295,7 +295,8 @@ class TestOptimize:
         assert [r["stop_reason"] for r in results["restarts"]] == [
             "max_outer", "converged", "converged", "dominated"]
         assert set(results["restarts"][0]) == {
-            "outer_steps", "stop_reason", "dykstra_iters", "cap_hits", "final_value"}
+            "outer_steps", "stop_reason", "dykstra_iters", "cap_hits", "safeguard_resets",
+            "final_value"}
         assert "restarts_summary" not in results
         assert ("best restart  1; stops: converged 2, decreased 0, max_outer 1, dominated 1"
                 in capsys.readouterr().out)
@@ -437,7 +438,7 @@ class TestReproduce:
                 best_state=DensityMatrix(np.eye(n) / n, cfg.d, cfg.d),
                 best_value=1.0, history=(1.0,), ppt_residual=0.0,
                 psd_residual=0.0, best_restart=0,
-                restarts=(seesaw.RestartStats(1, "converged", 1, 0, 1.0),),
+                restarts=(seesaw.RestartStats(1, "converged", 1, 0, 0, 1.0),),
                 final_projection_iters=1,
             )
 
@@ -461,9 +462,10 @@ class TestSizeCaps:
         (["reconstruct", "--probe", "bell", "--which", "phi+", "--channel", "random-cptp",
           "--channel-d", "2", "--channel-seed", "1", "--kraus", "257"], channels, "random_cptp"),
         (["optimize", "--d", "17", "--seed", "1"], seesaw, "SeesawConfig"),
-        # one restart past the (restarts, 81, 81) stack bound at d=3
-        (["optimize", "--d", "3", "--seed", "1",
-          "--restarts", str(seesaw.MAX_STACK_ENTRIES // 3**4 + 1)], seesaw, "optimize"),
+        # one restart past the bound on the (restarts, 5, 162) Anderson buffer at d=3
+        (["optimize", "--d", "3", "--seed", "1", "--restarts",
+          str(seesaw.MAX_STACK_ENTRIES // (2 * seesaw.ANDERSON_MEMORY * 3**4) + 1)],
+         seesaw, "optimize"),
         (["diagnose", "--state", "bell", "--which", "phi+", "--seed", "1",
           "--rudolph-trials", str(cli.RUDOLPH_TRIALS.cap + 1)], diagnostics, "rudolph_checks"),
     ])
