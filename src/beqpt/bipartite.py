@@ -37,6 +37,7 @@ reconstruction share.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -47,6 +48,14 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-12
 SCHMIDT_REL_TOL = 1e-9  # realigned singular values at or below this * sigma_max count as 0
 PINV_RCOND = 1e-12  # the realigned pseudo-inverse cuts at this * sigma_max
+
+
+def check_number(name: str, value, real: bool = False) -> None:
+    """Reject a bool, or a ``value`` that is not an integer (a real number
+    if ``real``), with a ValueError that names the parameter ``name``."""
+    kind, noun = (numbers.Real, "a real number") if real else (numbers.Integral, "an integer")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
 def as_complex_matrix(m) -> np.ndarray:

@@ -24,6 +24,7 @@ from .bipartite import (
     DensityMatrix,
     as_complex_matrix,
     basis_ket,
+    check_number,
     partial_trace,
     vec,
 )
@@ -149,6 +150,8 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
 def random_cptp(d: int, n_kraus: int, seed: int) -> KrausChannel:
     """Deterministic Haar-style random channel: QR of a Ginibre matrix
     gives an isometry C^d -> C^d kron C^n whose blocks are the Kraus set."""
+    for name, value in (("d", d), ("n_kraus", n_kraus), ("seed", seed)):
+        check_number(name, value)
     if n_kraus < 1:
         raise ValueError("n_kraus must be >= 1")
     if seed < 0:

@@ -18,6 +18,7 @@ import numpy as np
 from .bipartite import (
     BipartiteOperator,
     DensityMatrix,
+    check_number,
     haar_unitary,
     operator_schmidt_rank,
     partial_transpose,
@@ -177,6 +178,8 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int) -> RudolphReport:
     random product bases.  Each trial uses an RNG stream derived from
     (seed, property, trial); a margin passes up to ENTANGLED_MARGIN.
     """
+    check_number("trials", trials)
+    check_number("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:

@@ -60,12 +60,13 @@ image T(z) and clears its memory; each new projection clears it too.
 The memory of a row is cleared by zeroing its dG columns, so a cleared
 column needs no mask beyond an identity on the Gram diagonal.
 
-All restarts run as one state machine over an (R, n, n) stack: a round
-is one Dykstra iteration of each live restart, then one Y-step and
-gradient step of those whose projection stopped.  A finished restart
-leaves the stack; the last one runs as an (n, n) matrix, since a stack
-of one costs 8-9% more per round at d=4; the Anderson memory keeps its
-row axis.  Stacked eigh, svd, matmul, vecdot and solve give the bits of
+All restarts run as one state machine over an (R, n, n) stack, a single
+restart as a stack of one: a round is one Dykstra iteration of each live
+restart, then one Y-step and gradient step of those whose projection
+stopped.  A row's point, corrections, iteration count, restart and
+Anderson memory are one record, so a finished restart leaves the stack
+in one take, and ``_dykstra`` runs its one matrix through the same
+round.  Stacked eigh, svd, matmul, vecdot and solve give the bits of
 per-matrix calls and the stop norms are taken per matrix, so a batched
 run equals the serial one bit for bit.  Each restart's outer steps, stop
 reason, Dykstra iterations, cap hits and safeguard fallbacks are counted
@@ -97,7 +98,6 @@ public surface is ``optimize``; the density-set projection comes from
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +107,7 @@ from .bipartite import (
     _from_spectrum,
     _project_dm_mat,
     _realign,
+    check_number,
     herm_part,
     partial_transpose,
     realign_inverse,
@@ -142,9 +143,7 @@ class SeesawConfig(Record):
 
     def __post_init__(self):
         for name in ("d", "seed", "max_outer", "restarts"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_number(name, getattr(self, name))
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if self.seed < 0:
@@ -220,22 +219,25 @@ def _dykstra_step(x, p, q, dA: int, dB: int, tol: float) -> tuple:
     return out, xp - y, yq - out, done
 
 
-class _Anderson:
-    """The type-II Anderson memory of a stack of projections, one row per
-    matrix: ring buffers of the last ANDERSON_MEMORY residual differences
-    dG and image differences dF, the Gram matrix of dG, the last residual
-    g, image f and squared residual norm, how many images the row has seen
-    since its memory was cleared (from two on, its point is extrapolated)
-    and its safeguard fallbacks over all its projections.  A cleared
+class _Stack:
+    """The rows of a see-saw stack, one projection each: its point x0,
+    corrections z = (p, q), iterations k and restart, and its type-II
+    Anderson memory: ring buffers of the last ANDERSON_MEMORY residual
+    differences dG and image differences dF, the Gram matrix of dG, the
+    last residual g, image f and squared residual norm, the images seen
+    since the memory was cleared (from two on, the point is extrapolated)
+    and the safeguard fallbacks over all its projections.  A cleared
     column of dG, and its Gram row and column, are zero."""
 
-    __slots__ = ("dG", "dF", "gram", "g", "f", "res", "seen", "resets")
+    __slots__ = ("x0", "z", "k", "live", "dG", "dF", "gram", "g", "f", "res", "seen", "resets")
 
-    def __init__(self, rows: int, size: int):
-        m = ANDERSON_MEMORY
-        self.dG, self.dF = np.zeros((2, rows, m, size), dtype=complex)
+    def __init__(self, x0: np.ndarray):
+        rows, n, m = x0.shape[0], x0.shape[-1], ANDERSON_MEMORY
+        self.x0, self.z = x0, np.zeros((rows, 2, n, n), dtype=complex)
+        self.k, self.live = np.zeros(rows, dtype=int), np.arange(rows)
+        self.dG, self.dF = np.zeros((2, rows, m, 2 * n * n), dtype=complex)
         self.gram = np.zeros((rows, m, m), dtype=complex)
-        self.g, self.f = np.zeros((2, rows, size), dtype=complex)
+        self.g, self.f = np.zeros((2, rows, 2 * n * n), dtype=complex)
         self.res = np.zeros(rows)
         self.seen, self.resets = np.zeros((2, rows), dtype=int)
 
@@ -247,70 +249,70 @@ class _Anderson:
         self.dG[rows], self.gram[rows], self.seen[rows] = 0.0, 0.0, 0
 
 
-def _accelerate(acc: _Anderson, z: np.ndarray, f: np.ndarray, done) -> np.ndarray:
+def _accelerate(s: _Stack, f: np.ndarray, done: np.ndarray) -> np.ndarray:
     """The next corrections per row, from z = (p, q) and its Dykstra image
     f = T(z): f - dF gamma with gamma = argmin ||g - dG gamma|| over the
     stored columns (Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30, 3170
     (2020)).  A row that goes on and whose residual rose after an
     extrapolated step falls back to its last image and clears its memory."""
-    m, rows = ANDERSON_MEMORY, acc.seen.shape[0]
-    i, z, f = np.arange(rows), z.reshape(rows, -1), f.reshape(rows, -1)
+    m, rows = ANDERSON_MEMORY, len(f)
+    i, z, f = np.arange(rows), s.z.reshape(rows, -1), f.reshape(rows, -1)
     g = f - z
     res = np.vecdot(g, g).real
     # a row with no last image writes a zero into a cleared column
-    slot = (acc.seen - 1) % m
-    dg = g - acc.g
-    dg *= (acc.seen > 0)[:, None]
-    acc.dG[i, slot], acc.dF[i, slot] = dg, f - acc.f
-    acc.gram[i, :, slot] = col = np.vecdot(acc.dG, dg[:, None])
-    acc.gram[i, slot] = col.conj()
+    slot = (s.seen - 1) % m
+    dg = g - s.g
+    dg *= (s.seen > 0)[:, None]
+    s.dG[i, slot], s.dF[i, slot] = dg, f - s.f
+    s.gram[i, :, slot] = col = np.vecdot(s.dG, dg[:, None])
+    s.gram[i, slot] = col.conj()
     new = f
-    if acc.seen.any():
+    if s.seen.any():
         # the regularization scales with the trace, and its floor keeps a
         # zero Gram solvable; an invalid column gets an identity diagonal,
         # so its gamma is 0
-        valid = _COLUMNS < acc.seen[:, None]
-        reg = ANDERSON_REG * acc.gram.trace(axis1=1, axis2=2).real + _TINY
-        a = acc.gram + np.where(valid, reg[:, None], 1.0)[:, :, None] * _EYE
-        gamma = np.linalg.solve(a, np.vecdot(acc.dG, g[:, None])[:, :, None])
-        new = np.where(valid[:, :1], f - (gamma.mT @ acc.dF)[:, 0], f)
-    bad = (acc.seen > 1) & (res > acc.res)
-    acc.seen += 1
+        valid = _COLUMNS < s.seen[:, None]
+        reg = ANDERSON_REG * s.gram.trace(axis1=1, axis2=2).real + _TINY
+        a = s.gram + np.where(valid, reg[:, None], 1.0)[:, :, None] * _EYE
+        gamma = np.linalg.solve(a, np.vecdot(s.dG, g[:, None])[:, :, None])
+        new = np.where(valid[:, :1], f - (gamma.mT @ s.dF)[:, 0], f)
+    bad = (s.seen > 1) & (res > s.res)
+    s.seen += 1
     if bad.any():
-        bad &= ~np.reshape(done, rows)
-        new = np.where(bad[:, None], acc.f, new)
-        acc.clear(bad)
-        acc.resets += bad
-    acc.g, acc.f, acc.res = g, f, res
+        bad &= ~done
+        new = np.where(bad[:, None], s.f, new)
+        s.clear(bad)
+        s.resets += bad
+    s.g, s.f, s.res = g, f, res
     return new
 
 
-def _dykstra_round(x0, z, acc: _Anderson, dA: int, dB: int, tol: float) -> tuple:
-    """One accelerated Dykstra round projecting x0 from corrections z =
-    (p, q) along axis -3: (the density-set projection, the image T(z), the
-    next corrections, stop test per matrix)."""
-    p, q = z[..., 0, :, :], z[..., 1, :, :]
-    out, p, q, done = _dykstra_step(x0 - p - q, p, q, dA, dB, tol)
-    f = np.stack((p, q), axis=-3)
-    return out, f, _accelerate(acc, z, f, done).reshape(z.shape), done
+def _dykstra_round(s: _Stack, dA: int, dB: int, tol: float) -> tuple:
+    """One accelerated Dykstra round of every row of the stack, which
+    moves each row on to its next corrections and counts the round:
+    (the density-set projections, the images T(z), stop test per row)."""
+    p, q = s.z[:, 0], s.z[:, 1]
+    out, p, q, done = _dykstra_step(s.x0 - p - q, p, q, dA, dB, tol)
+    f = np.stack((p, q), axis=1)
+    s.z = _accelerate(s, f, done).reshape(f.shape)
+    s.k += 1
+    return out, f, done
 
 
 def _dykstra(x0, dA: int, dB: int, iters: int, tol: float, p=0.0, q=0.0) -> tuple:
     """Anderson-accelerated Dykstra projecting one matrix ``x0`` from
-    corrections ``p, q`` (zero corrections: a cold start), with the round
-    ``optimize`` runs on its stack.  Returns (the last density-set
-    projection, exactly PSD, the corrections of its cycle, iterations,
-    safeguard fallbacks).  The stop test bounds the moves of the last
-    cycle by ``tol``, not the distance to the true projection, which a
-    slow run can leave much larger."""
-    z = np.empty((2,) + x0.shape, dtype=complex)
-    z[0], z[1] = p, q
-    acc = _Anderson(1, z.size)
-    for k in range(1, iters + 1):
-        out, f, z, done = _dykstra_round(x0, z, acc, dA, dB, tol)
-        if done:
-            break
-    return out, f[0], f[1], k, int(acc.resets[0])
+    corrections ``p, q`` (zero corrections: a cold start), as a stack of
+    one through the round ``optimize`` runs.  Returns (the last
+    density-set projection, exactly PSD, the corrections of its cycle,
+    iterations, safeguard fallbacks).  The stop test bounds the moves of
+    the last cycle by ``tol``, not the distance to the true projection,
+    which a slow run can leave much larger."""
+    s = _Stack(x0[None])
+    s.z[0, 0], s.z[0, 1] = p, q
+    while True:
+        out, f, done = _dykstra_round(s, dA, dB, tol)
+        if done[0] or s.k[0] == iters:
+            return out[0], f[0, 0], f[0, 1], int(s.k[0]), int(s.resets[0])
 
 
 def _y_step(mat: np.ndarray, dA: int, dB: int) -> tuple:
@@ -330,37 +332,30 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     The restart with the best value wins, the lower index on ties; it gets
     a final hard projection, and its value and residuals are read from the
     validated state."""
-    d, n, iters = cfg.d, cfg.d * cfg.d, PROJECTION_ITERS
+    d, iters = cfg.d, PROJECTION_ITERS
     # the projections of the start states are the first stacked projection
-    x0 = np.stack([random_density_matrix(d, d, np.random.default_rng([cfg.seed, r])).mat
-                   for r in range(cfg.restarts)])
-    x0 = x0[0] if cfg.restarts == 1 else x0  # one matrix runs faster than a stack of one
-    z = np.zeros(x0.shape[:-2] + (2, n, n), dtype=complex)  # the corrections (p, q)
-    acc = _Anderson(cfg.restarts, 2 * n * n)
-    live = np.arange(cfg.restarts)  # the restart in each stack row
-    k = np.zeros(cfg.restarts, dtype=int)  # iterations of each row's projection
-    spent, caps, resets = np.zeros_like(k), np.zeros_like(k), np.zeros_like(k)  # per restart
-    history, best = [[] for _ in live], [(-np.inf, None)] * cfg.restarts
+    s = _Stack(np.stack([random_density_matrix(d, d, np.random.default_rng([cfg.seed, r])).mat
+                         for r in range(cfg.restarts)]))
+    spent, caps, resets = np.zeros((3, cfg.restarts), dtype=int)  # per restart
+    history, best = [[] for _ in s.live], [(-np.inf, None)] * cfg.restarts
     reasons = [""] * cfg.restarts
     top = -np.inf  # the best value of a restart that finished unretired
-    while live.size:
-        out, f, z, done = _dykstra_round(x0, z, acc, d, d, PROJECTION_TOL)
-        k += 1
-        stop = (k == iters) | done
+    while s.live.size:
+        out, f, done = _dykstra_round(s, d, d, PROJECTION_TOL)
+        stop = (s.k == iters) | done
         if not stop.any():
             continue
         js = np.flatnonzero(stop)
-        spent[live[js]] += k[js]
-        caps[live[js]] += k[js] == iters
-        resets[live[js]] = acc.resets[js]  # a row counts its restart's fallbacks
+        rs = s.live[js]
+        spent[rs] += s.k[js]
+        caps[rs] += s.k[js] == iters
+        resets[rs] = s.resets[js]  # a row counts its restart's fallbacks
         alive = ~stop
-        # views: writes reach x0 and z
-        rows = [a.reshape((-1,) + a.shape[-core:]) for a, core in ((x0, 2), (z, 3), (f, 3))]
-        mats = out.reshape(-1, n, n)[js]
+        mats = out[js]
         vals, ys = _y_step(mats, d, d)
         bar = top  # finishers of this round raise the bar from the next one
-        for j, val, mat in zip(js, vals.tolist(), mats):
-            h, r = history[live[j]], live[j]
+        for j, r, val, mat in zip(js, rs.tolist(), vals.tolist(), mats):
+            h = history[r]
             prev = h[-1] if h else -np.inf
             h.append(val)
             if val > best[r][0]:
@@ -377,13 +372,11 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
         go = js[ok]
         # warm start: keep the corrections p, q of the last image; the
         # Anderson memory is cleared at each new projection
-        rows[0][go] = _rho_step(mats[ok], realign_inverse(ys[ok], d, d), STEP)
-        rows[1][go], k[go] = rows[2][go], 0
-        acc.clear(go)
+        s.x0[go] = _rho_step(mats[ok], realign_inverse(ys[ok], d, d), STEP)
+        s.z[go], s.k[go] = f[go], 0
+        s.clear(go)
         if not alive.all():
-            live, k = live[alive], k[alive]
-            acc.take(alive)
-            x0, z = (a[alive][0] if live.size == 1 else a[alive] for a in rows[:2])
+            s.take(alive)
     r = max(range(cfg.restarts), key=lambda r: best[r][0])
     # final hard projection so the reported state is feasible to <= 1e-7
     final, _, _, final_iters, _ = _dykstra(best[r][1], d, d, FINAL_PROJECTION_ITERS,

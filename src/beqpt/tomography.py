@@ -27,6 +27,7 @@ from .bipartite import (
     SCHMIDT_REL_TOL,
     BipartiteOperator,
     DensityMatrix,
+    check_number,
     herm_part,
     project_psd_trace_one,
     realign,
@@ -161,6 +162,9 @@ def run_aaqpt(ch: KrausChannel, probe: DensityMatrix, noise: float = 0.0,
     projected back onto the density set before inversion.  The score is
     the trace distance between the true and reconstructed Choi states.
     """
+    check_number("noise", noise, real=True)
+    if seed is not None:
+        check_number("seed", seed)
     # a trace-1 state has Frobenius norm <= 1; the test is False for NaN
     if not 0 <= noise <= 1:
         raise ValueError(f"noise must be finite and lie in [0, 1], got {noise}")

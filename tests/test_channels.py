@@ -166,6 +166,18 @@ class TestStandardChannels:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             random_cptp(2, 2, -1)
 
+    @pytest.mark.parametrize("args, name", [
+        ((True, 2, 1), "d"),
+        ((2.0, 2, 1), "d"),
+        ((2, True, 1), "n_kraus"),
+        ((2, 2.0, 1), "n_kraus"),
+        ((2, 2, True), "seed"),
+        ((2, 2, 1.5), "seed"),
+    ])
+    def test_random_cptp_wrong_types_are_named(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            random_cptp(*args)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             depolarizing(3, 1.2)

@@ -156,6 +156,17 @@ class TestRudolphChecks:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             rudolph_checks(rho_ccnr(), 2, -1)
 
+    @pytest.mark.parametrize("trials, seed, message", [
+        (True, 0, "trials must be an integer"),
+        (2.0, 0, "trials must be an integer"),
+        (2, True, "seed must be an integer"),
+        (2, 1.5, "seed must be an integer"),
+    ])
+    def test_wrong_typed_parameters_are_named(self, trials, seed, message):
+        # trials=True ran one trial and reported "trials": true
+        with pytest.raises(ValueError, match=message):
+            rudolph_checks(werner_f(3, 0.5), trials=trials, seed=seed)
+
     def test_deterministic_in_seed(self):
         a = rudolph_checks(werner_f(3, 0.5), trials=3, seed=7)
         b = rudolph_checks(werner_f(3, 0.5), trials=3, seed=7)

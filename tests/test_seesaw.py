@@ -32,10 +32,12 @@ from beqpt.seesaw import (
     SeesawConfig,
     SeesawResult,
     _dykstra,
+    _dykstra_round,
     _dykstra_step,
     _norm,
     _project_ppt_mat,
     _rho_step,
+    _Stack,
     _y_step,
     optimize,
 )
@@ -243,6 +245,20 @@ class TestStackedKernels:
             one = _dykstra_step(x, 0.1 * x, 0.2 * x, dA, dB, tol)
             assert [a[i].tobytes() for a in (out, p, q)] == [a.tobytes() for a in one[:3]]
             assert done[i] == one[3]
+        # accelerated rounds from warm corrections, each row against itself
+        # as a stack of one; with tol = -1 no row stops, so the rounds from
+        # the third on extrapolate and the safeguard judges each of them
+        rows, solo = _Stack(stack), [_Stack(x[None]) for x in stack]
+        for s in [rows] + solo:
+            s.z[:, 0], s.z[:, 1] = 0.1 * s.x0, 0.2 * s.x0
+        for _ in range(12):
+            out, f, _ = _dykstra_round(rows, dA, dB, -1.0)
+            for i, s in enumerate(solo):
+                one, g, _ = _dykstra_round(s, dA, dB, -1.0)
+                assert out[i].tobytes() == one.tobytes() and f[i].tobytes() == g.tobytes()
+        for name in set(_Stack.__slots__) - {"live"}:
+            for i, s in enumerate(solo):
+                assert getattr(rows, name)[i].tobytes() == getattr(s, name).tobytes(), name
 
     @settings(max_examples=60)
     @given(st.integers(1, 8), st.integers(4, 16), st.integers(0, 2**32 - 1))
@@ -292,14 +308,14 @@ def plain_dykstra(x0, dA, dB, iters, tol, p=0.0, q=0.0):
     return x, p, q, k
 
 
-def checked_accelerate(acc, z, f, done, accelerate=seesaw._accelerate):
+def checked_accelerate(s, f, done, accelerate=seesaw._accelerate):
     """_accelerate, asserting its safeguard: a row that goes on and whose
     residual rose after an extrapolated step takes its last image as the
     next point and clears its memory."""
-    last, before, extrapolated = acc.f.copy(), acc.res.copy(), acc.seen > 1
-    new = accelerate(acc, z, f, done)
-    rose = extrapolated & (acc.res > before) & ~np.reshape(done, -1)
-    assert np.array_equal(new[rose], last[rose]) and not acc.seen[rose].any()
+    last, before, extrapolated = s.f.copy(), s.res.copy(), s.seen > 1
+    new = accelerate(s, f, done)
+    rose = extrapolated & (s.res > before) & ~done
+    assert np.array_equal(new[rose], last[rose]) and not s.seen[rose].any()
     return new
 
 
@@ -431,7 +447,7 @@ class TestOptimize:
         # restarts 1 and 2 converge in 100 and 130 steps, restart 0 runs on to
         # max_outer: its extrapolation stays above the bar
         ({"d": 3, "seed": 4, "restarts": 3, "max_outer": 150}, 1),
-        # runs as an (n, n) matrix; it would converge in 41 steps
+        # a stack of one; it would converge in 41 steps
         ({"d": 4, "seed": 1, "restarts": 1, "max_outer": 30}, 1),
     ])
     def test_batched_run_equals_serial_reference(self, kwargs, capped):
@@ -510,8 +526,8 @@ class TestOptimize:
         assert res.best_value == ccnr_value(res.best_state)
 
     def test_runs_the_half_step_kernels(self):
-        # one restart runs as an (n, n) matrix, not a stack, and must still
-        # reproduce the half-steps serial_optimize takes by hand, bit for bit
+        # one restart runs as a stack of one, and must still reproduce the
+        # half-steps serial_optimize takes by hand, bit for bit
         cfg = SeesawConfig(d=3, seed=5, restarts=1, max_outer=25)
         got, want = optimize(cfg), serial_optimize(cfg)
         assert got.best_state.mat.tobytes() == want.best_state.mat.tobytes()

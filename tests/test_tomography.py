@@ -231,6 +231,19 @@ class TestRunAaqpt:
         with pytest.raises(UnfaithfulProbe):
             run_aaqpt(identity_channel(4), filtered_werner_closed_form(4, 0.5))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"noise": True, "seed": 1}, "noise must be a real number"),
+        ({"noise": 1e-6 + 0j, "seed": 1}, "noise must be a real number"),
+        ({"noise": "0.1", "seed": 1}, "noise must be a real number"),
+        ({"noise": 1e-6, "seed": True}, "seed must be an integer"),
+        ({"noise": 1e-6, "seed": 1.5}, "seed must be an integer"),
+        ({"noise": 0.0, "seed": 1.0}, "seed must be an integer"),
+    ])
+    def test_wrong_typed_parameters_are_named(self, kwargs, message):
+        # noise=True ran at noise 1.0 and seed=True as seed 1
+        with pytest.raises(ValueError, match=message):
+            run_aaqpt(identity_channel(2), max_entangled_state(2), **kwargs)
+
     @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_noise_rejected(self, noise):
         with pytest.raises(ValueError, match="finite"):
