@@ -33,10 +33,15 @@ Frobenius-nearest state, its spectrum moved onto the simplex
 (``project_simplex``); ``_project_dm_mat`` is its kernel on a matrix or
 a stack, which the see-saw's Dykstra projection and the noisy
 reconstruction share.
+
+``check_number`` is the one parameter check: every numeric argument of
+the library, from these local dimensions to the family parameters, counts
+and seeds, has its type, finiteness and inclusive bounds tested there.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -50,12 +55,19 @@ SCHMIDT_REL_TOL = 1e-9  # realigned singular values at or below this * sigma_max
 PINV_RCOND = 1e-12  # the realigned pseudo-inverse cuts at this * sigma_max
 
 
-def check_number(name: str, value, real: bool = False) -> None:
-    """Reject a bool, or a ``value`` that is not an integer (a real number
-    if ``real``), with a ValueError that names the parameter ``name``."""
+def check_number(name: str, value, real: bool = False, lo=None, hi=None) -> None:
+    """The one parameter check: reject a bool, a ``value`` that is not an
+    integer (a finite real number if ``real``), or one outside the inclusive
+    bounds ``lo``, ``hi``, with a ValueError that names the parameter ``name``."""
     kind, noun = (numbers.Real, "a real number") if real else (numbers.Integral, "an integer")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {noun}, got {value!r}")
+    if real and not -math.inf < value < math.inf:  # an int too large for a float passes
+        raise ValueError(f"{name}={value} is not finite")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bound = (f"be >= {lo}" if hi is None else f"be <= {hi}" if lo is None
+                 else f"lie in [{lo}, {hi}]")
+        raise ValueError(f"{name} must {'be finite and ' * real}{bound}, got {value}")
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -92,8 +104,8 @@ class BipartiteOperator:
     dB: int
 
     def __post_init__(self):
-        if self.dA < 1 or self.dB < 1:
-            raise ValueError("local dimensions must be positive")
+        check_number("dA", self.dA, lo=1)
+        check_number("dB", self.dB, lo=1)
         mat = as_complex_matrix(self.mat)
         n = self.dA * self.dB
         if mat.shape != (n, n):
@@ -203,16 +215,14 @@ def vec(m: np.ndarray) -> np.ndarray:
 
 def swap_operator(k: int) -> BipartiteOperator:
     """Flip operator F = sum_ij |ij><ji| on C^k kron C^k."""
-    if k < 1:
-        raise ValueError("dimension must be >= 1")
+    check_number("k", k, lo=1)
     F = np.eye(k * k, dtype=complex).reshape(k, k, k * k).swapaxes(0, 1)
     return BipartiteOperator(F.reshape(k * k, k * k), k, k)
 
 
 def max_entangled(k: int, normalized: bool = False) -> np.ndarray:
     """|u> = sum_i |ii>, or the unit vector |Phi+> = |u>/sqrt(k)."""
-    if k < 1:
-        raise ValueError("dimension must be >= 1")
+    check_number("k", k, lo=1)
     u = np.zeros(k * k, dtype=complex)
     u[np.arange(k) * (k + 1)] = 1.0
     return u / np.sqrt(k) if normalized else u

@@ -43,6 +43,7 @@ class KrausChannel:
     d: int
 
     def __post_init__(self):
+        check_number("d", self.d, lo=1)
         ops = tuple(as_complex_matrix(k) for k in self.kraus)
         if not ops:
             raise ValueError("need at least one Kraus operator")
@@ -107,13 +108,14 @@ def choi_of(ch: KrausChannel) -> ChoiMatrix:
 
 
 def identity_channel(d: int) -> KrausChannel:
+    check_number("d", d, lo=1)  # before np.eye, which raises TypeError for a float
     return KrausChannel((np.eye(d),), d)
 
 
 def depolarizing(d: int, p: float) -> KrausChannel:
     """E(rho) = (1-p) rho + p Tr(rho) Id/d."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
+    check_number("d", d, lo=1)  # before p/d, ahead of KrausChannel's own check
+    check_number("p", p, real=True, lo=0, hi=1)
     kraus = []
     if p < 1.0:
         kraus.append(np.sqrt(1.0 - p) * np.eye(d))
@@ -127,8 +129,8 @@ def depolarizing(d: int, p: float) -> KrausChannel:
 
 def dephasing(d: int, p: float) -> KrausChannel:
     """E(rho) = (1-p) rho + p diag(rho)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
+    check_number("d", d, lo=1)
+    check_number("p", p, real=True, lo=0, hi=1)
     kraus = []
     if p < 1.0:
         kraus.append(np.sqrt(1.0 - p) * np.eye(d))
@@ -150,12 +152,8 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
 def random_cptp(d: int, n_kraus: int, seed: int) -> KrausChannel:
     """Deterministic Haar-style random channel: QR of a Ginibre matrix
     gives an isometry C^d -> C^d kron C^n whose blocks are the Kraus set."""
-    for name, value in (("d", d), ("n_kraus", n_kraus), ("seed", seed)):
-        check_number(name, value)
-    if n_kraus < 1:
-        raise ValueError("n_kraus must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    for name, value, lo in (("d", d, 1), ("n_kraus", n_kraus, 1), ("seed", seed, 0)):
+        check_number(name, value, lo=lo)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n_kraus * d, d)) + 1j * rng.standard_normal((n_kraus * d, d))
     q, _ = np.linalg.qr(g)

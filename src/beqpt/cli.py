@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from . import filtering as filt
 from . import seesaw
 from . import states
 from . import tomography as tomo
-from .bipartite import DensityMatrix, haar_unitary
+from .bipartite import DensityMatrix, check_number, haar_unitary
 from .reports import (
     load_density_matrix,
     load_local_operator,
@@ -65,10 +64,10 @@ class Param:
 
     def value(self, args):
         value = getattr(args, self.dest)
-        if self.type is float and not math.isfinite(value):
-            raise ValueError(f"{self.flag} must be finite, got {value}")
-        if self.cap is not None and not 1 <= value <= self.cap:
-            raise ValueError(f"{self.flag} must lie in [1, {self.cap}], got {value}")
+        if self.type is float:
+            check_number(self.flag, value, real=True)
+        elif self.cap is not None:
+            check_number(self.flag, value, lo=1, hi=self.cap)
         return value
 
 

@@ -99,18 +99,14 @@ def analytic_ccnr(family: str, d: int, param: float) -> float:
     absolute values; the Werner state realigns to a |u><u| + b F with
     a d + b = 1/d and the same multiplicity structure.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    check_number("d", d, lo=2)
     if family == "isotropic":
-        lo = -1.0 / (d * d - 1)
-        if not lo - 1e-15 <= param <= 1.0 + 1e-15:
-            raise ValueError(f"alpha={param} outside [{lo}, 1]")
+        check_number("alpha", param, real=True, lo=-1.0 / (d * d - 1) - 1e-15, hi=1.0 + 1e-15)
         if param >= 0:
             return d * param + (1.0 - param) / d
         return (1.0 - (d * d - 1) * param) / d
     if family == "werner":
-        if not -1.0 <= param <= 1.0:
-            raise ValueError(f"f={param} outside [-1, 1]")
+        check_number("f", param, real=True, lo=-1, hi=1)
         if param <= 1.0 / d:
             return 2.0 / d - param
         return float(param)
@@ -178,12 +174,8 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int) -> RudolphReport:
     random product bases.  Each trial uses an RNG stream derived from
     (seed, property, trial); a margin passes up to ENTANGLED_MARGIN.
     """
-    check_number("trials", trials)
-    check_number("seed", seed)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_number("trials", trials, lo=1)
+    check_number("seed", seed, lo=0)
     base = ccnr_value(rho)
 
     def changes(prop, transform):
@@ -220,10 +212,9 @@ def full_report(rho: DensityMatrix) -> DiagnosticsReport:
     """All diagnostics for one state, derived from its one realigned spectrum."""
     ccnr = ccnr_value(rho)
     ppt, min_eig = is_ppt(rho)
-    if rho.dA == rho.dB:
-        faithful, _, cond = is_faithful(rho)
-    else:
-        faithful, cond = False, float("inf")
+    s = rho.realigned_spectrum
+    rank = operator_schmidt_rank(rho)
+    faithful = rho.dA == rho.dB and rank == rho.dim
     return DiagnosticsReport(
         dims=(rho.dA, rho.dB),
         ccnr_value=ccnr,
@@ -231,8 +222,8 @@ def full_report(rho: DensityMatrix) -> DiagnosticsReport:
         ppt=ppt,
         min_eig_pt=min_eig,
         purity=faithfulness(rho),
-        realigned_spectrum=tuple(float(s) for s in rho.realigned_spectrum),
+        realigned_spectrum=tuple(float(x) for x in s),
         faithful=faithful,
-        schmidt_rank=operator_schmidt_rank(rho),
-        condition_number=cond,
+        schmidt_rank=rank,
+        condition_number=float(s[0] / s[-1]) if faithful else float("inf"),
     )

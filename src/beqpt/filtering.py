@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import DensityMatrix, as_complex_matrix, max_entry
+from .bipartite import DensityMatrix, as_complex_matrix, check_number, max_entry
 from .diagnostics import DiagnosticsReport, full_report
 from .reports import Record
 
@@ -62,8 +62,7 @@ def identity_filters(dA: int, dB: int) -> FilterPair:
 def werner_filters(d: int) -> FilterPair:
     """A = diag(1, -1, 0, ...), B with the 0<->1 flip and zeros elsewhere;
     both sides project onto the first two basis vectors (rank 2)."""
-    if d < 3:
-        raise ValueError("subspace filters are defined for d >= 3")
+    check_number("d", d, lo=3)
     a = np.zeros((d, d), dtype=complex)
     a[0, 0] = 1.0
     a[1, 1] = -1.0

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .bipartite import BipartiteOperator, DensityMatrix
+from .bipartite import BipartiteOperator, DensityMatrix, check_number
 
 SCHEMA_VERSION = 1
 
@@ -36,10 +36,10 @@ def parse_matrix_file(obj: dict) -> tuple:
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {obj.get('schema_version')!r}")
     dims = obj.get("dims")
-    if (not isinstance(dims, list) or len(dims) != 2
-            or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1
-                       for d in dims)):
+    if not isinstance(dims, list) or len(dims) != 2:
         raise ValueError(f"bad dims {dims!r}")
+    for d in dims:
+        check_number("dims", d, lo=1)
     dA, dB = dims
     n = dA * dB
     try:

@@ -142,14 +142,8 @@ class SeesawConfig(Record):
     restarts: int = 20
 
     def __post_init__(self):
-        for name in ("d", "seed", "max_outer", "restarts"):
-            check_number(name, getattr(self, name))
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.max_outer < 1 or self.restarts < 1:
-            raise ValueError("iteration and restart counts must be positive")
+        for name, lo in (("d", 2), ("seed", 0), ("max_outer", 1), ("restarts", 1)):
+            check_number(name, getattr(self, name), lo=lo)
         # an Anderson buffer holds ANDERSON_MEMORY (p, q) pairs per restart
         if self.restarts * self.d**4 * 2 * ANDERSON_MEMORY > MAX_STACK_ENTRIES:
             raise ValueError(f"restarts * d**4 * {2 * ANDERSON_MEMORY} must be at most "

@@ -14,6 +14,7 @@ import numpy as np
 from .bipartite import (
     DensityMatrix,
     basis_ket,
+    check_number,
     max_entangled,
     swap_operator,
     _permute_subsystems,
@@ -50,6 +51,7 @@ def bell_state(which: str) -> DensityMatrix:
 
 def max_entangled_state(d: int) -> DensityMatrix:
     """|Phi+><Phi+| on C^d kron C^d."""
+    check_number("d", d, lo=1)
     return DensityMatrix(projector(max_entangled(d, normalized=True)), d, d)
 
 
@@ -59,10 +61,8 @@ def werner_f(d: int, f: float) -> DensityMatrix:
     f = -1 is the maximally entangled member, f in [1/d, 1] the separable
     symmetric side.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if not -1.0 <= f <= 1.0:
-        raise ValueError(f"f={f} outside [-1, 1]")
+    check_number("d", d, lo=2)
+    check_number("f", f, real=True, lo=-1, hi=1)
     F = swap_operator(d).mat
     mat = ((d - f) * np.eye(d * d) + (d * f - 1.0) * F) / (d**3 - d)
     return DensityMatrix(mat, d, d)
@@ -75,10 +75,8 @@ def werner_v(d: int, v: float) -> DensityMatrix:
     P_sym = (Id + F)/2 carries weight 2v/(d(d+1)) so that Tr(F rho) = 2v - 1;
     this sign choice is the one consistent with :func:`werner_f`.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"v={v} outside [0, 1]")
+    check_number("d", d, lo=2)
+    check_number("v", v, real=True, lo=0, hi=1)
     F = swap_operator(d).mat
     eye = np.eye(d * d)
     p_sym = (eye + F) / 2.0
@@ -93,11 +91,8 @@ def isotropic(d: int, alpha: float) -> DensityMatrix:
     Valid for alpha in [-1/(d^2 - 1), 1]; separable exactly up to
     alpha = 1/(d + 1).
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    lo = -1.0 / (d * d - 1)
-    if not lo - 1e-15 <= alpha <= 1.0 + 1e-15:
-        raise ValueError(f"alpha={alpha} outside [{lo}, 1]")
+    check_number("d", d, lo=2)
+    check_number("alpha", alpha, real=True, lo=-1.0 / (d * d - 1) - 1e-15, hi=1.0 + 1e-15)
     mat = ((1.0 - alpha) / d**2) * np.eye(d * d) + alpha * projector(
         max_entangled(d, normalized=True)
     )
@@ -113,13 +108,14 @@ def cariello_gamma(k: int, n: int, eps: float) -> DensityMatrix:
     exactly when eps <= 1: past 1 the smallest eigenvalue of the
     unnormalized partial transpose is 1 - eps.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_number("k", k)
+    check_number("n", n, lo=1)
     if 2 * n > k:
         raise ValueError(f"need 2n <= k, got n={n}, k={k}")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    # the state is divided by this trace; the check also rejects NaN
+    check_number("eps", eps, real=True)
+    if eps <= 0.0:  # an open bound, which check_number's inclusive ones cannot state
+        raise ValueError(f"eps must be positive, got {eps}")
+    # the state is divided by this trace, which a finite eps can still overflow
     if not math.isfinite(k * k + k + eps * n):
         raise ValueError(f"eps={eps} gives a trace k^2+k+eps*n that is not finite")
     v = sum(np.kron(basis_ket(k, 2 * i), basis_ket(k, 2 * i + 1)) for i in range(n))
@@ -209,10 +205,8 @@ def filtered_werner_closed_form(d: int, v: float) -> DensityMatrix:
     The realigned matrix is rank-deficient, so the state is never a
     usable tomography probe.
     """
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"v={v} outside [0, 1]")
+    check_number("d", d, lo=3)
+    check_number("v", v, real=True, lo=0, hi=1)
     norm = (d + 1) * (1.0 - v) + 3.0 * v * (d - 1)  # > 0 for d >= 3 and v in [0, 1]
     phi2 = (np.kron(basis_ket(d, 0), basis_ket(d, 0)) +
             np.kron(basis_ket(d, 1), basis_ket(d, 1))) / np.sqrt(2)
@@ -227,10 +221,11 @@ def filtered_werner_closed_form(d: int, v: float) -> DensityMatrix:
 def random_density_matrix(dA: int, dB: int, rng: np.random.Generator,
                           rank: int | None = None) -> DensityMatrix:
     """Wishart-distributed random state G G^dag / Tr, full rank by default."""
+    check_number("dA", dA, lo=1)
+    check_number("dB", dB, lo=1)
     n = dA * dB
     r = n if rank is None else rank
-    if not 1 <= r <= n:
-        raise ValueError("rank must lie in [1, dA*dB]")
+    check_number("rank", r, lo=1, hi=n)
     g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace().real, dA, dB)

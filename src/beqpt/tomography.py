@@ -162,16 +162,12 @@ def run_aaqpt(ch: KrausChannel, probe: DensityMatrix, noise: float = 0.0,
     projected back onto the density set before inversion.  The score is
     the trace distance between the true and reconstructed Choi states.
     """
-    check_number("noise", noise, real=True)
-    # a trace-1 state has Frobenius norm <= 1; the test is False for NaN
-    if not 0 <= noise <= 1:
-        raise ValueError(f"noise must be finite and lie in [0, 1], got {noise}")
+    # a trace-1 state has Frobenius norm <= 1
+    check_number("noise", noise, real=True, lo=0, hi=1)
     if noise > 0 and seed is None:
         raise ValueError("a seed is required when noise > 0")
     if seed is not None:
-        check_number("seed", seed)
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+        check_number("seed", seed, lo=0)
     rho_out = simulate_output(ch, probe)
     if noise > 0:
         rng = np.random.default_rng(seed)

@@ -1,10 +1,14 @@
+import argparse
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from beqpt import cli
 from beqpt.bipartite import (
     PINV_RCOND,
     BipartiteOperator,
@@ -20,7 +24,29 @@ from beqpt.bipartite import (
     swap_operator,
     vec,
 )
-from beqpt.states import max_entangled_state, random_density_matrix
+from beqpt.channels import (
+    ChoiMatrix,
+    KrausChannel,
+    dephasing,
+    depolarizing,
+    identity_channel,
+    random_cptp,
+)
+from beqpt.diagnostics import analytic_ccnr, rudolph_checks
+from beqpt.filtering import werner_filters
+from beqpt.reports import parse_matrix_file
+from beqpt.seesaw import SeesawConfig
+from beqpt.states import (
+    bell_state,
+    cariello_gamma,
+    filtered_werner_closed_form,
+    isotropic,
+    max_entangled_state,
+    random_density_matrix,
+    werner_f,
+    werner_v,
+)
+from beqpt.tomography import run_aaqpt
 
 from conftest import random_product_state
 
@@ -350,3 +376,93 @@ def test_purity_identity_on_random_states(rng):
         purity = np.vdot(rho.mat, rho.mat).real
         s2 = (singular_values(realign(rho)) ** 2).sum()
         assert abs(purity - s2) <= 1e-10
+
+
+def _below(x):
+    return float(np.nextafter(x, -np.inf))
+
+
+def _above(x):
+    return float(np.nextafter(x, np.inf))
+
+
+_BELL = bell_state("phi+")
+_UNIT = (_below(0.0), _above(1.0))  # just past [0, 1]
+
+# (entry point, parameter, "count" or "real", a call with that parameter set
+# to its argument and every other one valid, the values just past its bounds)
+PARAMETERS = [
+    ("BipartiteOperator", "dA", "count", lambda v: BipartiteOperator(np.eye(4), v, 2), [0]),
+    ("BipartiteOperator", "dB", "count", lambda v: BipartiteOperator(np.eye(4), 2, v), [0]),
+    ("DensityMatrix", "dA", "count", lambda v: DensityMatrix(np.eye(4) / 4, v, 2), [0]),
+    ("DensityMatrix", "dB", "count", lambda v: DensityMatrix(np.eye(4) / 4, 2, v), [0]),
+    # a Choi state is a DensityMatrix on C^d kron C^d, so its d is checked as dA
+    ("ChoiMatrix", "dA", "count", lambda v: ChoiMatrix(np.eye(4) / 4, v), [0]),
+    ("swap_operator", "k", "count", swap_operator, [0]),
+    ("max_entangled", "k", "count", max_entangled, [0]),
+    ("max_entangled_state", "d", "count", max_entangled_state, [0]),
+    ("werner_f", "d", "count", lambda v: werner_f(v, 0.5), [1]),
+    ("werner_f", "f", "real", lambda v: werner_f(3, v), [_below(-1.0), _above(1.0)]),
+    ("werner_v", "d", "count", lambda v: werner_v(v, 0.5), [1]),
+    ("werner_v", "v", "real", lambda v: werner_v(3, v), _UNIT),
+    ("isotropic", "d", "count", lambda v: isotropic(v, 0.5), [1]),
+    # the alpha bounds, [-1/(d^2-1), 1], carry a tolerance of 1e-15
+    ("isotropic", "alpha", "real", lambda v: isotropic(3, v), [-1 / 8 - 2e-15, 1 + 2e-15]),
+    # k is bounded only by the rule 2n <= k
+    ("cariello_gamma", "k", "count", lambda v: cariello_gamma(v, 2, 0.1), []),
+    ("cariello_gamma", "n", "count", lambda v: cariello_gamma(4, v, 0.1), [0]),
+    ("cariello_gamma", "eps", "real", lambda v: cariello_gamma(4, 2, v), [0.0]),
+    ("filtered_werner_closed_form", "d", "count",
+     lambda v: filtered_werner_closed_form(v, 0.5), [2]),
+    ("filtered_werner_closed_form", "v", "real",
+     lambda v: filtered_werner_closed_form(3, v), _UNIT),
+    ("random_density_matrix", "dA", "count",
+     lambda v: random_density_matrix(v, 2, np.random.default_rng(0)), [0]),
+    ("random_density_matrix", "dB", "count",
+     lambda v: random_density_matrix(2, v, np.random.default_rng(0)), [0]),
+    ("random_density_matrix", "rank", "count",
+     lambda v: random_density_matrix(2, 2, np.random.default_rng(0), rank=v), [0, 5]),
+    ("KrausChannel", "d", "count", lambda v: KrausChannel((np.eye(2),), v), [0]),
+    ("identity_channel", "d", "count", identity_channel, [0]),
+    ("depolarizing", "d", "count", lambda v: depolarizing(v, 0.5), [0]),
+    ("depolarizing", "p", "real", lambda v: depolarizing(2, v), _UNIT),
+    ("dephasing", "d", "count", lambda v: dephasing(v, 0.5), [0]),
+    ("dephasing", "p", "real", lambda v: dephasing(2, v), _UNIT),
+    ("random_cptp", "d", "count", lambda v: random_cptp(v, 2, 1), [0]),
+    ("random_cptp", "n_kraus", "count", lambda v: random_cptp(2, v, 1), [0]),
+    ("random_cptp", "seed", "count", lambda v: random_cptp(2, 2, v), [-1]),
+    ("werner_filters", "d", "count", werner_filters, [2]),
+    ("analytic_ccnr", "d", "count", lambda v: analytic_ccnr("werner", v, 0.5), [1]),
+    ("analytic_ccnr", "alpha", "real", lambda v: analytic_ccnr("isotropic", 3, v),
+     [-1 / 8 - 2e-15, 1 + 2e-15]),
+    ("analytic_ccnr", "f", "real", lambda v: analytic_ccnr("werner", 3, v),
+     [_below(-1.0), _above(1.0)]),
+    ("rudolph_checks", "trials", "count", lambda v: rudolph_checks(_BELL, v, 0), [0]),
+    ("rudolph_checks", "seed", "count", lambda v: rudolph_checks(_BELL, 1, v), [-1]),
+    ("run_aaqpt", "noise", "real",
+     lambda v: run_aaqpt(identity_channel(2), _BELL, noise=v, seed=1), _UNIT),
+    ("run_aaqpt", "seed", "count", lambda v: run_aaqpt(identity_channel(2), _BELL, seed=v), [-1]),
+    ("SeesawConfig", "d", "count", lambda v: SeesawConfig(d=v, seed=0), [1]),
+    ("SeesawConfig", "seed", "count", lambda v: SeesawConfig(d=2, seed=v), [-1]),
+    ("SeesawConfig", "max_outer", "count", lambda v: SeesawConfig(d=2, seed=0, max_outer=v), [0]),
+    ("SeesawConfig", "restarts", "count", lambda v: SeesawConfig(d=2, seed=0, restarts=v), [0]),
+    ("parse_matrix_file", "dims", "count", lambda v: parse_matrix_file(
+        {"schema_version": 1, "dims": [v, 1], "re": [[1.0]], "im": [[0.0]]}), [0]),
+    ("Param.value", "--d", "count", lambda v: cli.D.value(argparse.Namespace(d=v)),
+     [0, cli.MAX_D + 1]),
+    ("Param.value", "--f", "real", lambda v: cli.F.value(argparse.Namespace(f=v)), []),
+]
+
+
+@pytest.mark.parametrize("call, name, value", [
+    pytest.param(call, name, value, id=f"{entry}-{name}-{value!r}")
+    for entry, name, kind, call, past in PARAMETERS
+    for value in [True, "1", *([2.0] if kind == "count" else [math.nan, math.inf, -math.inf]),
+                  *past]
+])
+def test_every_bad_parameter_is_named(call, name, value):
+    # a bool, a string, a float count, a non-finite real or a value just past
+    # a bound is refused by check_number, whose message starts with the name
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert re.match(rf"{re.escape(name)}[ =]", str(err.value)), str(err.value)

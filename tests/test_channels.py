@@ -178,6 +178,21 @@ class TestStandardChannels:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             random_cptp(*args)
 
+    @pytest.mark.parametrize("make, d", [
+        (identity_channel, 0),
+        (lambda d: random_cptp(d, 2, 1), 0),
+        # numpy's "negative dimensions" error named no parameter
+        (lambda d: random_cptp(d, 2, 1), -1),
+        # p / d divided by zero
+        (lambda d: depolarizing(d, 0.5), 0),
+        (lambda d: dephasing(d, 0.5), 0),
+        (lambda d: KrausChannel((np.eye(1),), d), 0),
+    ], ids=["identity", "random-cptp", "random-cptp-negative", "depolarizing", "dephasing",
+            "kraus-channel"])
+    def test_dimension_below_one_is_named(self, make, d):
+        with pytest.raises(ValueError, match=f"^d must be >= 1, got {d}$"):
+            make(d)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             depolarizing(3, 1.2)
