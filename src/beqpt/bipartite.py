@@ -141,35 +141,36 @@ class BipartiteOperator:
 class DensityMatrix(BipartiteOperator):
     """A BipartiteOperator that is Hermitian, PSD and unit trace.
 
-    Tolerances can be relaxed for states transcribed from rounded
-    published data; the defaults are the strict ones.  ``eigenvalues``
+    Each test passes within the larger of its strict constant and
+    ``slack``, which relaxes them for states transcribed from rounded
+    published data or made by a map with its own error.  ``eigenvalues``
     keeps the ascending spectrum of the Hermitian part that validation
     computed.
     """
 
-    herm_tol: InitVar[float] = HERM_TOL
-    psd_tol: InitVar[float] = PSD_TOL
-    trace_tol: InitVar[float] = TRACE_TOL
+    slack: InitVar[float] = 0.0
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, herm_tol, psd_tol, trace_tol):
+    def __post_init__(self, slack):
         super().__post_init__()
+        check_number("slack", slack, real=True, lo=0)
+        herm, psd, trace = (max(tol, slack) for tol in (HERM_TOL, PSD_TOL, TRACE_TOL))
         m = self.mat
         with np.errstate(over="ignore"):  # an overflow gives inf, which fails its test
             dev = np.abs(m - m.conj().T).max()
-            if dev > herm_tol:
+            if dev > herm:
                 raise ValueError(f"not Hermitian: max entry deviation {dev:.3e}")
             tr = m.trace()
-            if abs(tr - 1.0) > trace_tol:
+            if abs(tr - 1.0) > trace:
                 raise ValueError(f"trace {tr:.17g} is not 1")
         # a Hermitian unit-trace matrix with a larger entry has an eigenvalue
-        # below -psd_tol; checked first, so that eigvalsh cannot overflow
+        # below -psd; checked first, so that eigvalsh cannot overflow
         big = max_entry(m)
-        if big > 1.0 + herm_tol + trace_tol + m.shape[0] * psd_tol:
+        if big > 1.0 + herm + trace + m.shape[0] * psd:
             raise ValueError(f"not PSD: an entry of magnitude {big:.3e} exceeds 1")
         w = np.linalg.eigvalsh(herm_part(m))
         min_eig = float(w.min())
-        if not min_eig >= -psd_tol:  # also rejects NaN
+        if not min_eig >= -psd:  # also rejects NaN
             raise ValueError(f"not PSD: min eigenvalue {min_eig:.3e}")
         w.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
@@ -302,6 +303,7 @@ def _permute_subsystems(mat: np.ndarray, dims, order) -> np.ndarray:
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed d x d unitary (QR of a Ginibre matrix with the
     phase convention that makes the distribution uniform)."""
+    check_number("d", d, lo=1)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     diag = np.diag(r)

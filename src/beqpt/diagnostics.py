@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import (
+    PSD_TOL,
     BipartiteOperator,
     DensityMatrix,
     check_number,
@@ -27,7 +28,6 @@ from .bipartite import (
 from .reports import Record
 
 ENTANGLED_MARGIN = 1e-9
-PPT_TOL = 1e-10
 PURITY_IDENTITY_TOL = 1e-10
 
 
@@ -53,9 +53,9 @@ def ccnr_value(rho: DensityMatrix) -> float:
 
 
 def is_ppt(rho: BipartiteOperator) -> tuple:
-    """(flag, min eigenvalue of the partial transpose); PPT within PPT_TOL."""
+    """(flag, min eigenvalue of the partial transpose); PPT within PSD_TOL."""
     min_eig = float(np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dA, rho.dB)).min())
-    return min_eig >= -PPT_TOL, min_eig
+    return min_eig >= -PSD_TOL, min_eig
 
 
 def faithfulness(rho: DensityMatrix) -> float:

@@ -56,6 +56,8 @@ class FilterPair:
 
 def identity_filters(dA: int, dB: int) -> FilterPair:
     """Identity on each side: leaves any state on C^dA kron C^dB unchanged."""
+    check_number("dA", dA, lo=1)  # before np.eye, which raises TypeError for a float
+    check_number("dB", dB, lo=1)
     return FilterPair(np.eye(dA), np.eye(dB))
 
 

@@ -168,7 +168,7 @@ def rho_ccnr() -> DensityMatrix:
 # 3 kron 3 PPT entangled state with maximal CCNR violation, found by the
 # see-saw search and transcribed from its 5-decimal published form.  The
 # matrix is symmetrized and trace-renormalized; positivity is only good to
-# the rounding scale, hence the relaxed tolerances.
+# the rounding scale, hence the slack.
 _RHO_CCNR_3X3_ROWS = (
     (0.19474, 0.03386, -0.00588, 0.03389, -0.05209, -0.03997, 0.04765, -0.02083, 0.03734),
     (0.03386, 0.07216, 0.02896, 0.04847, -0.00093, -0.02711, -0.03363, -0.01904, -0.05696),
@@ -190,7 +190,7 @@ def rho_ccnr_3x3() -> DensityMatrix:
     m = np.array(_RHO_CCNR_3X3_ROWS, dtype=float)
     m = (m + m.T) / 2.0
     m = m / np.trace(m)
-    return DensityMatrix(m, 3, 3, psd_tol=1e-4)
+    return DensityMatrix(m, 3, 3, slack=1e-4)
 
 
 def filtered_werner_closed_form(d: int, v: float) -> DensityMatrix:

@@ -22,18 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import (
-    HERM_TOL,
-    PSD_TOL,
     SCHMIDT_REL_TOL,
     BipartiteOperator,
     DensityMatrix,
+    _from_spectrum,
     check_number,
     herm_part,
     project_psd_trace_one,
     realign,
     realign_inverse,
 )
-from .channels import ChoiMatrix, KrausChannel, apply_extended, choi_of
+from .channels import COMPLETENESS_TOL, ChoiMatrix, KrausChannel, apply_extended, choi_of
 from .diagnostics import DiagnosticsReport, full_report, is_faithful
 from .reports import Record
 
@@ -81,17 +80,13 @@ def simulate_output(ch: KrausChannel, probe: DensityMatrix) -> DensityMatrix:
     Probes built from rounded published data can carry small validation
     slack; a CP map cannot amplify the total negativity of its input, so
     the output is validated with the probe's own deficit added to the
-    strict tolerances.
+    channel's completeness slack.
     """
     out = apply_extended(ch, probe)
     herm_slack = float(np.abs(probe.mat - probe.mat.conj().T).max())
     neg_slack = float(-np.minimum(probe.eigenvalues, 0.0).sum())
-    return DensityMatrix(
-        out.mat, out.dA, out.dB,
-        herm_tol=HERM_TOL + herm_slack,
-        psd_tol=PSD_TOL + neg_slack,
-        trace_tol=1e-10,
-    )
+    return DensityMatrix(out.mat, out.dA, out.dB,
+                         slack=herm_slack + neg_slack + COMPLETENESS_TOL)
 
 
 def reconstruct_superop(rho_out: DensityMatrix, probe: DensityMatrix) -> np.ndarray:
@@ -114,9 +109,11 @@ def superop_to_choi(e_hat: np.ndarray, d: int, noise_level: float = 0.0) -> Choi
     Negative eigenvalues are clipped and the trace renormalized provided
     the clipped weight stays below 10 x noise_level (plus a small budget
     for exact-arithmetic roundoff).  Beyond that, or when the result
-    fails its trace or trace-preservation check within the same budget,
-    the input is inconsistent and NoiseBudgetExceeded is raised.
+    fails its trace (checked before renormalizing) or trace-preservation
+    check within the same budget, the input is inconsistent and
+    NoiseBudgetExceeded is raised.
     """
+    check_number("noise_level", noise_level, real=True, lo=0)
     e_hat = np.asarray(e_hat, dtype=complex)
     if e_hat.shape != (d * d, d * d):
         raise ValueError(f"superoperator shape {e_hat.shape} != ({d*d}, {d*d})")
@@ -131,11 +128,13 @@ def superop_to_choi(e_hat: np.ndarray, d: int, noise_level: float = 0.0) -> Choi
             clipped, budget,
         )
     if clipped > 0.0:
-        w = np.clip(w, 0.0, None)
-        s = (v * w) @ v.conj().T
-        s = s / s.trace().real
+        s = _from_spectrum(np.clip(w, 0.0, None), v)
+        tr = s.trace().real
+        if abs(tr - 1.0) > budget:
+            raise NoiseBudgetExceeded(f"trace {tr:.17g} is not 1", clipped, budget)
+        s = s / tr
     try:
-        return ChoiMatrix(s, d, trace_tol=budget, tp_tol=budget)
+        return ChoiMatrix(s, d, slack=budget)
     except ValueError as exc:
         raise NoiseBudgetExceeded(str(exc), clipped, budget) from exc
 

@@ -14,6 +14,7 @@ from beqpt.bipartite import (
     BipartiteOperator,
     DensityMatrix,
     check_realign,
+    haar_unitary,
     max_entangled,
     operator_schmidt_rank,
     partial_trace,
@@ -33,7 +34,7 @@ from beqpt.channels import (
     random_cptp,
 )
 from beqpt.diagnostics import analytic_ccnr, rudolph_checks
-from beqpt.filtering import werner_filters
+from beqpt.filtering import identity_filters, werner_filters
 from beqpt.reports import parse_matrix_file
 from beqpt.seesaw import SeesawConfig
 from beqpt.states import (
@@ -46,7 +47,7 @@ from beqpt.states import (
     werner_f,
     werner_v,
 )
-from beqpt.tomography import run_aaqpt
+from beqpt.tomography import run_aaqpt, superop_to_choi
 
 from conftest import random_product_state
 
@@ -331,7 +332,7 @@ class TestTypes:
         slightly_neg = np.diag([0.6, 0.4 + 1e-5, -1e-5, 0.0])
         with pytest.raises(ValueError):
             DensityMatrix(slightly_neg, 2, 2)
-        DensityMatrix(slightly_neg, 2, 2, psd_tol=1e-4)
+        DensityMatrix(slightly_neg, 2, 2, slack=1e-4)
 
     def test_mat_is_readonly(self, rng):
         rho = random_density_matrix(2, 2, rng)
@@ -396,8 +397,12 @@ PARAMETERS = [
     ("BipartiteOperator", "dB", "count", lambda v: BipartiteOperator(np.eye(4), 2, v), [0]),
     ("DensityMatrix", "dA", "count", lambda v: DensityMatrix(np.eye(4) / 4, v, 2), [0]),
     ("DensityMatrix", "dB", "count", lambda v: DensityMatrix(np.eye(4) / 4, 2, v), [0]),
+    ("DensityMatrix", "slack", "real",
+     lambda v: DensityMatrix(np.eye(4) / 4, 2, 2, slack=v), [_below(0.0)]),
     # a Choi state is a DensityMatrix on C^d kron C^d, so its d is checked as dA
     ("ChoiMatrix", "dA", "count", lambda v: ChoiMatrix(np.eye(4) / 4, v), [0]),
+    ("ChoiMatrix", "slack", "real", lambda v: ChoiMatrix(np.eye(4) / 4, 2, slack=v),
+     [_below(0.0)]),
     ("swap_operator", "k", "count", swap_operator, [0]),
     ("max_entangled", "k", "count", max_entangled, [0]),
     ("max_entangled_state", "d", "count", max_entangled_state, [0]),
@@ -432,6 +437,9 @@ PARAMETERS = [
     ("random_cptp", "n_kraus", "count", lambda v: random_cptp(2, v, 1), [0]),
     ("random_cptp", "seed", "count", lambda v: random_cptp(2, 2, v), [-1]),
     ("werner_filters", "d", "count", werner_filters, [2]),
+    ("identity_filters", "dA", "count", lambda v: identity_filters(v, 2), [0]),
+    ("identity_filters", "dB", "count", lambda v: identity_filters(2, v), [0]),
+    ("haar_unitary", "d", "count", lambda v: haar_unitary(v, np.random.default_rng(0)), [0]),
     ("analytic_ccnr", "d", "count", lambda v: analytic_ccnr("werner", v, 0.5), [1]),
     ("analytic_ccnr", "alpha", "real", lambda v: analytic_ccnr("isotropic", 3, v),
      [-1 / 8 - 2e-15, 1 + 2e-15]),
@@ -439,6 +447,8 @@ PARAMETERS = [
      [_below(-1.0), _above(1.0)]),
     ("rudolph_checks", "trials", "count", lambda v: rudolph_checks(_BELL, v, 0), [0]),
     ("rudolph_checks", "seed", "count", lambda v: rudolph_checks(_BELL, 1, v), [-1]),
+    ("superop_to_choi", "noise_level", "real",
+     lambda v: superop_to_choi(np.eye(4), 2, noise_level=v), [_below(0.0)]),
     ("run_aaqpt", "noise", "real",
      lambda v: run_aaqpt(identity_channel(2), _BELL, noise=v, seed=1), _UNIT),
     ("run_aaqpt", "seed", "count", lambda v: run_aaqpt(identity_channel(2), _BELL, seed=v), [-1]),

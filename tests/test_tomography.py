@@ -23,6 +23,7 @@ from beqpt.states import (
     werner_f,
 )
 from beqpt.tomography import (
+    EXACT_CLIP_BUDGET,
     NoiseBudgetExceeded,
     ReconstructionResult,
     UnfaithfulProbe,
@@ -124,6 +125,16 @@ class TestSuperopToChoi:
         with pytest.raises(NoiseBudgetExceeded, match="trace preservation") as info:
             superop_to_choi(e_hat, 2, noise_level=1e-4)
         assert str(info.value.clipped_weight) == "0.0"  # reported, so not -0.0
+
+    @given(st.integers(2, 4), st.data(), st.sampled_from([0.0, 1e-4]),
+           st.sampled_from([-3.0, 3.0, None]))
+    def test_scaled_channel_rejected(self, d, data, noise, excess):
+        # c E has trace c; a roundoff-sized clip renormalizes the trace, so
+        # it is checked first: c is 1 -+ 3 budgets or, for None, 5
+        ch = random_cptp(d, data.draw(st.integers(1, d * d)), data.draw(st.integers(0, 199)))
+        c = 5.0 if excess is None else 1.0 + excess * (10.0 * noise + EXACT_CLIP_BUDGET)
+        with pytest.raises(NoiseBudgetExceeded):
+            superop_to_choi(c * superoperator_matrix(ch), d, noise_level=noise)
 
     def test_small_negative_weight_clipped(self):
         eps = 1e-6
