@@ -25,14 +25,17 @@ faithfulness rule, cuts that spectrum at the module constant
 
 The index kernels ``partial_transpose``, ``realign_inverse`` and
 ``_realign`` act on the last two axes of an array, so the see-saw runs
-them on its stacks.  ``realign`` stays typed over ``_realign``, which keeps
-the see-saw's Y-step off the benchmark tracer's ``bipartite.realign``.
+them on its stacks; they, ``herm_part`` and the projections keep a real
+input real, which lets the see-saw search real states in float64.
+``realign`` stays typed over ``_realign``, which keeps the see-saw's
+Y-step off the benchmark tracer's ``bipartite.realign``.
 
 The density set lives here too: ``project_psd_trace_one`` is the
 Frobenius-nearest state, its spectrum moved onto the simplex
 (``project_simplex``); ``_project_dm_mat`` is its kernel on a matrix or
 a stack, which the see-saw's Dykstra projection and the noisy
-reconstruction share.
+reconstruction share.  It hands ``project_simplex`` eigh's ascending
+spectrum reversed, so it sorts nothing.
 
 ``check_number`` is the one parameter check: every numeric argument of
 the library, from these local dimensions to the family parameters, counts
@@ -41,8 +44,8 @@ and seeds, has its type, finiteness and inclusive bounds tested there.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -62,7 +65,9 @@ def check_number(name: str, value, real: bool = False, lo=None, hi=None) -> None
     kind, noun = (numbers.Real, "a real number") if real else (numbers.Integral, "an integer")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {noun}, got {value!r}")
-    if real and not -math.inf < value < math.inf:  # an int too large for a float passes
+    if real and not -sys.float_info.max <= value <= sys.float_info.max:  # NaN fails too
+        if isinstance(value, numbers.Integral):  # it would overflow in float arithmetic
+            raise ValueError(f"{name} is an int past the float range")
         raise ValueError(f"{name}={value} is not finite")
     if (lo is not None and value < lo) or (hi is not None and value > hi):
         bound = (f"be >= {lo}" if hi is None else f"be <= {hi}" if lo is None
@@ -176,10 +181,12 @@ class DensityMatrix(BipartiteOperator):
         object.__setattr__(self, "eigenvalues", w)
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
+def project_simplex(v: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
     """Euclidean projection of a real vector, or of each row of an array,
-    onto the probability simplex (sort-and-threshold algorithm)."""
-    u = np.sort(v, axis=-1)[..., ::-1]
+    onto the probability simplex (sort-and-threshold algorithm); ``u``, the
+    rows of ``v`` in descending order, saves the sort when given."""
+    if u is None:
+        u = np.sort(v, axis=-1)[..., ::-1]
     idx = np.arange(1, v.shape[-1] + 1)
     t = (u.cumsum(axis=-1) - 1.0) / idx
     # theta is t at the last index that passes.  The largest entry always
@@ -194,8 +201,8 @@ def _from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _project_dm_mat(x: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(herm_part(x))
-    return _from_spectrum(project_simplex(w), v)
+    w, v = np.linalg.eigh(herm_part(x))  # ascending, so w[..., ::-1] is sorted
+    return _from_spectrum(project_simplex(w, w[..., ::-1]), v)
 
 
 def project_psd_trace_one(x: np.ndarray, dA: int, dB: int) -> DensityMatrix:

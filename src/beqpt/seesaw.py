@@ -50,13 +50,16 @@ eigh per matrix.  With T(z) the corrections after one cycle and g =
 T(z) - z, the next z is T(z) - dF gamma, gamma minimizing ||g - dG gamma||
 over the last ANDERSON_MEMORY differences dG of g and dF of T(z),
 Tikhonov-regularized by ANDERSON_REG times the trace of the Gram matrix.
-gamma is complex: the Frobenius product of two Hermitian differences is
-real, but z picks up anti-Hermitian parts that a cycle ignores and
-x = x0 - p - q cancels, and over those the complex fit reaches further;
-in a replay of the seesaw-d4 call's projections a complex gamma took
-2,394 iterations with 1 cap hit, a real one 2,814 with 7.  A row whose
-residual ||g|| rose after an extrapolated step falls back to its last
-image T(z) and clears its memory; each new projection clears it too.
+The memory takes the dtype of the points, so on the see-saw's real
+points (below) gamma, dG and dF are real.  On complex points gamma is
+complex: the Frobenius product of two Hermitian differences is real, but
+z picks up anti-Hermitian parts that a cycle ignores and x = x0 - p - q
+cancels, and over those the complex fit reaches further; in a replay of
+the projections of the seesaw-d4 call from complex starts a complex
+gamma took 2,394 iterations with 1 cap hit, a real one 2,814 with 7.
+A row whose residual ||g|| rose after an extrapolated step falls back
+to its last image T(z) and clears its memory; each new projection
+clears it too.
 The memory of a row is cleared by zeroing its dG columns, so a cleared
 column needs no mask beyond an identity on the Gram diagonal.
 
@@ -72,6 +75,18 @@ run equals the serial one bit for bit.  Each restart's outer steps, stop
 reason, Dykstra iterations, cap hits and safeguard fallbacks are counted
 from the state machine, with no extra eigh or svd, and so are the
 iterations of the final hard projection.
+
+The search runs over real symmetric PPT states.  Restart r starts from
+the real part (rho + conj(rho))/2 of a seeded Wishart draw rho.
+conj(rho) = rho^T is a state with the partial-transpose spectrum and the
+CCNR norm of rho, so the real part is a state, PPT when rho is, and every
+kernel keeps it real: each eigh, SVD and Anderson solve runs in float64,
+at half the memory of complex arithmetic.  The restriction is sound but
+not proven free: the complex optima come in conjugate pairs, and the
+objective is convex, so their real mean can lie lower.  It rests on a
+grid over d = 2..5 and seeds 1..4 (20 restarts, 4 at d=5), in which every
+real best came within 1.3e-8 of the complex best or above it; the
+published extremal states rho_ccnr and rho_ccnr_3x3 are real too.
 
 The restarts race (Maron & Moore, NIPS 1993; Jamieson & Talwalkar,
 AISTATS 2016).  At each Y-step of a restart with more than RACE_WINDOW
@@ -125,7 +140,7 @@ RACE_WINDOW = 20  # Y-steps whose mean gain a restart's race extrapolates
 FINAL_PROJECTION_TOL = 1e-10  # the final hard projection's stop test
 ANDERSON_MEMORY = 5  # Anderson differences each projection keeps
 ANDERSON_REG = 1e-10  # Tikhonov weight, relative to the trace of the Gram matrix
-MAX_STACK_ENTRIES = 2**22  # 64 MiB per complex array; the largest is an Anderson buffer
+MAX_STACK_ENTRIES = 2**22  # 32 MiB per float64 array; the largest is an Anderson buffer
 _TINY = np.finfo(float).tiny  # the floor of the Anderson regularization
 _COLUMNS, _EYE = np.arange(ANDERSON_MEMORY), np.eye(ANDERSON_MEMORY)
 STOP_REASONS = ("converged", "decreased", "max_outer", "dominated")
@@ -197,12 +212,15 @@ def _project_ppt_mat(x: np.ndarray, dA: int, dB: int) -> np.ndarray:
 def _norm(a: np.ndarray) -> np.ndarray:
     """Per-matrix np.linalg.norm, bit for bit (norm(axis=(-2, -1)) is not)."""
     flat = a.reshape(a.shape[:-2] + (-1,))
+    if np.isrealobj(flat):
+        return np.sqrt(np.vecdot(flat, flat))
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def _dykstra_step(x, p, q, dA: int, dB: int, tol: float) -> tuple:
-    """One Dykstra cycle on a matrix or a stack: (out, p, q, stop test per
-    matrix); like ``and``, it takes the second norm only if a first passes."""
+    """One Dykstra cycle on a matrix or a stack: (out, the new corrections
+    p, q as one (..., 2, n, n) array, stop test per matrix); like ``and``,
+    it takes the second norm only if a first passes."""
     xp = x + p
     y = _project_ppt_mat(xp, dA, dB)
     yq = y + q
@@ -210,7 +228,10 @@ def _dykstra_step(x, p, q, dA: int, dB: int, tol: float) -> tuple:
     done = _norm(out - y) <= tol
     if done.any():
         done &= _norm(out - x) <= tol
-    return out, xp - y, yq - out, done
+    f = np.empty(out.shape[:-2] + (2,) + out.shape[-2:], yq.dtype)
+    np.subtract(xp, y, out=f[..., 0, :, :])
+    np.subtract(yq, out, out=f[..., 1, :, :])
+    return out, f, done
 
 
 class _Stack:
@@ -221,17 +242,18 @@ class _Stack:
     last residual g, image f and squared residual norm, the images seen
     since the memory was cleared (from two on, the point is extrapolated)
     and the safeguard fallbacks over all its projections.  A cleared
-    column of dG, and its Gram row and column, are zero."""
+    column of dG, and its Gram row and column, are zero.  The buffers take
+    the dtype of the points, so real points keep the whole round real."""
 
     __slots__ = ("x0", "z", "k", "live", "dG", "dF", "gram", "g", "f", "res", "seen", "resets")
 
     def __init__(self, x0: np.ndarray):
-        rows, n, m = x0.shape[0], x0.shape[-1], ANDERSON_MEMORY
-        self.x0, self.z = x0, np.zeros((rows, 2, n, n), dtype=complex)
+        rows, n, m, dtype = x0.shape[0], x0.shape[-1], ANDERSON_MEMORY, x0.dtype
+        self.x0, self.z = x0, np.zeros((rows, 2, n, n), dtype)
         self.k, self.live = np.zeros(rows, dtype=int), np.arange(rows)
-        self.dG, self.dF = np.zeros((2, rows, m, 2 * n * n), dtype=complex)
-        self.gram = np.zeros((rows, m, m), dtype=complex)
-        self.g, self.f = np.zeros((2, rows, 2 * n * n), dtype=complex)
+        self.dG, self.dF = np.zeros((2, rows, m, 2 * n * n), dtype)
+        self.gram = np.zeros((rows, m, m), dtype)
+        self.g, self.f = np.zeros((2, rows, 2 * n * n), dtype)
         self.res = np.zeros(rows)
         self.seen, self.resets = np.zeros((2, rows), dtype=int)
 
@@ -286,8 +308,7 @@ def _dykstra_round(s: _Stack, dA: int, dB: int, tol: float) -> tuple:
     moves each row on to its next corrections and counts the round:
     (the density-set projections, the images T(z), stop test per row)."""
     p, q = s.z[:, 0], s.z[:, 1]
-    out, p, q, done = _dykstra_step(s.x0 - p - q, p, q, dA, dB, tol)
-    f = np.stack((p, q), axis=1)
+    out, f, done = _dykstra_step(s.x0 - p - q, p, q, dA, dB, tol)
     s.z = _accelerate(s, f, done).reshape(f.shape)
     s.k += 1
     return out, f, done
@@ -321,15 +342,18 @@ def _rho_step(mat: np.ndarray, y_inv: np.ndarray, step: float) -> np.ndarray:
 
 
 def optimize(cfg: SeesawConfig) -> SeesawResult:
-    """Run the see-saw from seeded Wishart restarts; restart r draws from
-    default_rng([seed, r]).  The restarts race (see the module docstring).
+    """Run the see-saw from seeded real restarts; restart r starts from the
+    real part of a Wishart draw from default_rng([seed, r]).  The restarts
+    race (see the module docstring).
     The restart with the best value wins, the lower index on ties; it gets
     a final hard projection, and its value and residuals are read from the
     validated state."""
     d, iters = cfg.d, PROJECTION_ITERS
-    # the projections of the start states are the first stacked projection
-    s = _Stack(np.stack([random_density_matrix(d, d, np.random.default_rng([cfg.seed, r])).mat
-                         for r in range(cfg.restarts)]))
+    # the real parts of the seeded Wishart draws, which are states too;
+    # their projections are the first stacked projection
+    starts = [random_density_matrix(d, d, np.random.default_rng([cfg.seed, r])).mat.real
+              for r in range(cfg.restarts)]
+    s = _Stack(np.stack(starts))
     spent, caps, resets = np.zeros((3, cfg.restarts), dtype=int)  # per restart
     history, best = [[] for _ in s.live], [(-np.inf, None)] * cfg.restarts
     reasons = [""] * cfg.restarts

@@ -397,8 +397,9 @@ PARAMETERS = [
     ("BipartiteOperator", "dB", "count", lambda v: BipartiteOperator(np.eye(4), 2, v), [0]),
     ("DensityMatrix", "dA", "count", lambda v: DensityMatrix(np.eye(4) / 4, v, 2), [0]),
     ("DensityMatrix", "dB", "count", lambda v: DensityMatrix(np.eye(4) / 4, 2, v), [0]),
+    # an int past the float range is refused, not overflowed on
     ("DensityMatrix", "slack", "real",
-     lambda v: DensityMatrix(np.eye(4) / 4, 2, 2, slack=v), [_below(0.0)]),
+     lambda v: DensityMatrix(np.eye(4) / 4, 2, 2, slack=v), [_below(0.0), 10**400]),
     # a Choi state is a DensityMatrix on C^d kron C^d, so its d is checked as dA
     ("ChoiMatrix", "dA", "count", lambda v: ChoiMatrix(np.eye(4) / 4, v), [0]),
     ("ChoiMatrix", "slack", "real", lambda v: ChoiMatrix(np.eye(4) / 4, 2, slack=v),
@@ -448,7 +449,7 @@ PARAMETERS = [
     ("rudolph_checks", "trials", "count", lambda v: rudolph_checks(_BELL, v, 0), [0]),
     ("rudolph_checks", "seed", "count", lambda v: rudolph_checks(_BELL, 1, v), [-1]),
     ("superop_to_choi", "noise_level", "real",
-     lambda v: superop_to_choi(np.eye(4), 2, noise_level=v), [_below(0.0)]),
+     lambda v: superop_to_choi(np.eye(4), 2, noise_level=v), [_below(0.0), 10**400]),
     ("run_aaqpt", "noise", "real",
      lambda v: run_aaqpt(identity_channel(2), _BELL, noise=v, seed=1), _UNIT),
     ("run_aaqpt", "seed", "count", lambda v: run_aaqpt(identity_channel(2), _BELL, seed=v), [-1]),
@@ -465,7 +466,7 @@ PARAMETERS = [
 
 
 @pytest.mark.parametrize("call, name, value", [
-    pytest.param(call, name, value, id=f"{entry}-{name}-{value!r}")
+    pytest.param(call, name, value, id=f"{entry}-{name}-{value!r:.24}")
     for entry, name, kind, call, past in PARAMETERS
     for value in [True, "1", *([2.0] if kind == "count" else [math.nan, math.inf, -math.inf]),
                   *past]

@@ -291,14 +291,14 @@ class TestOptimize:
         assert main(["optimize", "--d", "2", "--seed", "3", "--restarts", "4",
                      "--max-outer", "50", "--out", str(out)]) == 0
         results = read(out)["results"]
-        assert results["best_restart"] == 1
+        assert results["best_restart"] == 2
         assert [r["stop_reason"] for r in results["restarts"]] == [
-            "max_outer", "converged", "converged", "dominated"]
+            "max_outer", "dominated", "converged", "converged"]
         assert set(results["restarts"][0]) == {
             "outer_steps", "stop_reason", "dykstra_iters", "cap_hits", "safeguard_resets",
             "final_value"}
         assert "restarts_summary" not in results
-        assert ("best restart  1; stops: converged 2, decreased 0, max_outer 1, dominated 1"
+        assert ("best restart  2; stops: converged 2, decreased 0, max_outer 1, dominated 1"
                 in capsys.readouterr().out)
 
     @pytest.mark.parametrize("overrides, expected_step, expected_tol", [
