@@ -301,10 +301,9 @@ class TestRealSearch:
     def test_kernels_keep_float64(self):
         rng = np.random.default_rng(0)
         x = herm_part(rng.standard_normal((3, 9, 9)))
-        y = _y_step(x, 3, 3)[1]
+        vals, y = _y_step(x, 3, 3)
         outs = [herm_part(x), partial_transpose(x, 3, 3), _realign(x, 3, 3),
-                realign_inverse(x, 3, 3), *np.linalg.eigh(x), *_y_step(x, 3, 3),
-                *np.linalg.svd(x), _project_ppt_mat(x, 3, 3), _project_dm_mat(x),
+                realign_inverse(x, 3, 3), *np.linalg.eigh(x), vals, y, *np.linalg.svd(x), _project_ppt_mat(x, 3, 3), _project_dm_mat(x),
                 _rho_step(x, realign_inverse(y, 3, 3), STEP), _norm(x),
                 *_dykstra_step(x, 0.1 * x, 0.2 * x, 3, 3, PROJECTION_TOL)[:2]]
         assert [a.dtype for a in outs] == [np.float64] * len(outs)
@@ -432,10 +431,9 @@ def serial_restart(cfg, r):
     Wishart draw: yields (round, r, value, counts, state, stop reason or
     "") at each Y-step.  The round is its Dykstra iterations so far, the
     start projection included; counts are those iterations, its cap hits
-    and its safeguard fallbacks.  Each
-    outer step is the Y-step, then a gradient step whose Dykstra
-    projection starts from the corrections of the projection before it;
-    the start projection starts cold."""
+    and its safeguard fallbacks.  Each outer step is the Y-step, then a
+    gradient step whose Dykstra projection starts from the corrections of
+    the projection before it; the start projection starts cold."""
     d, iters, tol = cfg.d, PROJECTION_ITERS, PROJECTION_TOL
     start = random_density_matrix(d, d, np.random.default_rng([cfg.seed, r])).mat.real
     x, p, q, k, fell = _dykstra(start, d, d, iters, tol)
