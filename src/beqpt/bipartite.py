@@ -34,8 +34,8 @@ The density set lives here too: ``project_psd_trace_one`` is the
 Frobenius-nearest state, its spectrum moved onto the simplex
 (``project_simplex``); ``_project_dm_mat`` is its kernel on a matrix or
 a stack, which the see-saw's Dykstra projection and the noisy
-reconstruction share.  It hands ``project_simplex`` eigh's ascending
-spectrum reversed, so it sorts nothing.
+reconstruction share.  It hands the threshold step of ``project_simplex``
+eigh's ascending spectrum reversed, so it sorts nothing.
 
 ``check_number`` is the one parameter check: every numeric argument of
 the library, from these local dimensions to the family parameters, counts
@@ -181,12 +181,14 @@ class DensityMatrix(BipartiteOperator):
         object.__setattr__(self, "eigenvalues", w)
 
 
-def project_simplex(v: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of a real vector, or of each row of an array,
-    onto the probability simplex (sort-and-threshold algorithm); ``u``, the
-    rows of ``v`` in descending order, saves the sort when given."""
-    if u is None:
-        u = np.sort(v, axis=-1)[..., ::-1]
+    onto the probability simplex (sort-and-threshold algorithm)."""
+    return _simplex_threshold(v, np.sort(v, axis=-1)[..., ::-1])
+
+
+def _simplex_threshold(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The threshold step of ``project_simplex``; u is v sorted descending."""
     idx = np.arange(1, v.shape[-1] + 1)
     t = (u.cumsum(axis=-1) - 1.0) / idx
     # theta is t at the last index that passes.  The largest entry always
@@ -202,7 +204,7 @@ def _from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _project_dm_mat(x: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(herm_part(x))  # ascending, so w[..., ::-1] is sorted
-    return _from_spectrum(project_simplex(w, w[..., ::-1]), v)
+    return _from_spectrum(_simplex_threshold(w, w[..., ::-1]), v)
 
 
 def project_psd_trace_one(x: np.ndarray, dA: int, dB: int) -> DensityMatrix:

@@ -212,8 +212,6 @@ def _project_ppt_mat(x: np.ndarray, dA: int, dB: int) -> np.ndarray:
 def _norm(a: np.ndarray) -> np.ndarray:
     """Per-matrix np.linalg.norm, bit for bit (norm(axis=(-2, -1)) is not)."""
     flat = a.reshape(a.shape[:-2] + (-1,))
-    if np.isrealobj(flat):
-        return np.sqrt(np.vecdot(flat, flat))
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 

@@ -11,6 +11,7 @@ from beqpt.bipartite import (
     DensityMatrix,
     _project_dm_mat,
     _realign,
+    _simplex_threshold,
     herm_part,
     partial_transpose,
     project_psd_trace_one,
@@ -275,7 +276,7 @@ class TestStackedKernels:
             assert got.tobytes() == serial_simplex(row).tobytes()
         # an ascending row, as eigh returns it, needs no sort when reversed
         asc = np.sort(rows, axis=-1)
-        assert project_simplex(asc, asc[:, ::-1]).tobytes() == project_simplex(asc).tobytes()
+        assert _simplex_threshold(asc, asc[:, ::-1]).tobytes() == project_simplex(asc).tobytes()
 
 
 class TestRealSearch:
@@ -303,7 +304,8 @@ class TestRealSearch:
         x = herm_part(rng.standard_normal((3, 9, 9)))
         vals, y = _y_step(x, 3, 3)
         outs = [herm_part(x), partial_transpose(x, 3, 3), _realign(x, 3, 3),
-                realign_inverse(x, 3, 3), *np.linalg.eigh(x), vals, y, *np.linalg.svd(x), _project_ppt_mat(x, 3, 3), _project_dm_mat(x),
+                realign_inverse(x, 3, 3), *np.linalg.eigh(x), vals, y, *np.linalg.svd(x),
+                _project_ppt_mat(x, 3, 3), _project_dm_mat(x),
                 _rho_step(x, realign_inverse(y, 3, 3), STEP), _norm(x),
                 *_dykstra_step(x, 0.1 * x, 0.2 * x, 3, 3, PROJECTION_TOL)[:2]]
         assert [a.dtype for a in outs] == [np.float64] * len(outs)
@@ -554,14 +556,20 @@ class TestOptimize:
         # the seesaw-d3 benchmark call.  From complex starts, unraced,
         # restart 18 ran alone to max_outer, below the winner, and the
         # batched run took 14,909 rounds; the race retired it and two others
-        # and left 4,162, and the accelerated projection 1,663.  From real
-        # starts the race retires six and leaves 3,091, the last 1,404 of
-        # them restart 2's alone.  A round is one stacked Dykstra iteration,
-        # so the last round is the largest Dykstra count of any restart
+        # and left 4,162, and the accelerated projection 1,663.  A round is
+        # one stacked Dykstra iteration, so the last round is the largest
+        # Dykstra count of any restart.  From real starts the race retires
+        # six, and every restart that ends below the winner stops by round
+        # 2,200 as before.  Restart 2 alone runs on to round 3,091: it
+        # climbs to the winner's value, ending 5.3e-10 below it, so no
+        # extrapolation of its gains falls below the bar
         res = optimize(SeesawConfig(d=3, seed=1, restarts=20))
         stats = res.restarts
+        top = stats[res.best_restart].final_value
         assert "max_outer" not in [s.stop_reason for s in stats], stats
-        assert max(s.dykstra_iters for s in stats) <= 3200, stats
+        assert max(s.dykstra_iters for s in stats if s.final_value < top - OBJECTIVE_TOL) <= 2200
+        assert [(r, s.dykstra_iters) for r, s in enumerate(stats)
+                if s.dykstra_iters > 2200] == [(2, 3091)], stats
         assert res.best_restart == 7
         assert res.best_value == float.fromhex("0x1.3067691c85f8cp+0")
 
