@@ -553,16 +553,14 @@ class TestOptimize:
 
     @pytest.mark.slow
     def test_benchmark_d3_instance_races(self):
-        # the seesaw-d3 benchmark call.  From complex starts, unraced,
-        # restart 18 ran alone to max_outer, below the winner, and the
-        # batched run took 14,909 rounds; the race retired it and two others
-        # and left 4,162, and the accelerated projection 1,663.  A round is
-        # one stacked Dykstra iteration, so the last round is the largest
-        # Dykstra count of any restart.  From real starts the race retires
-        # six, and every restart that ends below the winner stops by round
-        # 2,200 as before.  Restart 2 alone runs on to round 3,091: it
-        # climbs to the winner's value, ending 5.3e-10 below it, so no
-        # extrapolation of its gains falls below the bar
+        # the seesaw-d3 benchmark call.  A round is one stacked Dykstra
+        # iteration, so the last round is the largest Dykstra count of any
+        # restart.  Unraced, a restart below the winner can run alone to
+        # max_outer; the race retires six, and every restart that ends
+        # below the winner stops by round 2,200.  Restart 2 alone runs on
+        # to round 3,091: it climbs to the winner's optimum and ends
+        # 5.3e-10 below it, so no extrapolation of its gains falls below
+        # the bar
         res = optimize(SeesawConfig(d=3, seed=1, restarts=20))
         stats = res.restarts
         top = stats[res.best_restart].final_value
