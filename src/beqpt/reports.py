@@ -3,7 +3,9 @@
 Everything is JSON (one schema, versioned).  Floats are written with
 Python's shortest round-trip representation, so serialize/deserialize
 is the identity and repeated deterministic runs produce byte-identical
-results sections.
+results sections.  ``report_json`` writes reports byte for byte as
+``json.dumps(report, indent=2, sort_keys=True)``, but faster: that call runs
+json's pure-Python encoder, and its compact C one changes every report.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -33,8 +36,9 @@ def parse_matrix_file(obj: dict) -> tuple:
     """Return (matrix, dA, dB) from a matrix-file dict, validating shapes."""
     if not isinstance(obj, dict):
         raise ValueError("matrix file must be a JSON object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {obj.get('schema_version')!r}")
+    version = obj.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version!r}")
     dims = obj.get("dims")
     if not isinstance(dims, list) or len(dims) != 2:
         raise ValueError(f"bad dims {dims!r}")
@@ -42,25 +46,27 @@ def parse_matrix_file(obj: dict) -> tuple:
         check_number("dims", d, lo=1)
     dA, dB = dims
     n = dA * dB
-    try:
-        re = np.array(obj["re"], dtype=float)
-        im = np.array(obj["im"], dtype=float)
-    # OverflowError: an integer entry too large for a float
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise ValueError(f"bad matrix payload: {exc}") from exc
+    re, im = (np.array(obj.get(k), dtype=object) for k in ("re", "im"))
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(
             f"matrix shape {re.shape}/{im.shape} does not match dims {dims} "
             f"(expected {(n, n)})"
         )
-    return re + 1j * im, dA, dB
+    # a float conversion would also take strings and bools
+    if not {*map(type, re.flat), *map(type, im.flat)} <= {int, float}:
+        raise ValueError("bad matrix payload: entries must be numbers")
+    try:
+        return re.astype(float) + 1j * im.astype(float), dA, dB
+    except OverflowError as exc:  # an integer entry too large for a float
+        raise ValueError(f"bad matrix payload: {exc}") from exc
 
 
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        # RecursionError: arrays or objects nested too deeply
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -123,7 +129,50 @@ def make_report(command: str, inputs: dict, results, timings: dict) -> dict:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    """``json.dumps(report, indent=2, sort_keys=True)`` for str-keyed dicts,
+    lists, tuples, str, float, int, bool and None; any other type raises
+    TypeError."""
+    parts: list[str] = []
+    _encode(report, "\n", parts.append)
+    return "".join(parts)
+
+
+def _encode(x, newline: str, put) -> None:
+    """Put the pieces of ``x``; its items go on ``newline`` indented once more."""
+    if isinstance(x, str):
+        put(encode_basestring_ascii(x))
+    elif x is None or x is True or x is False:
+        put("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        put(int.__repr__(x))
+    elif isinstance(x, float):
+        put(float.__repr__(x) if math.isfinite(x) else json.dumps(x))
+    elif isinstance(x, (list, tuple, dict)) and not x:
+        put("{}" if isinstance(x, dict) else "[]")
+    elif isinstance(x, dict):
+        inner, sep = newline + "  ", "{"
+        for key, value in sorted(x.items()):
+            put(sep + inner + encode_basestring_ascii(key) + ": ")
+            _encode(value, inner, put)
+            sep = ","
+        put(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        inner = newline + "  "
+        try:  # a row of floats in one join
+            row = ("," + inner).join(map(float.__repr__, x))
+        except TypeError:  # an item that is not a float
+            row = None
+        if row is not None and "n" not in row:  # finite: "nan" and "inf" hold an n
+            put("[" + inner + row)
+        else:
+            sep = "["
+            for value in x:
+                put(sep + inner)
+                _encode(value, inner, put)
+                sep = ","
+        put(newline + "]")
+    else:
+        raise TypeError(f"cannot write {type(x).__name__} to a report")
 
 
 def write_report(report: dict, path: str) -> None:

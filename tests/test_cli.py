@@ -576,6 +576,8 @@ def filter_dir(tmp_path_factory):
     # an integer entry too large for a float
     (work / "huge.json").write_text(json.dumps(
         {"schema_version": 1, "dims": [1, 1], "re": [[10**400]], "im": [[0]]}))
+    # deeper than the parser's recursion limit
+    (work / "deep.json").write_text("[" * 100000 + "]" * 100000)
     return work
 
 
@@ -589,6 +591,7 @@ class TestExitCodeContract:
     @example(argv=["filter", "--state", "werner", "--d", "2", "--f", "0.5",
                    "--filter", "files", "--filter-a", "big.json", "--filter-b", "big.json"])
     @example(argv=["diagnose", "--file", "huge.json"])
+    @example(argv=["diagnose", "--file", "deep.json"])
     # a finite flag whose arithmetic overflows: the trace k^2+k+eps*n
     @example(argv=["diagnose", "--state", "gamma", "--k", "4", "--n", "2", "--eps", "1e308"])
     def test_exit_codes(self, filter_dir, argv):
@@ -705,3 +708,5 @@ class TestReadmeExamples:
                      "--out", "dump.json"]) == 0
         assert main([*argv, "--out", "r.json"]) == code
         assert capsys.readouterr().err == ""
+        text = Path("r.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

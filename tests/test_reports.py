@@ -3,6 +3,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from beqpt.acceptance import RowResult
 from beqpt.bipartite import BipartiteOperator, DensityMatrix
@@ -58,6 +60,11 @@ class TestParseValidation:
         with pytest.raises(ValueError, match="schema_version"):
             parse_matrix_file({"schema_version": 99, "dims": [2, 2], "re": [], "im": []})
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_is_the_int_one(self, version):
+        with pytest.raises(ValueError, match="schema_version"):
+            parse_matrix_file({"schema_version": version, "dims": [1, 1], "re": [[1]], "im": [[0]]})
+
     def test_bad_dims(self):
         with pytest.raises(ValueError, match="dims"):
             parse_matrix_file({"schema_version": 1, "dims": [2], "re": [], "im": []})
@@ -80,10 +87,28 @@ class TestParseValidation:
                 {"schema_version": 1, "dims": [1, 1], "re": [[10**400]], "im": [[0]]}
             )
 
+    @pytest.mark.parametrize("re", [
+        [["0.5", "0"], [0, "0.5"]],  # numeric strings
+        [[True, False], [False, True]],
+        [[0.5, True], [0, 0.5]],  # a bool among floats
+        [[0.5, None], [0, 0.5]],
+        [[0.5, [0]], [0, 0.5]],
+    ])
+    def test_non_numeric_entries(self, re):
+        with pytest.raises(ValueError, match="entries must be numbers"):
+            parse_matrix_file({"schema_version": 1, "dims": [2, 1], "re": re,
+                               "im": [[0, 0], [0, 0]]})
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(ValueError, match="JSON"):
+            load_density_matrix(str(path))
+
+    def test_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(ValueError, match="deep.json: not valid JSON"):
             load_density_matrix(str(path))
 
 
@@ -140,3 +165,28 @@ class TestReports:
         rep2 = make_report("diagnose", {"state": "x"}, {"value": 2.0}, {"total_s": 0.2})
         assert report_json({**rep, "timings": None}) == report_json({**rep2, "timings": None})
         assert report_json(rep) != report_json(rep2)
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, float("nan"), float("inf"), float("-inf")]
+EDGE_STRINGS = ['"', "\\", "a\"b\\c", "\x00\x1f\x7f\n\t", "é€𝄞\u2028"]
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2**63, -2**64, 10**30]),
+    st.floats(), st.sampled_from(EDGE_FLOATS), st.text(), st.sampled_from(EDGE_STRINGS))
+keys = st.text() | st.sampled_from(EDGE_STRINGS)
+# rows of floats take the writer's one-join path, so draw them apart
+rows = st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS))
+documents = st.recursive(
+    scalars | rows,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(keys, kids),
+    max_leaves=40)
+
+
+class TestReportJson:
+    @given(documents)
+    def test_bytes_equal_json_dumps(self, x):
+        assert report_json(x) == json.dumps(x, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("x", [{1: 2.0}, [object()], {"a": {1, 2}}, np.int64(3), 1j])
+    def test_other_types_raise(self, x):
+        with pytest.raises(TypeError):
+            report_json(x)
