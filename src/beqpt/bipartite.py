@@ -189,13 +189,11 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 def _simplex_threshold(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The threshold step of ``project_simplex``; u is v sorted descending."""
-    idx = np.arange(1, v.shape[-1] + 1)
-    t = (u.cumsum(axis=-1) - 1.0) / idx
-    # theta is t at the last index that passes.  The largest entry always
-    # passes in exact arithmetic; once it reaches 2**53 its test rounds to
-    # 0, so a row where none passes takes that entry alone (argmax 0)
-    last = ((u - t > 0) * idx).argmax(axis=-1, keepdims=True)
-    return np.maximum(v - np.take_along_axis(t, last, axis=-1), 0.0)
+    t = (u.cumsum(axis=-1) - 1.0) / np.arange(1, v.shape[-1] + 1)
+    # theta is t at the last index j that passes, u_j > t_j.  t_j is the mean
+    # of t_{j-1}, j - 1 times, and u_j, so t rises exactly while u_j passes
+    # and theta is the maximum of t
+    return np.maximum(v - t.max(axis=-1, keepdims=True), 0.0)
 
 
 def _from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -17,11 +17,11 @@ equality at rho (realignment permutes entries, so realign_inverse is its
 adjoint).  For rho' = P(rho + tH), the projection inequality gives
 t <H, rho' - rho> >= ||rho' - rho||^2 >= 0, so f(rho') >= <rho', H> >=
 <rho, H> = f(rho) for every t > 0.  A Dykstra run that stops within its
-cap, with PPT correction p, loses at most PROJECTION_TOL ||p|| / t of
-that: its last cycle alone gives rho + tH = rho' + p + q, p normal to
+cap at tolerance tau, with PPT correction p, loses at most tau ||p|| / t
+of that: its last cycle alone gives rho + tH = rho' + p + q, p normal to
 the PPT set at its PPT iterate y and q normal to the density set at
 rho', whichever corrections the cycle started from, and the stop test
-bounds ||rho' - y||.  This is the generalized power method for
+bounds ||rho' - y|| by tau.  This is the generalized power method for
 maximizing a convex function over a convex set (Journee, Nesterov,
 Richtarik & Sepulchre, JMLR 11, 517 (2010)); as t grows the step tends
 to the classic see-saw's exact linear maximization.  STEP is therefore a tuning
@@ -34,13 +34,20 @@ running on to max_outer.
 Dykstra (with correction terms) converges to the true projection onto
 the intersection, unlike plain alternating projections.  The last
 projection in each cycle is the density-matrix one, so every iterate is
-exactly PSD with unit trace and PPT up to PROJECTION_TOL.
+exactly PSD with unit trace and PPT up to its projection's tolerance.
 Within a restart each gradient step's projection starts warm: it keeps
 the corrections p, q of the projection before it and starts from
 x0 - p - q.  Dykstra is block coordinate ascent on the dual (Gaffke &
 Mathar, Metrika 36, 29 (1989)), and those corrections are dual-feasible,
 so it still converges to the projection of x0, in far fewer iterations.
 The start states' projections and the final hard projection start cold.
+A warm projection is inexact (Schmidt, Le Roux & Bach, NIPS 2011): after
+a Y-step at which its restart gained Delta, it stops at tau =
+max(PROJECTION_TOL, PROJECTION_TOL_SHARE Delta), so the loss it may cost
+is about PROJECTION_TOL_SHARE Delta ||p|| / t, a share of the progress it
+serves.  The start projections and the first gradient step's keep
+PROJECTION_TOL, the final hard projection FINAL_PROJECTION_TOL; a share
+of 0 is the fixed tolerance exactly.
 
 Each projection is Anderson-accelerated (type II, with the safeguard of
 Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30, 3170 (2020)).  A cycle
@@ -61,7 +68,7 @@ A row whose residual ||g|| rose after an extrapolated step falls back
 to its last image T(z) and clears its memory; each new projection
 clears it too.
 The memory of a row is cleared by zeroing its dG columns, so a cleared
-column needs no mask beyond an identity on the Gram diagonal.
+column needs no mask: the regularized Gram diagonal decouples it.
 
 All restarts run as one state machine over an (R, n, n) stack, a single
 restart as a stack of one: a round is one Dykstra iteration of each live
@@ -135,6 +142,7 @@ STEP = 0.1  # gradient step, the same at every d
 PROJECTION_ITERS = 200  # Dykstra iterations allowed per projection of a restart
 FINAL_PROJECTION_ITERS = 500  # the same for the winner's final hard projection
 PROJECTION_TOL = 1e-9  # Dykstra stops when both iterate moves are at most this
+PROJECTION_TOL_SHARE = 0.01  # a warm projection's tolerance, as a share of the last gain
 OBJECTIVE_TOL = 1e-9  # a restart stops when its objective gains less than this
 RACE_WINDOW = 20  # Y-steps whose mean gain a restart's race extrapolates
 FINAL_PROJECTION_TOL = 1e-10  # the final hard projection's stop test
@@ -142,7 +150,7 @@ ANDERSON_MEMORY = 5  # Anderson differences each projection keeps
 ANDERSON_REG = 1e-10  # Tikhonov weight, relative to the trace of the Gram matrix
 MAX_STACK_ENTRIES = 2**22  # 32 MiB per float64 array; the largest is an Anderson buffer
 _TINY = np.finfo(float).tiny  # the floor of the Anderson regularization
-_COLUMNS, _EYE = np.arange(ANDERSON_MEMORY), np.eye(ANDERSON_MEMORY)
+_EYE = np.eye(ANDERSON_MEMORY)
 STOP_REASONS = ("converged", "decreased", "max_outer", "dominated")
 
 
@@ -215,10 +223,11 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
-def _dykstra_step(x, p, q, dA: int, dB: int, tol: float) -> tuple:
+def _dykstra_step(x, p, q, dA: int, dB: int, tol) -> tuple:
     """One Dykstra cycle on a matrix or a stack: (out, the new corrections
-    p, q as one (..., 2, n, n) array, stop test per matrix); like ``and``,
-    it takes the second norm only if a first passes."""
+    p, q as one (..., 2, n, n) array, stop test per matrix at ``tol``, one
+    number or one per matrix); like ``and``, it takes the second norm only
+    if a first passes."""
     xp = x + p
     y = _project_ppt_mat(xp, dA, dB)
     yq = y + q
@@ -234,21 +243,23 @@ def _dykstra_step(x, p, q, dA: int, dB: int, tol: float) -> tuple:
 
 class _Stack:
     """The rows of a see-saw stack, one projection each: its point x0,
-    corrections z = (p, q), iterations k and restart, and its type-II
-    Anderson memory: ring buffers of the last ANDERSON_MEMORY residual
-    differences dG and image differences dF, the Gram matrix of dG, the
-    last residual g, image f and squared residual norm, the images seen
-    since the memory was cleared (from two on, the point is extrapolated)
-    and the safeguard fallbacks over all its projections.  A cleared
+    corrections z = (p, q), iterations k, restart and stop tolerance, and
+    its type-II Anderson memory: ring buffers of the last ANDERSON_MEMORY
+    residual differences dG and image differences dF, the Gram matrix of
+    dG, the last residual g, image f and squared residual norm, the images
+    seen since the memory was cleared (from two on, the point is
+    extrapolated) and the safeguard fallbacks over all its projections.  A cleared
     column of dG, and its Gram row and column, are zero.  The buffers take
     the dtype of the points, so real points keep the whole round real."""
 
-    __slots__ = ("x0", "z", "k", "live", "dG", "dF", "gram", "g", "f", "res", "seen", "resets")
+    __slots__ = ("x0", "z", "k", "live", "tol", "dG", "dF", "gram", "g", "f", "res", "seen",
+                 "resets")
 
-    def __init__(self, x0: np.ndarray):
+    def __init__(self, x0: np.ndarray, tol: float):
         rows, n, m, dtype = x0.shape[0], x0.shape[-1], ANDERSON_MEMORY, x0.dtype
         self.x0, self.z = x0, np.zeros((rows, 2, n, n), dtype)
         self.k, self.live = np.zeros(rows, dtype=int), np.arange(rows)
+        self.tol = np.full(rows, tol, dtype=float)
         self.dG, self.dF = np.zeros((2, rows, m, 2 * n * n), dtype)
         self.gram = np.zeros((rows, m, m), dtype)
         self.g, self.f = np.zeros((2, rows, 2 * n * n), dtype)
@@ -283,13 +294,12 @@ def _accelerate(s: _Stack, f: np.ndarray, done: np.ndarray) -> np.ndarray:
     new = f
     if s.seen.any():
         # the regularization scales with the trace, and its floor keeps a
-        # zero Gram solvable; an invalid column gets an identity diagonal,
-        # so its gamma is 0
-        valid = _COLUMNS < s.seen[:, None]
+        # zero Gram solvable; a cleared column is zero, so the regularized
+        # diagonal decouples it and its gamma is 0
         reg = ANDERSON_REG * s.gram.trace(axis1=1, axis2=2).real + _TINY
-        a = s.gram + np.where(valid, reg[:, None], 1.0)[:, :, None] * _EYE
+        a = s.gram + reg[:, None, None] * _EYE
         gamma = np.linalg.solve(a, np.vecdot(s.dG, g[:, None])[:, :, None])
-        new = np.where(valid[:, :1], f - (gamma.mT @ s.dF)[:, 0], f)
+        new = f - (gamma.mT @ s.dF)[:, 0]
     bad = (s.seen > 1) & (res > s.res)
     s.seen += 1
     if bad.any():
@@ -301,12 +311,13 @@ def _accelerate(s: _Stack, f: np.ndarray, done: np.ndarray) -> np.ndarray:
     return new
 
 
-def _dykstra_round(s: _Stack, dA: int, dB: int, tol: float) -> tuple:
+def _dykstra_round(s: _Stack, dA: int, dB: int) -> tuple:
     """One accelerated Dykstra round of every row of the stack, which
     moves each row on to its next corrections and counts the round:
-    (the density-set projections, the images T(z), stop test per row)."""
+    (the density-set projections, the images T(z), stop test per row at
+    the row's tolerance)."""
     p, q = s.z[:, 0], s.z[:, 1]
-    out, f, done = _dykstra_step(s.x0 - p - q, p, q, dA, dB, tol)
+    out, f, done = _dykstra_step(s.x0 - p - q, p, q, dA, dB, s.tol)
     s.z = _accelerate(s, f, done).reshape(f.shape)
     s.k += 1
     return out, f, done
@@ -320,10 +331,10 @@ def _dykstra(x0, dA: int, dB: int, iters: int, tol: float, p=0.0, q=0.0) -> tupl
     iterations, safeguard fallbacks).  The stop test bounds the moves of
     the last cycle by ``tol``, not the distance to the true projection,
     which a slow run can leave much larger."""
-    s = _Stack(x0[None])
+    s = _Stack(x0[None], tol)
     s.z[0, 0], s.z[0, 1] = p, q
     while True:
-        out, f, done = _dykstra_round(s, dA, dB, tol)
+        out, f, done = _dykstra_round(s, dA, dB)
         if done[0] or s.k[0] == iters:
             return out[0], f[0, 0], f[0, 1], int(s.k[0]), int(s.resets[0])
 
@@ -351,13 +362,13 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     # their projections are the first stacked projection
     starts = [random_density_matrix(d, d, np.random.default_rng([cfg.seed, r])).mat.real
               for r in range(cfg.restarts)]
-    s = _Stack(np.stack(starts))
+    s = _Stack(np.stack(starts), PROJECTION_TOL)
     spent, caps, resets = np.zeros((3, cfg.restarts), dtype=int)  # per restart
     history, best = [[] for _ in s.live], [(-np.inf, None)] * cfg.restarts
     reasons = [""] * cfg.restarts
     top = -np.inf  # the best value of a restart that finished unretired
     while s.live.size:
-        out, f, done = _dykstra_round(s, d, d, PROJECTION_TOL)
+        out, f, done = _dykstra_round(s, d, d)
         stop = (s.k == iters) | done
         if not stop.any():
             continue
@@ -377,6 +388,8 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
             if val > best[r][0]:
                 best[r] = (val, mat)
             stalled = val - prev < OBJECTIVE_TOL
+            if len(h) > 1:  # the next projection stops at a share of this gain
+                s.tol[j] = max(PROJECTION_TOL, PROJECTION_TOL_SHARE * (val - prev))
             alive[j] = len(h) < cfg.max_outer and not stalled
             if not alive[j]:
                 reasons[r] = ("decreased" if val < prev else "converged") if stalled else "max_outer"

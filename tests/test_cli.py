@@ -319,7 +319,7 @@ class TestOptimize:
             return optimize(cfg)
 
         def spy_dykstra_step(*args):
-            tols.add(args[-1])
+            tols.update(np.ravel(args[-1]).tolist())
             return dykstra_step(*args)
 
         def spy_rho_step(mat, y_inv, step):
@@ -331,16 +331,26 @@ class TestOptimize:
         monkeypatch.setattr(seesaw, "_dykstra_step", spy_dykstra_step)
         out = tmp_path / "r.json"
         assert main(["optimize", "--d", "3", "--seed", "1", "--restarts", "1",
-                     "--max-outer", "2", "--out", str(out)]) == 0
+                     "--max-outer", "4", "--out", str(out)]) == 0
         # exactly the SeesawConfig fields, whatever the module constants;
         # they rebuild the config that ran
-        inputs = read(out)["inputs"]
+        report = read(out)
+        inputs = report["inputs"]
         assert json.dumps(inputs, sort_keys=True) == (
-            '{"d": 3, "max_outer": 2, "restarts": 1, "seed": 1}')
+            '{"d": 3, "max_outer": 4, "restarts": 1, "seed": 1}')
         assert configs == [seesaw.SeesawConfig(**inputs)]
-        # the step and the see-saw projections' tolerance come from the constants
+        # the step and the see-saw projections' tolerances come from the
+        # constants: the final projection's, PROJECTION_TOL, and
+        # PROJECTION_TOL_SHARE times a recorded gain where that is larger
         assert steps == {float(expected_step)}
-        assert tols == {float(expected_tol), seesaw.FINAL_PROJECTION_TOL}
+        h = report["results"]["history"]
+        shares = {seesaw.PROJECTION_TOL_SHARE * (b - a) for a, b in zip(h, h[1:])}
+        assert {float(expected_tol), seesaw.FINAL_PROJECTION_TOL} <= tols
+        assert tols <= {float(expected_tol), seesaw.FINAL_PROJECTION_TOL} | {
+            t for t in shares if t > float(expected_tol)}
+        # the projections after the second and third Y-steps stop at a
+        # share of the gain, unless the fixed tolerance is the larger
+        assert len(tols) == (2 if float(expected_tol) > max(shares) else 4)
 
     @pytest.mark.parametrize("override", [
         ["--restarts", "2.5"],
