@@ -219,10 +219,14 @@ def cmd_optimize(args, inputs: dict, timings: dict) -> tuple:
     inputs.update(vars(cfg))
     result = seesaw.optimize(cfg)
     reasons = [s.stop_reason for s in result.restarts]
+    # a round is one stacked Dykstra iteration, so the run takes as many as
+    # its longest restart, and runs that one alone past the second longest
+    iters = sorted((s.dykstra_iters for s in result.restarts), reverse=True) + [0]
     return result, [
         f"best value    {result.best_value:.12g}",
         f"ppt residual  {result.ppt_residual:.3e}",
         f"restarts      {len(reasons)}",
+        f"rounds        {iters[0]} (solo {iters[0] - iters[1]})",
         f"best restart  {result.best_restart}; stops: " + ", ".join(
             f"{why} {reasons.count(why)}" for why in seesaw.STOP_REASONS),
     ], 0

@@ -298,8 +298,32 @@ class TestOptimize:
             "outer_steps", "stop_reason", "dykstra_iters", "cap_hits", "safeguard_resets",
             "final_value"}
         assert "restarts_summary" not in results
-        assert ("best restart  2; stops: converged 2, decreased 0, max_outer 1, dominated 1"
-                in capsys.readouterr().out)
+        lines = capsys.readouterr().out.splitlines()
+        assert "best restart  2; stops: converged 2, decreased 0, max_outer 1, dominated 1" in lines
+        # the rounds are read from the records, with no field of their own
+        iters = sorted(r["dykstra_iters"] for r in results["restarts"])
+        assert f"rounds        {iters[-1]} (solo {iters[-1] - iters[-2]})" in lines
+
+    @pytest.mark.parametrize("iters, line", [
+        ((5, 9, 7), "rounds        9 (solo 2)"),
+        ((9, 4, 9), "rounds        9 (solo 0)"),
+        # a stack of one runs every round alone
+        ((4,), "rounds        4 (solo 4)"),
+    ])
+    def test_summary_counts_the_rounds(self, monkeypatch, capsys, iters, line):
+        # a round is one stacked Dykstra iteration: the run takes as many as
+        # its longest restart and runs that one alone past the second longest
+        def fake_optimize(cfg):
+            return seesaw.SeesawResult(
+                best_state=DensityMatrix(np.eye(4) / 4, 2, 2), best_value=1.0,
+                history=(1.0,), ppt_residual=0.0, psd_residual=0.0, best_restart=0,
+                restarts=tuple(seesaw.RestartStats(1, "converged", k, 0, 0, 1.0)
+                               for k in iters),
+                final_projection_iters=1)
+
+        monkeypatch.setattr(seesaw, "optimize", fake_optimize)
+        assert main(["optimize", "--d", "2", "--seed", "1", "--restarts", str(len(iters))]) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("overrides, expected_step, expected_tol", [
         # integer module constants run as they stand
