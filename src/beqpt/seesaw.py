@@ -343,8 +343,8 @@ def _dykstra_round(s: _Stack, dA: int, dB: int) -> tuple:
 
 def _dykstra(x0, dA: int, dB: int, iters: int, tol: float, p=0.0, q=0.0) -> tuple:
     """Anderson-accelerated Dykstra projecting one matrix ``x0`` from
-    corrections ``p, q`` (zero corrections: a cold start), as a stack of
-    one through the round ``optimize`` runs.  Returns (the last
+    corrections ``p, q`` (zero corrections: a cold start) and an empty
+    Anderson memory, as a stack of one through the round ``optimize`` runs.  Returns (the last
     density-set projection, exactly PSD, the corrections of its cycle,
     iterations, safeguard fallbacks).  The stop test bounds the moves of
     the last cycle by ``tol``, not the distance to the true projection,
