@@ -75,13 +75,14 @@ def check_number(name: str, value, real: bool = False, lo=None, hi=None) -> None
         raise ValueError(f"{name} must {'be finite and ' * real}{bound}, got {value}")
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a finite, 2-D, C-contiguous complex128 array."""
+def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite, 2-D, C-contiguous complex128 array; a ValueError
+    names the argument ``name``."""
     mat = np.ascontiguousarray(m, dtype=np.complex128)
     if mat.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={mat.ndim}")
+        raise ValueError(f"{name} must be a 2-D matrix, got ndim={mat.ndim}")
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
-        raise ValueError("matrix contains non-finite entries")
+        raise ValueError(f"{name} contains non-finite entries")
     return mat
 
 

@@ -58,13 +58,9 @@ eigh per matrix.  With T(z) the corrections after one cycle and g =
 T(z) - z, the next z is T(z) - dF gamma, gamma minimizing ||g - dG gamma||
 over the last ANDERSON_MEMORY differences dG of g and dF of T(z),
 Tikhonov-regularized by ANDERSON_REG times the trace of the Gram matrix.
-The memory takes the dtype of the points, so on the see-saw's real
-points (below) gamma, dG and dF are real.  On complex points gamma is
-complex: the Frobenius product of two Hermitian differences is real, but
-z picks up anti-Hermitian parts that a cycle ignores and x = x0 - p - q
-cancels, and over those the complex fit reaches further; in a replay of
-the projections of the seesaw-d4 call from complex starts a complex
-gamma took 2,394 iterations with 1 cap hit, a real one 2,814 with 7.
+The memory is the stored columns alone: the Gram matrix of dG is formed
+from them each round.  It takes the dtype of the points, so on the
+see-saw's real points (below) gamma, dG and dF are real.
 A row whose residual ||g|| rose after an extrapolated step falls back
 to its last image T(z) and clears its memory.  The memory of a row is
 cleared by zeroing its dG columns, so a cleared column needs no mask:
@@ -84,10 +80,10 @@ restart as a stack of one: a round is one Dykstra iteration of each live
 restart, then one Y-step and gradient step of those whose projection
 stopped.  A row's point, corrections, iteration count, restart and
 Anderson memory are one record, so a finished restart leaves the stack
-in one take, and ``_dykstra`` runs its one matrix through the same
-round.  Stacked eigh, svd, matmul, vecdot and solve give the bits of
-per-matrix calls and the stop norms are taken per matrix, so a batched
-run equals the serial one bit for bit.  Each restart's outer steps, stop
+in one take, and ``_dykstra`` runs a stack of one through the same
+round for the final hard projection.  Stacked eigh, svd, matmul, vecdot
+and solve give the bits of per-matrix calls and the stop norms are taken
+per matrix, so a batched run equals the serial one bit for bit.  Each restart's outer steps, stop
 reason, Dykstra iterations, cap hits and safeguard fallbacks are counted
 from the state machine, with no extra eigh or svd, and so are the
 iterations of the final hard projection.
@@ -227,12 +223,10 @@ def _project_ppt_mat(x: np.ndarray, dA: int, dB: int) -> np.ndarray:
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
-    """Per-matrix np.linalg.norm, bit for bit (norm(axis=(-2, -1)) is not)."""
+    """Per-matrix Frobenius norm, each matrix's bits alone; on real matrices
+    those of np.linalg.norm (norm(axis=(-2, -1)) has neither)."""
     flat = a.reshape(a.shape[:-2] + (-1,))
-    sq = np.vecdot(flat.real, flat.real)
-    if np.iscomplexobj(flat):
-        sq += np.vecdot(flat.imag, flat.imag)
-    return np.sqrt(sq)
+    return np.sqrt(np.vecdot(flat, flat).real)
 
 
 def _dykstra_step(x, p, q, dA: int, dB: int, tol) -> tuple:
@@ -257,18 +251,17 @@ class _Stack:
     """The rows of a see-saw stack, one projection each: its point x0,
     corrections z = (p, q), iterations k, restart and stop tolerance, and
     its type-II Anderson memory: ring buffers of the last ANDERSON_MEMORY
-    residual differences dG and image differences dF, the Gram matrix of
-    dG, the last residual g, image f and squared residual norm, the images
-    seen since the memory was cleared (from two on, the point is
-    extrapolated) and the safeguard fallbacks over all its projections.
+    residual differences dG and image differences dF, the last residual
+    g, image f and squared residual norm, the images seen since the
+    memory was cleared (from two on, the point is extrapolated) and the
+    safeguard fallbacks over all its projections.
     The memory stays with the row from one projection of its restart to
     the next; the first image of a new projection counts as seen only on
-    a cleared memory, as it adds no column.  A cleared column of dG, and
-    its Gram row and column, are zero.  The buffers take the dtype of the
-    points, so real points keep the whole round real."""
+    a cleared memory, as it adds no column.  A cleared column of dG is
+    zero.  The buffers take the dtype of the points, so real points keep
+    the whole round real."""
 
-    __slots__ = ("x0", "z", "k", "live", "tol", "dG", "dF", "gram", "g", "f", "res", "seen",
-                 "resets")
+    __slots__ = ("x0", "z", "k", "live", "tol", "dG", "dF", "g", "f", "res", "seen", "resets")
 
     def __init__(self, x0: np.ndarray, tol: float):
         rows, n, m, dtype = x0.shape[0], x0.shape[-1], ANDERSON_MEMORY, x0.dtype
@@ -276,7 +269,6 @@ class _Stack:
         self.k, self.live = np.zeros(rows, dtype=int), np.arange(rows)
         self.tol = np.full(rows, tol, dtype=float)
         self.dG, self.dF = np.zeros((2, rows, m, 2 * n * n), dtype)
-        self.gram = np.zeros((rows, m, m), dtype)
         self.g, self.f = np.zeros((2, rows, 2 * n * n), dtype)
         self.res = np.zeros(rows)
         self.seen, self.resets = np.zeros((2, rows), dtype=int)
@@ -303,17 +295,16 @@ def _accelerate(s: _Stack, f: np.ndarray, done: np.ndarray) -> np.ndarray:
     # a row writes a difference once its memory saw an image since it was cleared
     i = (warm & (s.seen > 0)).nonzero()[0]
     slot = (s.seen[i] - 1) % m
-    dg = g[i] - s.g[i]
-    s.dG[i, slot], s.dF[i, slot] = dg, f[i] - s.f[i]
-    s.gram[i, :, slot] = col = np.vecdot(s.dG[i], dg[:, None])
-    s.gram[i, slot] = col.conj()
+    s.dG[i, slot], s.dF[i, slot] = g[i] - s.g[i], f[i] - s.f[i]
     new = f
     if s.seen.any():
-        # the regularization scales with the trace, and its floor keeps a
-        # zero Gram solvable; a cleared column is zero, so the regularized
-        # diagonal decouples it and its gamma is 0
-        reg = ANDERSON_REG * s.gram.trace(axis1=1, axis2=2).real + _TINY
-        a = s.gram + reg[:, None, None] * _EYE
+        # the Gram matrix of the stored columns; the regularization scales
+        # with its trace, and its floor keeps a zero Gram solvable; a
+        # cleared column is zero, so the regularized diagonal decouples it
+        # and its gamma is 0
+        gram = np.vecdot(s.dG[:, :, None], s.dG[:, None])
+        reg = ANDERSON_REG * gram.trace(axis1=1, axis2=2).real + _TINY
+        a = gram + reg[:, None, None] * _EYE
         gamma = np.linalg.solve(a, np.vecdot(s.dG, g[:, None])[:, :, None])
         new = f - (gamma.mT @ s.dF)[:, 0]
     bad = warm & (s.seen > 1) & (res > s.res)
@@ -323,7 +314,7 @@ def _accelerate(s: _Stack, f: np.ndarray, done: np.ndarray) -> np.ndarray:
     if bad.any():
         bad &= ~done
         new = np.where(bad[:, None], s.f, new)
-        s.dG[bad], s.gram[bad], s.seen[bad] = 0.0, 0.0, 0
+        s.dG[bad], s.seen[bad] = 0.0, 0
         s.resets += bad
     s.g, s.f, s.res = g, f, res
     return new
@@ -341,20 +332,18 @@ def _dykstra_round(s: _Stack, dA: int, dB: int) -> tuple:
     return out, f, done
 
 
-def _dykstra(x0, dA: int, dB: int, iters: int, tol: float, p=0.0, q=0.0) -> tuple:
-    """Anderson-accelerated Dykstra projecting one matrix ``x0`` from
-    corrections ``p, q`` (zero corrections: a cold start) and an empty
-    Anderson memory, as a stack of one through the round ``optimize`` runs.  Returns (the last
-    density-set projection, exactly PSD, the corrections of its cycle,
-    iterations, safeguard fallbacks).  The stop test bounds the moves of
-    the last cycle by ``tol``, not the distance to the true projection,
-    which a slow run can leave much larger."""
-    s = _Stack(x0[None], tol)
-    s.z[0, 0], s.z[0, 1] = p, q
+def _dykstra(s: _Stack, dA: int, dB: int, iters: int) -> tuple:
+    """Anderson-accelerated Dykstra on the one-row stack ``s``, through the
+    round ``optimize`` runs, to its stop test or ``iters`` iterations; a
+    new stack is a cold start, with zero corrections and an empty memory.
+    Returns (the last density-set projection, exactly PSD, the corrections
+    p, q of its cycle, iterations).  The stop test bounds the moves of the
+    last cycle by the row's tolerance, not the distance to the true
+    projection, which a slow run can leave much larger."""
     while True:
         out, f, done = _dykstra_round(s, dA, dB)
         if done[0] or s.k[0] == iters:
-            return out[0], f[0, 0], f[0, 1], int(s.k[0]), int(s.resets[0])
+            return out[0], f[0, 0], f[0, 1], int(s.k[0])
 
 
 def _y_step(mat: np.ndarray, dA: int, dB: int) -> tuple:
@@ -415,18 +404,16 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
             elif (len(h) > RACE_WINDOW and val + (val - h[-RACE_WINDOW - 1]) / RACE_WINDOW
                   * (cfg.max_outer - len(h)) < bar):
                 alive[j], reasons[r] = False, "dominated"
-        ok = alive[js]
-        go = js[ok]
         # warm start: keep the corrections p, q of the last image and the
-        # Anderson memory
-        s.x0[go] = _rho_step(mats[ok], realign_inverse(ys[ok], d, d), STEP)
-        s.z[go], s.k[go] = f[go], 0
+        # Anderson memory; the rows that retire leave with their step
+        s.x0[js] = _rho_step(mats, realign_inverse(ys, d, d), STEP)
+        s.z[js], s.k[js] = f[js], 0
         if not alive.all():
             s.take(alive)
     r = max(range(cfg.restarts), key=lambda r: best[r][0])
     # final hard projection so the reported state is feasible to <= 1e-7
-    final, _, _, final_iters, _ = _dykstra(best[r][1], d, d, FINAL_PROJECTION_ITERS,
-                                           FINAL_PROJECTION_TOL)
+    final, _, _, final_iters = _dykstra(_Stack(best[r][1][None], FINAL_PROJECTION_TOL), d, d,
+                                        FINAL_PROJECTION_ITERS)
     state = DensityMatrix(final, d, d)
     stats = tuple(RestartStats(len(h), why, int(it), int(cap), int(fell), h[-1])
                   for h, why, it, cap, fell in zip(history, reasons, spent, caps, resets))

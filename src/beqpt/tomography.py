@@ -26,6 +26,7 @@ from .bipartite import (
     BipartiteOperator,
     DensityMatrix,
     _from_spectrum,
+    as_complex_matrix,
     check_number,
     herm_part,
     project_psd_trace_one,
@@ -113,10 +114,11 @@ def superop_to_choi(e_hat: np.ndarray, d: int, noise_level: float = 0.0) -> Choi
     check within the same budget, the input is inconsistent and
     NoiseBudgetExceeded is raised.
     """
+    check_number("d", d, lo=1)
     check_number("noise_level", noise_level, real=True, lo=0)
-    e_hat = np.asarray(e_hat, dtype=complex)
+    e_hat = as_complex_matrix(e_hat, "e_hat")
     if e_hat.shape != (d * d, d * d):
-        raise ValueError(f"superoperator shape {e_hat.shape} != ({d*d}, {d*d})")
+        raise ValueError(f"e_hat shape {e_hat.shape} != ({d*d}, {d*d})")
     s = herm_part(realign_inverse(e_hat, d, d)) / d
     w, v = np.linalg.eigh(s)
     clipped = abs(float(w[w < 0].sum()))  # abs, so no negative weight is 0.0, not -0.0

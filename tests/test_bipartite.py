@@ -448,6 +448,7 @@ PARAMETERS = [
      [_below(-1.0), _above(1.0)]),
     ("rudolph_checks", "trials", "count", lambda v: rudolph_checks(_BELL, v, 0), [0]),
     ("rudolph_checks", "seed", "count", lambda v: rudolph_checks(_BELL, 1, v), [-1]),
+    ("superop_to_choi", "d", "count", lambda v: superop_to_choi(np.eye(4), v), [0, -2]),
     ("superop_to_choi", "noise_level", "real",
      lambda v: superop_to_choi(np.eye(4), 2, noise_level=v), [_below(0.0), 10**400]),
     ("run_aaqpt", "noise", "real",

@@ -173,6 +173,22 @@ class TestRudolphChecks:
         assert a == b
 
 
+class TestSmallestRealignedSingularValue:
+    """sigma_min(realign(rho)) of the isotropic and Werner families in closed
+    form, the basis of comparing bound entangled probes with them."""
+
+    @given(st.integers(2, 6), st.floats(0.0, 1.0))
+    def test_closed_forms(self, d, t):
+        # realign(Id) has the one singular value d, and the realigned swap F
+        # and d |Phi+><Phi+| have d^2 singular values 1, so past its largest
+        # each family's realigned spectrum is flat
+        alpha = min(-1.0 / (d * d - 1) + t * (1.0 + 1.0 / (d * d - 1)), 1.0)  # the valid range
+        assert abs(isotropic(d, alpha).realigned_spectrum[-1] - abs(alpha) / d) <= 1e-15
+        f = 2.0 * t - 1.0
+        want = min(abs(f * d - 1.0) / (d * (d * d - 1)), 1.0 / d)
+        assert abs(werner_f(d, f).realigned_spectrum[-1] - want) <= 1e-15
+
+
 class TestFullReport:
     def test_internal_consistency(self, rng):
         rho = random_density_matrix(3, 3, rng)

@@ -149,6 +149,17 @@ class TestSuperopToChoi:
         with pytest.raises(ValueError):
             superop_to_choi(np.eye(8), 3)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_entry_is_malformed(self, entry):
+        # malformed input, not the domain verdict NoiseBudgetExceeded: a
+        # plain ValueError that names the argument (d is checked with the
+        # other named parameters in test_bipartite)
+        e_hat = np.eye(4)
+        e_hat[0, 1] = entry
+        with pytest.raises(ValueError, match="^e_hat ") as info:
+            superop_to_choi(e_hat, 2)
+        assert type(info.value) is ValueError
+
 
 class TestTraceDistance:
     def test_range_and_symmetry(self):
