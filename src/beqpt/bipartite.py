@@ -20,8 +20,7 @@ the convention against them.
 Each operator computes its descending realigned spectrum once, on first
 use of ``realigned_spectrum``; the Schmidt rank, and through it every
 faithfulness rule, cuts that spectrum at the module constant
-``SCHMIDT_REL_TOL``.  Its realigned pseudo-inverse, cut at
-``PINV_RCOND``, is kept the same way (``realigned_pinv``).
+``SCHMIDT_REL_TOL``.  It is the only factorization an operator keeps.
 
 The index kernels ``partial_transpose``, ``realign_inverse`` and
 ``_realign`` act on the last two axes of an array, so the see-saw runs
@@ -55,7 +54,6 @@ HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-12
 SCHMIDT_REL_TOL = 1e-9  # realigned singular values at or below this * sigma_max count as 0
-PINV_RCOND = 1e-12  # the realigned pseudo-inverse cuts at this * sigma_max
 
 
 def check_number(name: str, value, real: bool = False, lo=None, hi=None) -> None:
@@ -132,15 +130,6 @@ class BipartiteOperator:
         s = singular_values(realign(self))
         s.setflags(write=False)
         return s
-
-    @cached_property
-    def realigned_pinv(self) -> np.ndarray:
-        """pinv(realign(self)) cut at PINV_RCOND, read-only and computed on
-        first use, so a probe is inverted once however many channels it
-        reconstructs."""
-        m = np.linalg.pinv(realign(self), rcond=PINV_RCOND)
-        m.setflags(write=False)
-        return m
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ class KrausChannel:
 
     def __post_init__(self):
         check_number("d", self.d, lo=1)
-        ops = tuple(as_complex_matrix(k) for k in self.kraus)
+        ops = tuple(as_complex_matrix(k, f"Kraus operator {i}") for i, k in enumerate(self.kraus))
         if not ops:
             raise ValueError("need at least one Kraus operator")
         for k in ops:
@@ -139,7 +139,7 @@ def dephasing(d: int, p: float) -> KrausChannel:
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
     """E(rho) = u rho u^dag; the completeness relation is the unitarity test."""
-    u = as_complex_matrix(u)
+    u = as_complex_matrix(u, "u")
     return KrausChannel((u,), u.shape[0])
 
 

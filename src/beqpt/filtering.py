@@ -36,7 +36,7 @@ class FilterPair:
 
     def __post_init__(self):
         for name in ("A", "B"):
-            m = as_complex_matrix(getattr(self, name))
+            m = as_complex_matrix(getattr(self, name), f"filter {name}")
             if m.shape[0] != m.shape[1]:
                 raise ValueError(f"filter {name} must be square")
             # a contraction has no entry above 1, so A^dag A cannot overflow

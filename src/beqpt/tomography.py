@@ -8,11 +8,11 @@ the row-stacking convention: writing rho = sum_m A_m kron B_m,
 
 so the superoperator is E_hat = realign(rho_out) realign(probe)^-1
 whenever the probe's realigned matrix is invertible.  Probes failing
-that invertibility test (non-faithful probes) are rejected up front.
-The gate reads the probe's cached realigned spectrum (cut at
-SCHMIDT_REL_TOL) and the inversion its cached pseudo-inverse
-(``realigned_pinv``), so a probe is factorized once for each, however
-many channels it reconstructs.
+that invertibility test (non-faithful probes) are rejected up front by
+the one faithfulness gate, which reads the probe's cached realigned
+spectrum (cut at SCHMIDT_REL_TOL); a probe is factorized once, however
+many channels it reconstructs, and each reconstruction solves the
+linear system against the realigned probe.
 """
 
 from __future__ import annotations
@@ -91,17 +91,24 @@ def simulate_output(ch: KrausChannel, probe: DensityMatrix) -> DensityMatrix:
 
 
 def reconstruct_superop(rho_out: DensityMatrix, probe: DensityMatrix) -> np.ndarray:
-    """E_hat = realign(rho_out) pinv(realign(probe)), behind the
-    faithfulness gate.
+    """E_hat = realign(rho_out) realign(probe)^-1, behind the faithfulness
+    gate.
 
-    The pseudo-inverse (``realigned_pinv``) cuts at PINV_RCOND * sigma_max,
-    well below the faithfulness gate, so a probe that passes the gate is
-    never silently treated as singular.
+    The gate is the only invertibility rule: a probe that passes it has
+    an invertible realigned matrix, so E_hat solves
+    E_hat realign(probe) = realign(rho_out) directly, with no inverse
+    formed.  An output whose local dimensions differ from the probe's is
+    a ValueError.
     """
+    if (rho_out.dA, rho_out.dB) != (probe.dA, probe.dB):
+        raise ValueError(
+            f"output dims ({rho_out.dA}, {rho_out.dB}) do not match "
+            f"probe dims ({probe.dA}, {probe.dB})"
+        )
     ok, smin, _ = is_faithful(probe)
     if not ok:
         raise UnfaithfulProbe(smin, float(probe.realigned_spectrum[0]), SCHMIDT_REL_TOL)
-    return realign(rho_out) @ probe.realigned_pinv
+    return np.linalg.solve(realign(probe).T, realign(rho_out).T).T
 
 
 def superop_to_choi(e_hat: np.ndarray, d: int, noise_level: float = 0.0) -> ChoiMatrix:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from beqpt import cli
 from beqpt.bipartite import (
-    PINV_RCOND,
     BipartiteOperator,
     DensityMatrix,
     check_realign,
@@ -359,14 +358,6 @@ class TestTypes:
         assert not s.flags.writeable
         with pytest.raises(ValueError):
             s[0] = 0.0
-
-    def test_realigned_pinv_is_computed_once(self, rng):
-        rho = random_density_matrix(3, 2, rng)
-        m = rho.realigned_pinv
-        assert rho.realigned_pinv is m and not m.flags.writeable
-        # the call it replaces, so a reconstruction keeps its bits
-        assert m.tobytes() == np.linalg.pinv(realign(rho), rcond=PINV_RCOND).tobytes()
-        assert "realigned_pinv" not in repr(rho)
 
 
 def test_purity_identity_on_random_states(rng):

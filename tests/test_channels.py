@@ -217,3 +217,10 @@ class TestKrausChannelType:
         # a 3 x 2 isometry is complete, but it maps C^2 into C^3
         with pytest.raises(ValueError, match="shape"):
             KrausChannel((np.eye(3)[:, :2],), 2)
+
+    @pytest.mark.parametrize("bad", [np.ones(2), np.array([[np.inf, 0.0], [0.0, 1.0]])])
+    def test_malformed_operator_is_named(self, bad):
+        with pytest.raises(ValueError, match="^Kraus operator 1 "):
+            KrausChannel((np.eye(2), bad), 2)
+        with pytest.raises(ValueError, match="^u "):
+            unitary_channel(bad)

@@ -34,6 +34,13 @@ class TestFilterPair:
         with pytest.raises(ValueError):
             FilterPair(np.ones((2, 3)), np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.ones(2), np.array([[np.nan, 0.0], [0.0, 1.0]])])
+    def test_malformed_filter_is_named(self, bad):
+        with pytest.raises(ValueError, match="^filter A "):
+            FilterPair(bad, np.eye(2))
+        with pytest.raises(ValueError, match="^filter B "):
+            FilterPair(np.eye(2), bad)
+
     def test_werner_filters_structure(self):
         for d in (3, 4, 5):
             pair = werner_filters(d)
