@@ -284,8 +284,6 @@ def operator_schmidt_rank(rho: BipartiteOperator) -> int:
     Returns 0 for the zero operator.
     """
     s = rho.realigned_spectrum
-    if s[0] <= 0.0:
-        return 0
     return int(np.count_nonzero(s > SCHMIDT_REL_TOL * s[0]))
 
 

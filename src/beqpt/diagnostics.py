@@ -213,8 +213,7 @@ def full_report(rho: DensityMatrix) -> DiagnosticsReport:
     ccnr = ccnr_value(rho)
     ppt, min_eig = is_ppt(rho)
     s = rho.realigned_spectrum
-    rank = operator_schmidt_rank(rho)
-    faithful = rho.dA == rho.dB and rank == rho.dim
+    faithful, _, cond = is_faithful(rho) if rho.dA == rho.dB else (False, 0.0, float("inf"))
     return DiagnosticsReport(
         dims=(rho.dA, rho.dB),
         ccnr_value=ccnr,
@@ -224,6 +223,6 @@ def full_report(rho: DensityMatrix) -> DiagnosticsReport:
         purity=faithfulness(rho),
         realigned_spectrum=tuple(float(x) for x in s),
         faithful=faithful,
-        schmidt_rank=rank,
-        condition_number=float(s[0] / s[-1]) if faithful else float("inf"),
+        schmidt_rank=operator_schmidt_rank(rho),
+        condition_number=cond,
     )

@@ -78,15 +78,14 @@ tail, where one step barely moves the map; carried, half of them take 2.
 All restarts run as one state machine over an (R, n, n) stack, a single
 restart as a stack of one: a round is one Dykstra iteration of each live
 restart, then one Y-step and gradient step of those whose projection
-stopped.  A row's point, corrections, iteration count, restart and
-Anderson memory are one record, so a finished restart leaves the stack
-in one take, and ``_dykstra`` runs a stack of one through the same
-round for the final hard projection.  Stacked eigh, svd, matmul, vecdot
-and solve give the bits of per-matrix calls and the stop norms are taken
-per matrix, so a batched run equals the serial one bit for bit.  Each restart's outer steps, stop
-reason, Dykstra iterations, cap hits and safeguard fallbacks are counted
-from the state machine, with no extra eigh or svd, and so are the
-iterations of the final hard projection.
+stopped.  A row's point, corrections, iteration count, restart, Anderson
+memory and restart counters are one record, so a finished restart leaves
+the stack in one take, and ``_dykstra`` runs a stack of one through the
+same round for the final hard projection.  Stacked eigh, svd, matmul,
+vecdot and solve give the bits of per-matrix calls and the stop norms are
+taken per matrix, so a batched run equals the serial one bit for bit.  A
+restart's RestartStats is written once, from its row and history, at the
+Y-step where it stops; the winner is kept as values arrive.
 
 The search runs over real symmetric PPT states.  Restart r starts from
 the real part (rho + conj(rho))/2 of a seeded Wishart draw rho.
@@ -119,8 +118,8 @@ projection caps and the stop tolerances are module constants.  The
 public surface is ``optimize``; the density-set projection comes from
 ``bipartite``, and the half-steps are only the kernels
 ``optimize`` runs (``_y_step``, ``_rho_step``, ``_dykstra_round``,
-``_dykstra`` and ``_project_ppt_mat``) over the stack kernels of
-``bipartite``.
+``_dykstra_step``, ``_accelerate``, ``_dykstra`` and ``_project_ppt_mat``)
+over the stack kernels of ``bipartite``.
 """
 
 from __future__ import annotations
@@ -253,15 +252,16 @@ class _Stack:
     its type-II Anderson memory: ring buffers of the last ANDERSON_MEMORY
     residual differences dG and image differences dF, the last residual
     g, image f and squared residual norm, the images seen since the
-    memory was cleared (from two on, the point is extrapolated) and the
-    safeguard fallbacks over all its projections.
+    memory was cleared (from two on, the point is extrapolated) and its
+    restart's safeguard fallbacks, Dykstra iterations and cap hits.
     The memory stays with the row from one projection of its restart to
     the next; the first image of a new projection counts as seen only on
     a cleared memory, as it adds no column.  A cleared column of dG is
     zero.  The buffers take the dtype of the points, so real points keep
     the whole round real."""
 
-    __slots__ = ("x0", "z", "k", "live", "tol", "dG", "dF", "g", "f", "res", "seen", "resets")
+    __slots__ = ("x0", "z", "k", "live", "tol", "dG", "dF", "g", "f", "res", "seen", "resets",
+                 "spent", "caps")
 
     def __init__(self, x0: np.ndarray, tol: float):
         rows, n, m, dtype = x0.shape[0], x0.shape[-1], ANDERSON_MEMORY, x0.dtype
@@ -271,7 +271,7 @@ class _Stack:
         self.dG, self.dF = np.zeros((2, rows, m, 2 * n * n), dtype)
         self.g, self.f = np.zeros((2, rows, 2 * n * n), dtype)
         self.res = np.zeros(rows)
-        self.seen, self.resets = np.zeros((2, rows), dtype=int)
+        self.seen, self.resets, self.spent, self.caps = np.zeros((4, rows), dtype=int)
 
     def take(self, rows) -> None:
         for name in self.__slots__:
@@ -360,19 +360,18 @@ def _rho_step(mat: np.ndarray, y_inv: np.ndarray, step: float) -> np.ndarray:
 def optimize(cfg: SeesawConfig) -> SeesawResult:
     """Run the see-saw from seeded real restarts; restart r starts from the
     real part of a Wishart draw from default_rng([seed, r]).  The restarts
-    race (see the module docstring).
-    The restart with the best value wins, the lower index on ties; it gets
-    a final hard projection, and its value and residuals are read from the
-    validated state."""
+    race (see the module docstring).  A restart's counters live on its
+    row; its RestartStats is written when it stops.  The first state of
+    the best value wins, the lower restart on ties; it gets a final hard
+    projection, and its value and residuals come from the checked state."""
     d, iters = cfg.d, PROJECTION_ITERS
     # the real parts of the seeded Wishart draws, which are states too;
     # their projections are the first stacked projection
     starts = [random_density_matrix(d, d, np.random.default_rng([cfg.seed, r])).mat.real
               for r in range(cfg.restarts)]
     s = _Stack(np.stack(starts), PROJECTION_TOL)
-    spent, caps, resets = np.zeros((3, cfg.restarts), dtype=int)  # per restart
-    history, best = [[] for _ in s.live], [(-np.inf, None)] * cfg.restarts
-    reasons = [""] * cfg.restarts
+    history, stats = [[] for _ in s.live], [None] * cfg.restarts
+    win = (-np.inf, 0, None)  # (value, restart, state) of the best value so far
     top = -np.inf  # the best value of a restart that finished unretired
     while s.live.size:
         out, f, done = _dykstra_round(s, d, d)
@@ -380,44 +379,44 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
         if not stop.any():
             continue
         js = np.flatnonzero(stop)
-        rs = s.live[js]
-        spent[rs] += s.k[js]
-        caps[rs] += s.k[js] == iters
-        resets[rs] = s.resets[js]  # a row counts its restart's fallbacks
-        alive = ~stop
+        s.spent[js] += s.k[js]
+        s.caps[js] += s.k[js] == iters
+        alive = np.ones_like(stop)
         mats = out[js]
         vals, ys = _y_step(mats, d, d)
         bar = top  # finishers of this round raise the bar from the next one
-        for j, r, val, mat in zip(js, rs.tolist(), vals.tolist(), mats):
+        for j, r, val, mat in zip(js, s.live[js].tolist(), vals.tolist(), mats):
             h = history[r]
             prev = h[-1] if h else -np.inf
             h.append(val)
-            if val > best[r][0]:
-                best[r] = (val, mat)
+            if val > win[0] or val == win[0] and r < win[1]:
+                win = (val, r, mat)
             stalled = val - prev < OBJECTIVE_TOL
             if len(h) > 1:  # the next projection stops at a share of this gain
                 s.tol[j] = max(PROJECTION_TOL, PROJECTION_TOL_SHARE * (val - prev))
-            alive[j] = len(h) < cfg.max_outer and not stalled
-            if not alive[j]:
-                reasons[r] = ("decreased" if val < prev else "converged") if stalled else "max_outer"
-                top = max(top, best[r][0])
+            if stalled or len(h) == cfg.max_outer:
+                why = ("decreased" if val < prev else "converged") if stalled else "max_outer"
+                top = max(top, *h)
             elif (len(h) > RACE_WINDOW and val + (val - h[-RACE_WINDOW - 1]) / RACE_WINDOW
                   * (cfg.max_outer - len(h)) < bar):
-                alive[j], reasons[r] = False, "dominated"
+                why = "dominated"
+            else:
+                continue
+            alive[j] = False
+            stats[r] = RestartStats(len(h), why, int(s.spent[j]), int(s.caps[j]),
+                                    int(s.resets[j]), val)
         # warm start: keep the corrections p, q of the last image and the
         # Anderson memory; the rows that retire leave with their step
         s.x0[js] = _rho_step(mats, realign_inverse(ys, d, d), STEP)
         s.z[js], s.k[js] = f[js], 0
         if not alive.all():
             s.take(alive)
-    r = max(range(cfg.restarts), key=lambda r: best[r][0])
+    _, r, mat = win
     # final hard projection so the reported state is feasible to <= 1e-7
-    final, _, _, final_iters = _dykstra(_Stack(best[r][1][None], FINAL_PROJECTION_TOL), d, d,
+    final, _, _, final_iters = _dykstra(_Stack(mat[None], FINAL_PROJECTION_TOL), d, d,
                                         FINAL_PROJECTION_ITERS)
     state = DensityMatrix(final, d, d)
-    stats = tuple(RestartStats(len(h), why, int(it), int(cap), int(fell), h[-1])
-                  for h, why, it, cap, fell in zip(history, reasons, spent, caps, resets))
     return SeesawResult(best_state=state, best_value=ccnr_value(state),
                         history=tuple(history[r]), ppt_residual=is_ppt(state)[1],
                         psd_residual=float(state.eigenvalues[0]),
-                        best_restart=r, restarts=stats, final_projection_iters=final_iters)
+                        best_restart=r, restarts=tuple(stats), final_projection_iters=final_iters)

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per reference-value row, at the stated
 tolerances.  Each test prints its PASS/FAIL line with the measured
-numbers; the CLI ``reproduce`` command runs the same row functions."""
+numbers.  The tests are made from ``acceptance.ROWS``, the list the CLI
+``reproduce`` command runs, so every row it reports has a test."""
 
 import pytest
 
@@ -16,46 +17,11 @@ def _check(row_fn):
     assert row.passed, (row.key, row.measured)
 
 
-def test_criterion_01_realignment_fixed_points():
-    _check(acceptance.row_realignment_fixed_points)
+def _row_test(row_fn):
+    def test():
+        _check(row_fn)
+    return pytest.mark.slow(test) if row_fn is acceptance.row_seesaw else test
 
 
-def test_criterion_02_ccnr_extremal_4x4():
-    _check(acceptance.row_ccnr_extremal_4x4)
-
-
-def test_criterion_03_ccnr_extremal_3x3():
-    _check(acceptance.row_ccnr_extremal_3x3)
-
-
-def test_criterion_04_analytic_vs_numeric_ccnr():
-    _check(acceptance.row_analytic_vs_numeric)
-
-
-def test_criterion_05_faithfulness_table():
-    _check(acceptance.row_faithfulness_table)
-
-
-def test_criterion_06_gamma_family():
-    _check(acceptance.row_gamma_family)
-
-
-def test_criterion_07_aaqpt_roundtrip():
-    _check(acceptance.row_aaqpt_roundtrip)
-
-
-def test_criterion_08_werner_filtering():
-    _check(acceptance.row_werner_filtering)
-
-
-def test_criterion_09_ccnr_monotonicity():
-    _check(acceptance.row_ccnr_monotonicity)
-
-
-@pytest.mark.slow
-def test_criterion_10_seesaw_optimization():
-    _check(acceptance.row_seesaw)
-
-
-def test_criterion_11_realign_variant_consistency():
-    _check(acceptance.row_realign_variant_consistency)
+globals().update((f"test_criterion_{n:02d}_{fn.__name__.removeprefix('row_')}", _row_test(fn))
+                 for n, fn in enumerate(acceptance.ROWS, 1))

@@ -73,6 +73,8 @@ class TestIsFaithful:
         assert ok
         assert sigma_min == pytest.approx(1 / 12, abs=1e-12)
         assert cond == pytest.approx(3.0, abs=1e-9)
+        # above the 1/16 that bounds every separable d=4 probe
+        assert sigma_min > 1 / 16
 
     def test_filtered_werner_is_not(self):
         ok, _, cond = is_faithful(filtered_werner_closed_form(4, 0.5))
@@ -252,11 +254,15 @@ class TestOneSpectrumProperties:
             assert not rep.faithful
             assert rep.condition_number == float("inf")
 
-    @given(st.integers(2, 5), st.integers(2, 5), st.integers(1, 8),
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(1, 30),
            st.integers(0, 2**32 - 1))
     def test_ccnr_at_most_one_on_separable_mixtures(self, dA, dB, terms, seed):
+        # from 4 terms on (up to 25 at d=5) mixtures of full Schmidt rank are
+        # drawn; CCNR <= 1 caps the sum of the min(dA, dB)**2 singular
+        # values, so no separable state has sigma_min above 1/min(dA, dB)**2
         rho = random_separable_state(dA, dB, np.random.default_rng(seed), terms=terms)
         assert ccnr_value(rho) <= 1.0 + 1e-9
+        assert rho.realigned_spectrum[-1] <= 1.0 / min(dA, dB) ** 2 + 1e-9
 
     def test_one_svd_per_report(self, monkeypatch):
         calls = []
