@@ -70,10 +70,11 @@ image of the same map, so it writes no difference and the safeguard
 does not judge it, but it is extrapolated from the carried columns:
 one gradient step moves the map little, so the differences of the last
 map still point the way, and the safeguard judges that extrapolation
-like any other.  On the seesaw-d3 call carrying the memory took the
-Dykstra iterations from 17,112 to 9,000: cleared at each projection, it
-left most warm projections at 6 to 8 iterations even in a restart's
-tail, where one step barely moves the map; carried, half of them take 2.
+like any other.  On the seesaw-d3 call, under the linear race it had
+then, carrying the memory took the Dykstra iterations from 17,112 to
+9,000: cleared at each projection, it left most warm projections at 6 to
+8 iterations even in a restart's tail, where one step barely moves the
+map; carried, half of them take 2.
 
 All restarts run as one state machine over an (R, n, n) stack, a single
 restart as a stack of one: a round is one Dykstra iteration of each live
@@ -101,17 +102,32 @@ published extremal states rho_ccnr and rho_ccnr_3x3 are real too.
 
 The restarts race (Maron & Moore, NIPS 1993; Jamieson & Talwalkar,
 AISTATS 2016).  At each Y-step of a restart with more than RACE_WINDOW
-values, its mean gain over the last RACE_WINDOW steps is extrapolated to
-max_outer; if that lands below the bar, the restart is retired as
-"dominated".  The bar is the best value of any restart that finished
-unretired in an earlier round, read once per round, so the order of the
-rows within a round cannot matter.  A live restart gained at least
-OBJECTIVE_TOL on every step, or it would have stopped, so its
-extrapolation is at least its current value, which is also its best: a
-dominated restart's best is below the winner's.  Retiring a restart
-moves no other restart, so the winner, its history and its state are
-those of the unraced run.  The rule itself is a heuristic, not a bound:
-a retired restart might later have passed the winner.
+values, ``_race`` extrapolates its gains to max_outer; if that reach
+lands below the bar, the restart is retired as "dominated".  Near the
+optimum the see-saw converges linearly, so its gains shrink
+geometrically, and a geometric tail g1 r (1 - r^left)/(1 - r) is what
+the steps left can still gain (learning-curve extrapolation: Domhan,
+Springenberg & Hutter, IJCAI 2015; Aitken's delta-squared process
+assumes the same tail).  The ratio r is the larger, slower-decaying one
+of those over the last RACE_WINDOW and RACE_WINDOW/2 gains, so a tail
+that decays more slowly at its end keeps the longer reach; the reach is
+the smaller of that tail and the linear one, the mean gain of the last
+RACE_WINDOW steps times the steps left, and a tail that is not geometric
+(a window not decaying, or r rounding to 1) keeps the linear reach.  The
+bar is the best value of any restart that finished unretired in an
+earlier round, read once per round, so the order of the rows within a
+round cannot matter.  A live restart gained at least OBJECTIVE_TOL > 0
+on every step, or it would have stopped, so both its linear and its
+geometric gain are positive and its reach is at least its current value,
+which is also its best: a dominated restart's best is below the
+winner's.  Retiring a restart moves no other restart, so when the race
+keeps the winner, its history and its state are those of the unraced
+run.  The rule itself is a heuristic, not a bound: a retired restart
+might later have passed the winner.  Of 200 drawn calls (d = 2, 3, 2 to
+6 restarts, max_outer 20 to 119) it moved the winner of three that the
+linear rule kept, by at most 9.8e-8; on d = 2..5, seeds 1..4 (20
+restarts, 4 at d=5) it moved one, at d=5 seed 4, whose retired restart
+would have ended 6.3e-12 above the new winner.
 
 A run is set by counts alone (SeesawConfig); the step STEP, the
 projection caps and the stop tolerances are module constants.  The
@@ -169,8 +185,11 @@ class SeesawConfig(Record):
     restarts: int = 20
 
     def __post_init__(self):
-        for name, lo in (("d", 2), ("seed", 0), ("max_outer", 1), ("restarts", 1)):
-            check_number(name, getattr(self, name), lo=lo)
+        # max_outer enters the race's float arithmetic, so it is bounded by
+        # the largest count a float holds exactly
+        for name, lo, hi in (("d", 2, None), ("seed", 0, None), ("max_outer", 1, 2**53),
+                             ("restarts", 1, None)):
+            check_number(name, getattr(self, name), lo=lo, hi=hi)
         # an Anderson buffer holds ANDERSON_MEMORY (p, q) pairs per restart
         if self.restarts * self.d**4 * 2 * ANDERSON_MEMORY > MAX_STACK_ENTRIES:
             raise ValueError(f"restarts * d**4 * {2 * ANDERSON_MEMORY} must be at most "
@@ -187,10 +206,14 @@ class RestartStats(Record):
     """Telemetry of one restart: its Y-steps, why it stopped ("converged"
     or "decreased" when the objective gained less than OBJECTIVE_TOL,
     "max_outer", or "dominated" when the race retired it because its
-    extrapolated value fell below the bar), the Dykstra iterations of all
-    its projections, how many of those projections ran the full
+    reach fell below the bar), the Dykstra iterations of all its
+    projections, how many of those projections ran the full
     PROJECTION_ITERS, how many extrapolated points the Anderson safeguard
-    rejected in them, and its last objective value."""
+    rejected in them, its last objective value, and its tail estimate:
+    what its geometric tail (``_race``) would still gain in the steps
+    max_outer left it, so how far short of its limit it may have stopped.
+    It is 0.0 at max_outer and when no tail is geometric: RACE_WINDOW
+    values or fewer, a last gain <= 0, or either window not decaying."""
 
     outer_steps: int
     stop_reason: str
@@ -198,6 +221,7 @@ class RestartStats(Record):
     cap_hits: int
     safeguard_resets: int
     final_value: float
+    tail_estimate: float
 
 
 @dataclass(frozen=True)
@@ -357,6 +381,33 @@ def _rho_step(mat: np.ndarray, y_inv: np.ndarray, step: float) -> np.ndarray:
     return mat + step * herm_part(y_inv)
 
 
+def _race(h: list, left: int) -> tuple:
+    """(reach, tail) of a restart with values ``h`` and ``left`` Y-steps to
+    go.  With g1 the last gain and g_K the gain K steps back, r_K =
+    (g1/g_K)^(1/(K-1)) over the windows K = RACE_WINDOW and RACE_WINDOW/2,
+    and r the larger, slower-decaying, of the two; the tail g1 r (1 - r^left)/(1 - r) is what
+    a geometric tail gains in the steps left.  The reach is the last value
+    plus the smaller of the tail and the linear gain, the mean gain of the
+    last RACE_WINDOW steps times ``left``.  With either window not decaying
+    (0 < g1 < g_K fails) or r rounding to 1 no tail is geometric: the tail
+    is 0.0 and the reach linear.  With RACE_WINDOW values or fewer the
+    reach is inf and the tail 0.0."""
+    if len(h) <= RACE_WINDOW:
+        return np.inf, 0.0
+    val, g1 = h[-1], h[-1] - h[-2]
+    linear = (val - h[-RACE_WINDOW - 1]) / RACE_WINDOW * left
+    r = 0.0
+    for k in (RACE_WINDOW, RACE_WINDOW // 2):
+        gk = h[-k] - h[-k - 1]
+        if not 0.0 < g1 < gk:
+            return val + linear, 0.0
+        r = max(r, (g1 / gk) ** (1 / (k - 1)))
+    if r >= 1.0:  # the ratios sit within rounding of 1
+        return val + linear, 0.0
+    tail = g1 * r * (1.0 - r**left) / (1.0 - r)
+    return val + min(linear, tail), tail
+
+
 def optimize(cfg: SeesawConfig) -> SeesawResult:
     """Run the see-saw from seeded real restarts; restart r starts from the
     real part of a Wishart draw from default_rng([seed, r]).  The restarts
@@ -394,17 +445,17 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
             stalled = val - prev < OBJECTIVE_TOL
             if len(h) > 1:  # the next projection stops at a share of this gain
                 s.tol[j] = max(PROJECTION_TOL, PROJECTION_TOL_SHARE * (val - prev))
+            reach, tail = _race(h, cfg.max_outer - len(h))
             if stalled or len(h) == cfg.max_outer:
                 why = ("decreased" if val < prev else "converged") if stalled else "max_outer"
                 top = max(top, *h)
-            elif (len(h) > RACE_WINDOW and val + (val - h[-RACE_WINDOW - 1]) / RACE_WINDOW
-                  * (cfg.max_outer - len(h)) < bar):
+            elif reach < bar:
                 why = "dominated"
             else:
                 continue
             alive[j] = False
             stats[r] = RestartStats(len(h), why, int(s.spent[j]), int(s.caps[j]),
-                                    int(s.resets[j]), val)
+                                    int(s.resets[j]), val, tail)
         # warm start: keep the corrections p, q of the last image and the
         # Anderson memory; the rows that retire leave with their step
         s.x0[js] = _rho_step(mats, realign_inverse(ys, d, d), STEP)

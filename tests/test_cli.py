@@ -293,13 +293,17 @@ class TestOptimize:
         results = read(out)["results"]
         assert results["best_restart"] == 2
         assert [r["stop_reason"] for r in results["restarts"]] == [
-            "max_outer", "dominated", "converged", "converged"]
+            "dominated", "dominated", "converged", "converged"]
         assert set(results["restarts"][0]) == {
             "outer_steps", "stop_reason", "dykstra_iters", "cap_hits", "safeguard_resets",
-            "final_value"}
+            "final_value", "tail_estimate"}
+        # each restart ran past the 20-step window with a geometric tail: the
+        # converged ones had about 2e-9 left, the retired ones far more
+        tails = [r["tail_estimate"] for r in results["restarts"]]
+        assert all(t > 1e-6 for t in tails[:2]) and all(0 < t < 1e-8 for t in tails[2:])
         assert "restarts_summary" not in results
         lines = capsys.readouterr().out.splitlines()
-        assert "best restart  2; stops: converged 2, decreased 0, max_outer 1, dominated 1" in lines
+        assert "best restart  2; stops: converged 2, decreased 0, max_outer 0, dominated 2" in lines
         # the rounds are read from the records, with no field of their own
         iters = sorted(r["dykstra_iters"] for r in results["restarts"])
         assert f"rounds        {iters[-1]} (solo {iters[-1] - iters[-2]})" in lines
@@ -317,7 +321,7 @@ class TestOptimize:
             return seesaw.SeesawResult(
                 best_state=DensityMatrix(np.eye(4) / 4, 2, 2), best_value=1.0,
                 history=(1.0,), ppt_residual=0.0, psd_residual=0.0, best_restart=0,
-                restarts=tuple(seesaw.RestartStats(1, "converged", k, 0, 0, 1.0)
+                restarts=tuple(seesaw.RestartStats(1, "converged", k, 0, 0, 1.0, 0.0)
                                for k in iters),
                 final_projection_iters=1)
 
@@ -386,6 +390,14 @@ class TestOptimize:
         # a SeesawConfig override flag that is not an integer
         assert main(["optimize", "--d", "2", "--seed", "1", *override]) == 2
         assert_one_line_error(capsys)
+
+    def test_max_outer_past_float_range_exit_2(self, capsys):
+        # the race's arithmetic would overflow; the config bounds it first
+        assert main(["optimize", "--d", "2", "--seed", "1", "--restarts", "2",
+                     "--max-outer", str(10**400)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_outer must lie in [1, 9007199254740992]")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--config", "--step", "--projection-tol",
                                       "--objective-tol", "--projection-iters"])
@@ -472,7 +484,7 @@ class TestReproduce:
                 best_state=DensityMatrix(np.eye(n) / n, cfg.d, cfg.d),
                 best_value=1.0, history=(1.0,), ppt_residual=0.0,
                 psd_residual=0.0, best_restart=0,
-                restarts=(seesaw.RestartStats(1, "converged", 1, 0, 0, 1.0),),
+                restarts=(seesaw.RestartStats(1, "converged", 1, 0, 0, 1.0, 0.0),),
                 final_projection_iters=1,
             )
 

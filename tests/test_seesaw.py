@@ -41,6 +41,7 @@ from beqpt.seesaw import (
     _dykstra_step,
     _norm,
     _project_ppt_mat,
+    _race,
     _rho_step,
     _Stack,
     _y_step,
@@ -514,6 +515,77 @@ class TestAcceleration:
         assert k <= 30 and np.abs(out - state).max() <= 10 * PROJECTION_TOL
 
 
+def values(gains, start=0.0):
+    """The history of a restart with these gains, from ``start``."""
+    h = [start]
+    for g in gains:
+        h.append(h[-1] + g)
+    return h
+
+
+class TestRace:
+    """The race's reach and tail on hand-built histories."""
+
+    @pytest.mark.parametrize("left", [0, 1, 10, 100, 2**53])
+    def test_geometric_tail_is_the_closed_form(self, left):
+        # gains 1e-2 * 0.9^k: both windows give r = 0.9, and the tail is
+        # g1 r (1 - r^left)/(1 - r), below the linear gain
+        gains = [1e-2 * 0.9**k for k in range(30)]
+        h = values(gains)
+        reach, tail = _race(h, left)
+        want = gains[-1] * 0.9 * (1 - 0.9**left) / (1 - 0.9)
+        assert abs(tail - want) <= 1e-15
+        assert abs(reach - (h[-1] + want)) <= 1e-15
+
+    def test_slower_window_sets_the_ratio(self):
+        # gains shrink by 0.8 a step, then by 0.95 over the last 18: the
+        # 10-step ratio is the slower one, and the reach keeps its longer tail
+        gains = [1e-2 * 0.8**k for k in range(12)]
+        gains += [gains[-1] * 0.95**k for k in range(1, 19)]
+        h = values(gains)
+        g = np.diff(h)
+        r10, r20 = (g[-1] / g[-10]) ** (1 / 9), (g[-1] / g[-20]) ** (1 / 19)
+        assert r20 < r10 == pytest.approx(0.95, abs=1e-12)
+        reach, tail = _race(h, 100)
+        assert tail == g[-1] * r10 * (1 - r10**100) / (1 - r10)
+        assert tail > g[-1] * r20 * (1 - r20**100) / (1 - r20)
+        assert reach == h[-1] + tail
+
+    @pytest.mark.parametrize("last", [
+        1e-3,  # as large as every gain before it
+        2e-3,  # larger
+        0.0,  # a stall
+        -1e-3,  # a fall
+    ])
+    def test_non_decaying_last_gain_is_linear(self, last):
+        h = values([1e-3] * 29 + [last], start=1.0)
+        reach, tail = _race(h, 50)
+        assert tail == 0.0
+        assert reach == h[-1] + (h[-1] - h[-RACE_WINDOW - 1]) / RACE_WINDOW * 50
+
+    def test_one_window_not_decaying_is_linear(self):
+        # the 20-step window decays, the 10-step one does not
+        h = values([2e-3] * 10 + [1e-3] * 20)
+        assert _race(h, 50) == (h[-1] + (h[-1] - h[-21]) / 20 * 50, 0.0)
+
+    def test_ratio_rounding_to_one_is_linear(self):
+        # g1/g_K = 1/(1 + 2^-52): both windows decay, but their roots round
+        # to r = 1, where the geometric sum would divide by zero
+        g1, gk = 2.0**-10, 2.0**-10 * (1 + 2.0**-52)
+        h = [0.0] * 21
+        h[-1], h[-10], h[-20] = g1, gk, gk
+        assert 0 < g1 < gk and (g1 / gk) ** (1 / 19) == 1.0
+        reach, tail = _race(h, 2**53)
+        assert tail == 0.0 and np.isfinite(reach)
+        assert reach == g1 + g1 / 20 * 2**53
+
+    def test_short_history_is_not_raced(self):
+        h = values([1e-2 * 0.5**k for k in range(RACE_WINDOW - 1)])
+        assert len(h) == RACE_WINDOW
+        assert _race(h, 10) == (np.inf, 0.0)
+        assert _race(values([1e-2] * RACE_WINDOW), 10)[0] < np.inf
+
+
 def serial_restart(cfg, r):
     """Restart r of cfg run alone and unraced from the real part of its
     Wishart draw: yields (round, r, value, counts, state, stop reason or
@@ -561,14 +633,14 @@ def serial_optimize(cfg):
         if val > best[r][0]:
             best[r] = (val, x)
         bar = max((v for s, v in finished if s < t), default=-np.inf)
+        reach, tail = _race(h, cfg.max_outer - len(h))
         if reason:
             finished.append((t, best[r][0]))
-        elif len(h) > RACE_WINDOW and val + (val - h[-1 - RACE_WINDOW]) / RACE_WINDOW \
-                * (cfg.max_outer - len(h)) < bar:
+        elif reach < bar:
             reason = "dominated"
             runs[r].close()
         if reason:
-            stats[r] = RestartStats(len(h), reason, *counts, val)
+            stats[r] = RestartStats(len(h), reason, *counts, val, tail)
     winner = max(range(cfg.restarts), key=lambda r: best[r][0])
     final, _, _, final_iters = _dykstra(_Stack(best[winner][1][None], FINAL_PROJECTION_TOL),
                                         cfg.d, cfg.d, FINAL_PROJECTION_ITERS)
@@ -582,14 +654,13 @@ def serial_optimize(cfg):
 
 class TestOptimize:
     @pytest.mark.parametrize("kwargs, capped", [
-        # the other 18 converge in 27 to 258 steps, and the race retires
-        # restarts 4 and 5 after 251 and 237
-        pytest.param({"d": 2, "seed": 2, "restarts": 20, "max_outer": 300}, 0,
-                     marks=pytest.mark.slow),
-        # restarts 0 and 1 run to max_outer, the race retires 2 after 27 steps
-        ({"d": 3, "seed": 16, "restarts": 3, "max_outer": 40}, 2),
-        # restarts 1 and 2 converge in 112 and 147 steps, restart 0 runs on to
-        # max_outer: its extrapolation stays above the bar
+        # six converge or stall in 10 to 49 steps, and the race retires the
+        # other eight after 21 to 28, each in a round of its own
+        ({"d": 2, "seed": 36, "restarts": 14, "max_outer": 300}, 0),
+        # restarts 0 and 1 run to max_outer, the race retires 2 after 34 steps
+        ({"d": 3, "seed": 9, "restarts": 3, "max_outer": 40}, 2),
+        # restart 2 converges in 147 steps and the race retires 1 after 78;
+        # restart 0 runs on to max_outer: its reach stays above the bar
         ({"d": 3, "seed": 3, "restarts": 3, "max_outer": 150}, 1),
         # a stack of one; it would converge in 29 steps
         ({"d": 4, "seed": 1, "restarts": 1, "max_outer": 20}, 1),
@@ -612,7 +683,7 @@ class TestOptimize:
     @given(st.sampled_from([2, 3]), st.integers(2, 6), st.integers(20, 120),
            st.integers(0, 2**32 - 1))
     # restart 0 reaches max_outer in round 129, in which restart 1's
-    # extrapolation falls below restart 0's value; no restart finished
+    # reach falls below restart 0's value; no restart finished
     # unretired before, so the bar is still -inf: the bar rises only from
     # the next round, and restart 1 runs on until the race retires it in
     # round 133
@@ -628,6 +699,27 @@ class TestOptimize:
         for s in got.restarts:
             if s.stop_reason == "dominated":
                 assert s.final_value < max(got.history)
+
+    @pytest.mark.parametrize("kwargs", [
+        # all three restarts run to max_outer; a rule that took the 20-step
+        # ratio alone retired the winner, restart 0, after 22 steps, and the
+        # best fell by 1.1e-5
+        {"d": 3, "seed": 3883877977, "restarts": 3, "max_outer": 24},
+        # the winner, restart 4, ends 5.9e-7 above restart 1; that rule
+        # retired it after 57 steps
+        {"d": 3, "seed": 2984717314, "restarts": 5, "max_outer": 84},
+    ])
+    def test_race_keeps_the_unraced_winner(self, monkeypatch, kwargs):
+        # the slower of the two ratios keeps the winner of the unraced run
+        cfg = SeesawConfig(**kwargs)
+        raced = optimize(cfg)
+        monkeypatch.setattr(seesaw, "RACE_WINDOW", 10**9)
+        unraced = optimize(cfg)
+        assert "dominated" not in [s.stop_reason for s in unraced.restarts]
+        assert raced.best_restart == unraced.best_restart
+        assert raced.best_value == unraced.best_value
+        assert raced.best_state.mat.tobytes() == unraced.best_state.mat.tobytes()
+        assert raced.history == unraced.history
 
     def test_benchmark_d4_instance_takes_few_steps(self):
         # the seesaw-d4 benchmark call; counts, not seconds, so any host
@@ -646,25 +738,26 @@ class TestOptimize:
         assert res.best_restart == 1
         assert res.best_value == float.fromhex("0x1.7ffffffa1a954p+0")
         assert hashlib.sha256(json.dumps(res.to_dict(), sort_keys=True).encode()).hexdigest() == (
-            "75d5e7146c6f4f1bea83d2b2f2e9e31e002f4b49121a69b324d9aa10be228128")
+            "fa0ffadbcc4f2a047acaba39e42f5d7ca8537b7f5a3f2b3cfd44031dca1a08ee")
 
     @pytest.mark.slow
     def test_benchmark_d3_instance_races(self):
         # the seesaw-d3 benchmark call.  A round is one stacked Dykstra
         # iteration, so the last round is the largest Dykstra count of any
         # restart.  Unraced, a restart below the winner can run alone to
-        # max_outer; the race retires seven, and every other restart stops
-        # by round 900.  Restart 9 alone runs on to round 1,726: it climbs to
-        # the winner's optimum and ends 4.5e-9 below it, so no extrapolation
-        # of its gains falls below the bar
+        # max_outer; the race retires eleven, and every other restart stops
+        # by round 900.  Restart 9 climbs to the winner's optimum, 4.5e-9
+        # below it unraced; its gains shrink geometrically, so the race
+        # retires it 6.5e-7 below the winner after 122 steps, in round 1,088
         res = optimize(SeesawConfig(d=3, seed=1, restarts=20))
         stats = res.restarts
         top = stats[res.best_restart].final_value
         assert "max_outer" not in [s.stop_reason for s in stats], stats
         assert [(r, s.dykstra_iters) for r, s in enumerate(stats)
-                if s.dykstra_iters > 900] == [(9, 1726)], stats
-        assert 0 < top - stats[9].final_value < 1e-8
-        assert [s.stop_reason for s in stats].count("dominated") == 7, stats
+                if s.dykstra_iters > 900] == [(9, 1088)], stats
+        assert (stats[9].stop_reason, stats[9].outer_steps) == ("dominated", 122)
+        assert 6e-7 < top - stats[9].final_value < 7e-7
+        assert [s.stop_reason for s in stats].count("dominated") == 11, stats
         assert res.best_restart == 19
         assert res.best_value == float.fromhex("0x1.3067691553284p+0")
 
@@ -695,7 +788,7 @@ class TestOptimize:
          ["dominated", "max_outer", "decreased", "decreased"]),
         # at d=2 restart 0 caps each of its 5 projections at 3 iterations
         (3, {"d": 2, "seed": 130, "max_outer": 50},
-         ["decreased", "max_outer", "converged", "dominated"]),
+         ["decreased", "dominated", "converged", "dominated"]),
     ])
     def test_telemetry_counts_the_eigh_work(self, monkeypatch, iters, kwargs, reasons):
         # every Dykstra iteration is two eigh matrices and nothing else calls
@@ -732,14 +825,14 @@ class TestOptimize:
         monkeypatch.setattr(seesaw, "PROJECTION_TOL_SHARE", 0.0)
         res = optimize(cfg)
         assert [(s.stop_reason, s.dykstra_iters) for s in res.restarts] == [
-            ("converged", 109), ("dominated", 232), ("converged", 150), ("dominated", 526)]
+            ("converged", 109), ("dominated", 110), ("converged", 150), ("dominated", 111)]
         assert hashlib.sha256(res.best_state.mat.tobytes()).hexdigest() == (
             "cca7a00bc0f41178c0f44042f9a756aedcd82759ff06fae885b4d6d5f889c0b5")
         assert hashlib.sha256(json.dumps(res.to_dict(), sort_keys=True).encode()).hexdigest() == (
-            "afbff57cac7cba7e967572a0ad4ea3cb50c6f87cab1a057a5c35941c7508d395")
+            "e1a2fc1e8b5e0a7e8dcf7c3a359ab88bcd4f148590f04b2a5fe5c20b1e8b5e7f")
         # the share moves the run: its projections stop earlier
         monkeypatch.undo()
-        assert sum(s.dykstra_iters for s in optimize(cfg).restarts) < 109 + 232 + 150 + 526
+        assert sum(s.dykstra_iters for s in optimize(cfg).restarts) < 109 + 110 + 150 + 111
 
     def test_deterministic(self):
         cfg = SeesawConfig(d=2, seed=3, restarts=2, max_outer=80)
@@ -764,6 +857,12 @@ class TestOptimize:
             SeesawConfig(d=3, seed=0, restarts=0)
         with pytest.raises(ValueError):
             SeesawConfig(d=3, seed=0, max_outer=0)
+        # max_outer enters the race's float arithmetic, so it stops at the
+        # largest count a float holds exactly
+        assert SeesawConfig(d=3, seed=0, max_outer=2**53).max_outer == 2**53
+        for big in (2**53 + 1, 10**400):
+            with pytest.raises(ValueError, match="max_outer must lie in"):
+                SeesawConfig(d=3, seed=0, max_outer=big)
         # the largest array, an (restarts, ANDERSON_MEMORY, 2 d^4) Anderson
         # buffer, is bounded before allocation
         per_restart = 2 * ANDERSON_MEMORY * 16**4
