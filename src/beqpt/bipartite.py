@@ -17,6 +17,10 @@ With this choice the three fixed points
 hold exactly (``|u> = sum_i |ii>``, ``F`` the swap); the test suite pins
 the convention against them.
 
+The ordering also fixes local operations: channels on the system half,
+filters, local unitaries and Lueders measurements all go through the one
+sum ``local_operation``.
+
 Each operator computes its descending realigned spectrum once, on first
 use of ``realigned_spectrum``; the Schmidt rank, and through it every
 faithfulness rule, cuts that spectrum at the module constant
@@ -200,12 +204,6 @@ def project_psd_trace_one(x: np.ndarray, dA: int, dB: int) -> DensityMatrix:
     return DensityMatrix(_project_dm_mat(np.asarray(x, dtype=complex)), dA, dB)
 
 
-def basis_ket(d: int, i: int) -> np.ndarray:
-    v = np.zeros(d, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
 def vec(m: np.ndarray) -> np.ndarray:
     """Row-stacking vectorization, vec(|i><j|) = |i>|j>."""
     return np.asarray(m, dtype=complex).reshape(-1)
@@ -238,6 +236,22 @@ def realign(rho: BipartiteOperator) -> np.ndarray:
     operator, realign(A kron B) = vec(A) vec(B)^T.
     """
     return _realign(rho.mat, rho.dA, rho.dB)
+
+
+def local_operation(rho: BipartiteOperator, pairs) -> np.ndarray:
+    """Sum over the pairs (a, b), a dA x dA and b dB x dB, of
+    (a kron b) rho (a kron b)^dag.  It sits beside ``realign``, which turns
+    it into products: R(sum (a kron b) rho (a kron b)^dag)
+    = sum (a kron conj a) R(rho) (b kron conj b)^T.  The sum starts from
+    zeros and adds the pairs in order, so zero entries stay +0."""
+    out = np.zeros_like(rho.mat)
+    for a, b in pairs:
+        if a.shape != (rho.dA,) * 2 or b.shape != (rho.dB,) * 2:
+            raise ValueError(f"local operators of shapes {a.shape} and {b.shape} "
+                             f"do not act on local dims {(rho.dA, rho.dB)}")
+        m = np.kron(a, b)
+        out += m @ rho.mat @ m.conj().T
+    return out
 
 
 def realign_inverse(m: np.ndarray, dA: int, dB: int) -> np.ndarray:

@@ -23,8 +23,8 @@ from .bipartite import (
     BipartiteOperator,
     DensityMatrix,
     as_complex_matrix,
-    basis_ket,
     check_number,
+    local_operation,
     partial_trace,
     vec,
 )
@@ -77,11 +77,7 @@ def apply_extended(ch: KrausChannel, rho: BipartiteOperator) -> BipartiteOperato
     if rho.dA != ch.d:
         raise ValueError(f"probe dA={rho.dA} does not match channel d={ch.d}")
     eye = np.eye(rho.dB)
-    out = np.zeros((ch.d * rho.dB,) * 2, dtype=complex)
-    for k in ch.kraus:
-        kk = np.kron(k, eye)
-        out += kk @ rho.mat @ kk.conj().T
-    return BipartiteOperator(out, ch.d, rho.dB)
+    return BipartiteOperator(local_operation(rho, ((k, eye) for k in ch.kraus)), ch.d, rho.dB)
 
 
 def superoperator_matrix(ch: KrausChannel) -> np.ndarray:
@@ -116,10 +112,8 @@ def depolarizing(d: int, p: float) -> KrausChannel:
     if p < 1.0:
         kraus.append(np.sqrt(1.0 - p) * np.eye(d))
     if p > 0.0:
-        scale = np.sqrt(p / d)
-        for i in range(d):
-            for j in range(d):
-                kraus.append(scale * np.outer(basis_ket(d, i), basis_ket(d, j).conj()))
+        # row i*d + j of the d^2 identity, read as a d x d matrix, is |i><j|
+        kraus.extend(np.sqrt(p / d) * np.eye(d * d, dtype=complex).reshape(-1, d, d))
     return KrausChannel(tuple(kraus), d)
 
 
@@ -131,9 +125,7 @@ def dephasing(d: int, p: float) -> KrausChannel:
     if p < 1.0:
         kraus.append(np.sqrt(1.0 - p) * np.eye(d))
     if p > 0.0:
-        for i in range(d):
-            e = basis_ket(d, i)
-            kraus.append(np.sqrt(p) * np.outer(e, e.conj()))
+        kraus.extend(np.sqrt(p) * np.eye(d * d, dtype=complex)[::d + 1].reshape(-1, d, d))
     return KrausChannel(tuple(kraus), d)
 
 

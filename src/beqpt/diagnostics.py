@@ -21,6 +21,7 @@ from .bipartite import (
     DensityMatrix,
     check_number,
     haar_unitary,
+    local_operation,
     operator_schmidt_rank,
     partial_transpose,
     _permute_subsystems,
@@ -137,11 +138,6 @@ def _random_pure_qubit(rng: np.random.Generator) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def local_unitary_conjugate(rho: DensityMatrix, ua: np.ndarray, ub: np.ndarray) -> DensityMatrix:
-    u = np.kron(ua, ub)
-    return DensityMatrix(u @ rho.mat @ u.conj().T, rho.dA, rho.dB)
-
-
 def attach_product_ancillas(rho: DensityMatrix, sigma: np.ndarray, tau: np.ndarray) -> DensityMatrix:
     """rho_AB kron sigma_A'' kron tau_B'', regrouped into (A A'')|(B B'')."""
     da2 = sigma.shape[0]
@@ -154,14 +150,8 @@ def attach_product_ancillas(rho: DensityMatrix, sigma: np.ndarray, tau: np.ndarr
 def lueders_product_measurement(rho: DensityMatrix, ua: np.ndarray, ub: np.ndarray) -> DensityMatrix:
     """Dephase in the product basis given by the columns of ua, ub:
     sum_kl (P_k kron Q_l) rho (P_k kron Q_l)."""
-    out = np.zeros_like(rho.mat)
-    for k in range(rho.dA):
-        pk = np.outer(ua[:, k], ua[:, k].conj())
-        for l in range(rho.dB):
-            ql = np.outer(ub[:, l], ub[:, l].conj())
-            proj = np.kron(pk, ql)
-            out = out + proj @ rho.mat @ proj
-    return DensityMatrix(out, rho.dA, rho.dB)
+    pk, ql = ([np.outer(c, c.conj()) for c in u.T] for u in (ua, ub))
+    return DensityMatrix(local_operation(rho, [(p, q) for p in pk for q in ql]), rho.dA, rho.dB)
 
 
 def rudolph_checks(rho: DensityMatrix, trials: int, seed: int) -> RudolphReport:
@@ -185,8 +175,8 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int) -> RudolphReport:
     def local_unitaries(rng):
         return haar_unitary(rho.dA, rng), haar_unitary(rho.dB, rng)
 
-    unitary_dev = max(abs(c) for c in changes(
-        0, lambda g: local_unitary_conjugate(rho, *local_unitaries(g))))
+    unitary_dev = max(abs(c) for c in changes(0, lambda g: DensityMatrix(
+        local_operation(rho, [local_unitaries(g)]), rho.dA, rho.dB)))
     ancilla_inc = max(changes(
         1, lambda g: attach_product_ancillas(rho, _random_pure_qubit(g), _random_pure_qubit(g))))
     lueders_inc = max(changes(

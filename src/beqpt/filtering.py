@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import DensityMatrix, as_complex_matrix, check_number, max_entry
+from .bipartite import DensityMatrix, as_complex_matrix, check_number, local_operation, max_entry
 from .diagnostics import DiagnosticsReport, full_report
 from .reports import Record
 
@@ -79,10 +79,7 @@ def local_filter(rho: DensityMatrix, f: FilterPair) -> DensityMatrix:
 
     Raises AnnihilatedState when the normalization trace vanishes.
     """
-    if f.A.shape[0] != rho.dA or f.B.shape[0] != rho.dB:
-        raise ValueError("filter dimensions do not match the state")
-    m = np.kron(f.A, f.B)
-    out = m @ rho.mat @ m.conj().T
+    out = local_operation(rho, [(f.A, f.B)])
     weight = float(out.trace().real)
     if weight <= ANNIHILATION_TOL:
         raise AnnihilatedState(f"filter annihilated the state (trace {weight:.3e})")

@@ -13,30 +13,26 @@ import numpy as np
 
 from .bipartite import (
     DensityMatrix,
-    basis_ket,
     check_number,
     max_entangled,
     swap_operator,
     _permute_subsystems,
 )
 
-_BELL_COMPONENTS = {
-    "phi+": ((0, 0), (1, 1), 1.0),
-    "phi-": ((0, 0), (1, 1), -1.0),
-    "psi+": ((0, 1), (1, 0), 1.0),
-    "psi-": ((0, 1), (1, 0), -1.0),
+_BELL_KETS = {  # sqrt2 times the Bell vector, in the basis |00>, |01>, |10>, |11>
+    "phi+": (1, 0, 0, 1),
+    "phi-": (1, 0, 0, -1),
+    "psi+": (0, 1, 1, 0),
+    "psi-": (0, 1, -1, 0),
 }
 
 
 def bell_ket(which: str) -> np.ndarray:
     """One of the four Bell vectors (|00> +- |11>)/sqrt2, (|01> +- |10>)/sqrt2."""
     try:
-        (a1, b1), (a2, b2), sign = _BELL_COMPONENTS[which]
+        v = np.array(_BELL_KETS[which], dtype=complex)
     except KeyError:
         raise ValueError(f"unknown Bell state {which!r}") from None
-    v = np.kron(basis_ket(2, a1), basis_ket(2, b1)) + sign * np.kron(
-        basis_ket(2, a2), basis_ket(2, b2)
-    )
     return v / np.sqrt(2)
 
 
@@ -118,7 +114,8 @@ def cariello_gamma(k: int, n: int, eps: float) -> DensityMatrix:
     # the state is divided by this trace, which a finite eps can still overflow
     if not math.isfinite(k * k + k + eps * n):
         raise ValueError(f"eps={eps} gives a trace k^2+k+eps*n that is not finite")
-    v = sum(np.kron(basis_ket(k, 2 * i), basis_ket(k, 2 * i + 1)) for i in range(n))
+    v = np.zeros(k * k, dtype=complex)
+    v[2 * np.arange(n) * (k + 1) + 1] = 1.0  # |2i>|2i+1> for i < n
     gamma = np.eye(k * k, dtype=complex) + swap_operator(k).mat + eps * projector(v)
     return DensityMatrix(gamma / gamma.trace().real, k, k)
 
@@ -208,8 +205,8 @@ def filtered_werner_closed_form(d: int, v: float) -> DensityMatrix:
     check_number("d", d, lo=3)
     check_number("v", v, real=True, lo=0, hi=1)
     norm = (d + 1) * (1.0 - v) + 3.0 * v * (d - 1)  # > 0 for d >= 3 and v in [0, 1]
-    phi2 = (np.kron(basis_ket(d, 0), basis_ket(d, 0)) +
-            np.kron(basis_ket(d, 1), basis_ket(d, 1))) / np.sqrt(2)
+    phi2 = np.zeros(d * d, dtype=complex)
+    phi2[[0, d + 1]] = 1 / np.sqrt(2)  # (|00> + |11>)/sqrt2
     block_eye = np.zeros((d * d, d * d), dtype=complex)
     idx = [0, 1, d, d + 1]  # |00>, |01>, |10>, |11>
     block_eye[idx, idx] = 1.0

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from beqpt.bipartite import haar_unitary, operator_schmidt_rank, realign, singular_values
+from beqpt.bipartite import (
+    BipartiteOperator,
+    haar_unitary,
+    local_operation,
+    operator_schmidt_rank,
+    realign,
+    singular_values,
+)
+from beqpt.channels import random_cptp, superoperator_matrix
 from beqpt.diagnostics import ccnr_value
 from beqpt.filtering import (
     ANNIHILATION_TOL,
@@ -105,11 +113,11 @@ class TestLocalFilter:
 
 
 @st.composite
-def contractions(draw, d):
-    """(A, r): a complex d x d contraction of rank r in 1..d, a product of
-    d x r and r x d Ginibre matrices scaled to a largest singular value in
-    [0.1, 1]."""
-    r = d - draw(st.integers(0, d - 1))  # full rank first as it shrinks
+def contractions(draw, d, rank=None):
+    """(A, r): a complex d x d contraction of rank r in 1..d (``rank`` if
+    given), a product of d x r and r x d Ginibre matrices scaled to a
+    largest singular value in [0.1, 1]."""
+    r = d - draw(st.integers(0, d - 1)) if rank is None else rank  # full rank first as it shrinks
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
          for shape in ((d, r), (r, d))]
@@ -141,6 +149,74 @@ class TestFilteringMechanism:
             s, t = rho.realigned_spectrum, out.realigned_spectrum
             kappa = (np.linalg.cond(a) * np.linalg.cond(b)) ** 2
             assert t[-1] / t[0] >= s[-1] / s[0] / kappa - 1e-12
+
+
+@st.composite
+def local_factors(draw, d):
+    """(A, r) from ``contractions``, singular in about a third of the draws."""
+    singular = draw(st.integers(0, 2)) == 2
+    return draw(contractions(d, rank=draw(st.integers(1, d - 1)) if singular else d))
+
+
+class TestLocalOperation:
+    """``local_operation`` against its realignment identity
+    R(sum (a kron b) rho (a kron b)^dag) = sum (a kron conj a) R(rho) (b kron conj b)^T
+    and the two bounds it gives for one filter pair (Gittsovich, Guehne,
+    Hyllus & Eisert, PRA 78, 052319 (2008))."""
+
+    @given(st.data())
+    def test_realignment_identity(self, data):
+        rho = data.draw(drawn_states(max_d=4))
+        pairs = [(data.draw(local_factors(rho.dA))[0], data.draw(local_factors(rho.dB))[0])
+                 for _ in range(data.draw(st.integers(1, 3)))]
+        out = BipartiteOperator(local_operation(rho, pairs), rho.dA, rho.dB)
+        r = realign(rho)
+        terms = [np.kron(a, a.conj()) @ r @ np.kron(b, b.conj()).T for a, b in pairs]
+        scale = sum(np.linalg.norm(t) for t in terms)  # that of the sum's rounding
+        assert np.linalg.norm(realign(out) - sum(terms)) <= 1e-12 * scale
+
+    @given(st.data())
+    def test_channel_case_is_the_tomography_identity(self, data):
+        # with b = Id the identity reads R((E kron Id) rho) = E_hat R(rho)
+        rho = data.draw(drawn_states(max_d=4))
+        ch = random_cptp(rho.dA, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**32 - 1)))
+        eye = np.eye(rho.dB)
+        out = BipartiteOperator(local_operation(rho, [(k, eye) for k in ch.kraus]),
+                                rho.dA, rho.dB)
+        expected = superoperator_matrix(ch) @ realign(rho)
+        assert np.linalg.norm(realign(out) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @given(st.data())
+    def test_rank_bound(self, data):
+        # rank R(rho_F) <= min(rank A, rank B)^2, so every singular filter
+        # makes a probe unfaithful
+        rho = data.draw(drawn_states(max_d=4))
+        a, ra = data.draw(contractions(rho.dA))
+        b, rb = data.draw(contractions(rho.dB))
+        out = BipartiteOperator(local_operation(rho, [(a, b)]), rho.dA, rho.dB)
+        assert operator_schmidt_rank(out) <= min(ra, rb) ** 2
+
+    @given(st.data())
+    def test_sigma_min_bound(self, data):
+        # an invertible filter costs sigma_min only through its conditioning:
+        # sigma_min(R(rho_F)) >= s(A)^2 s(B)^2 sigma_min(R(rho)) / N
+        rho = data.draw(drawn_states(max_d=4))
+        a, _ = data.draw(contractions(rho.dA, rank=rho.dA))
+        b, _ = data.draw(contractions(rho.dB, rank=rho.dB))
+        out = local_operation(rho, [(a, b)])
+        weight = out.trace().real
+        t = BipartiteOperator(out / weight, rho.dA, rho.dB).realigned_spectrum
+        s_min = [np.linalg.svd(m, compute_uv=False)[-1] for m in (a, b)]
+        bound = (s_min[0] * s_min[1]) ** 2 * rho.realigned_spectrum[-1] / weight
+        assert t[-1] >= bound - 1e-13 * t[0]
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+    def test_wrong_shape_names_both_dims(self, rng, dims):
+        rho = random_density_matrix(3, 3, rng)
+        a, b = (np.eye(d) for d in dims)
+        with pytest.raises(ValueError, match=rf"\({dims[0]}, {dims[0]}\) and "
+                                             rf"\({dims[1]}, {dims[1]}\).*\(3, 3\)"):
+            local_operation(rho, [(np.eye(3), np.eye(3)), (a, b)])
 
 
 class TestFilterAnalysis:
