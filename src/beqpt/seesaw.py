@@ -16,20 +16,23 @@ dual form gives f(sigma) >= <sigma, H> for every Hermitian sigma, with
 equality at rho (realignment permutes entries, so realign_inverse is its
 adjoint).  For rho' = P(rho + tH), the projection inequality gives
 t <H, rho' - rho> >= ||rho' - rho||^2 >= 0, so f(rho') >= <rho', H> >=
-<rho, H> = f(rho) for every t > 0.  A Dykstra run that stops within its
-cap at tolerance tau, with PPT correction p, loses at most tau ||p|| / t
-of that: its last cycle alone gives rho + tH = rho' + p + q, p normal to
-the PPT set at its PPT iterate y and q normal to the density set at
-rho', whichever corrections the cycle started from, and the stop test
-bounds ||rho' - y|| by tau.  This is the generalized power method for
-maximizing a convex function over a convex set (Journee, Nesterov,
-Richtarik & Sepulchre, JMLR 11, 517 (2010)); as t grows the step tends
-to the classic see-saw's exact linear maximization.  STEP is therefore a tuning
-constant, not a safety bound: a longer step takes fewer outer steps, a
-too long one starts each projection far from the feasible set and caps
-more of them.  Over d = 2..5, 0.1 took no more Dykstra iterations than
-the former 0.1/d at any d >= 3; longer steps left single d=3 restarts
-running on to max_outer.
+<rho, H> = f(rho) for every t > 0.  A Dykstra projection stops on one
+test, ||rho' - y|| <= tau, with y the PPT iterate of its last cycle and
+rho' its density-set projection; a run that passes it within its cap
+has two bounds.  Its last cycle alone gives rho + tH = rho' + p + q, p
+normal to the PPT set at y and q normal to the density set at rho',
+whichever corrections the cycle started from, so the step loses at most
+tau ||p|| / t.  The partial transpose permutes entries, so it keeps the
+Frobenius norm, and by Weyl's inequality lambda_min(rho'^Gamma) lies
+within tau of lambda_min(y^Gamma) >= 0.  This is the generalized power
+method for maximizing a convex function over a convex set (Journee,
+Nesterov, Richtarik & Sepulchre, JMLR 11, 517 (2010)); as t grows the
+step tends to the classic see-saw's exact linear maximization.  STEP is
+therefore a tuning constant, not a safety bound: a longer step takes
+fewer outer steps, a too long one starts each projection far from the
+feasible set and caps more of them.  Over d = 2..5, 0.1 took no more
+Dykstra iterations than the former 0.1/d at any d >= 3; longer steps
+left single d=3 restarts running on to max_outer.
 
 Dykstra (with correction terms) converges to the true projection onto
 the intersection, unlike plain alternating projections.  The last
@@ -124,10 +127,10 @@ winner's.  Retiring a restart moves no other restart, so when the race
 keeps the winner, its history and its state are those of the unraced
 run.  The rule itself is a heuristic, not a bound: a retired restart
 might later have passed the winner.  Of 200 drawn calls (d = 2, 3, 2 to
-6 restarts, max_outer 20 to 119) it moved the winner of three that the
-linear rule kept, by at most 9.8e-8; on d = 2..5, seeds 1..4 (20
-restarts, 4 at d=5) it moved one, at d=5 seed 4, whose retired restart
-would have ended 6.3e-12 above the new winner.
+6 restarts, max_outer 20 to 119) it moved the winner of nine that the
+linear rule kept, by at most 9.8e-8, six of them d=2 ties within
+OBJECTIVE_TOL; on the grid above it moved one, at d=5 seed 4, whose
+retired restart would have ended 6.3e-12 above the new winner.
 
 A run is set by counts alone (SeesawConfig); the step STEP, the
 projection caps and the stop tolerances are module constants.  The
@@ -161,7 +164,7 @@ from .states import random_density_matrix
 STEP = 0.1  # gradient step, the same at every d
 PROJECTION_ITERS = 200  # Dykstra iterations allowed per projection of a restart
 FINAL_PROJECTION_ITERS = 500  # the same for the winner's final hard projection
-PROJECTION_TOL = 1e-9  # Dykstra stops when both iterate moves are at most this
+PROJECTION_TOL = 1e-9  # Dykstra stops when ||rho' - y|| of its last cycle is at most this
 PROJECTION_TOL_SHARE = 0.01  # a warm projection's tolerance, as a share of the last gain
 OBJECTIVE_TOL = 1e-9  # a restart stops when its objective gains less than this
 RACE_WINDOW = 20  # Y-steps whose mean gain a restart's race extrapolates
@@ -254,16 +257,13 @@ def _norm(a: np.ndarray) -> np.ndarray:
 
 def _dykstra_step(x, p, q, dA: int, dB: int, tol) -> tuple:
     """One Dykstra cycle on a matrix or a stack: (out, the new corrections
-    p, q as one (..., 2, n, n) array, stop test per matrix at ``tol``, one
-    number or one per matrix); like ``and``, it takes the second norm only
-    if a first passes."""
+    p, q as one (..., 2, n, n) array, stop test ||out - y|| <= ``tol`` per
+    matrix, ``tol`` one number or one per matrix)."""
     xp = x + p
     y = _project_ppt_mat(xp, dA, dB)
     yq = y + q
     out = _project_dm_mat(yq)
     done = _norm(out - y) <= tol
-    if done.any():
-        done &= _norm(out - x) <= tol
     f = np.empty(out.shape[:-2] + (2,) + out.shape[-2:], yq.dtype)
     np.subtract(xp, y, out=f[..., 0, :, :])
     np.subtract(yq, out, out=f[..., 1, :, :])
@@ -361,9 +361,9 @@ def _dykstra(s: _Stack, dA: int, dB: int, iters: int) -> tuple:
     round ``optimize`` runs, to its stop test or ``iters`` iterations; a
     new stack is a cold start, with zero corrections and an empty memory.
     Returns (the last density-set projection, exactly PSD, the corrections
-    p, q of its cycle, iterations).  The stop test bounds the moves of the
-    last cycle by the row's tolerance, not the distance to the true
-    projection, which a slow run can leave much larger."""
+    p, q of its cycle, iterations).  The stop test bounds the gap ||out - y||
+    between the last cycle's two projections by the row's tolerance, not the
+    distance to the true projection, which a slow run can leave much larger."""
     while True:
         out, f, done = _dykstra_round(s, dA, dB)
         if done[0] or s.k[0] == iters:

@@ -191,6 +191,35 @@ class TestSmallestRealignedSingularValue:
         assert abs(werner_f(d, f).realigned_spectrum[-1] - want) <= 1e-15
 
 
+def sigma_min_ceiling(rho: DensityMatrix, ccnr: float) -> float:
+    """(ccnr - 1/sqrt(dA dB)) / (min(dA, dB)^2 - 1), the largest sigma_min a
+    state of CCNR norm ``ccnr`` can have."""
+    return (ccnr - 1.0 / np.sqrt(rho.dA * rho.dB)) / (min(rho.dA, rho.dB) ** 2 - 1)
+
+
+class TestSigmaMinCeiling:
+    """With e_A = vec(Id)/sqrt(dA) and e_B = vec(Id)/sqrt(dB), e_A^T R(rho)
+    e_B = Tr rho / sqrt(dA dB), so sigma_max >= 1/sqrt(dA dB); the other
+    min(dA, dB)^2 - 1 singular values are at least sigma_min, which gives
+    the ceiling.  CCNR <= 1 on separable states (Chen & Wu, Quantum Inf.
+    Comput. 3, 193 (2003); Rudolph, Quantum Inf. Process. 4, 219 (2005))
+    then caps their sigma_min at 1/(d(d+1))."""
+
+    @given(st.one_of(drawn_states(), drawn_states(square=True)))
+    def test_sigma_min_at_most_the_ceiling(self, rho):
+        s = rho.realigned_spectrum
+        assert s[-1] <= sigma_min_ceiling(rho, s.sum()) + 1e-12
+
+    @pytest.mark.parametrize("rho", [isotropic(3, 1 / 4), isotropic(4, 1 / 5),
+                                     werner_f(4, -1.0), rho_ccnr()],
+                             ids=["isotropic3", "isotropic4", "werner4", "rho_ccnr"])
+    def test_ceiling_is_tight(self, rho):
+        # the isotropic boundary alpha = 1/(d+1) attains the separable
+        # ceiling 1/(d(d+1)); Werner f = -1 and rho_ccnr attain 1/12 at CCNR 1.5
+        s = rho.realigned_spectrum
+        assert abs(s[-1] - sigma_min_ceiling(rho, s.sum())) <= 1e-12
+
+
 class TestFullReport:
     def test_internal_consistency(self, rng):
         rho = random_density_matrix(3, 3, rng)
@@ -258,11 +287,12 @@ class TestOneSpectrumProperties:
            st.integers(0, 2**32 - 1))
     def test_ccnr_at_most_one_on_separable_mixtures(self, dA, dB, terms, seed):
         # from 4 terms on (up to 25 at d=5) mixtures of full Schmidt rank are
-        # drawn; CCNR <= 1 caps the sum of the min(dA, dB)**2 singular
-        # values, so no separable state has sigma_min above 1/min(dA, dB)**2
+        # drawn; CCNR <= 1 and TestSigmaMinCeiling's ceiling give sigma_min
+        # <= (1 - 1/sqrt(dA dB)) / (min(dA, dB)**2 - 1), for square states
+        # 1/(d(d+1)), which the isotropic boundary attains
         rho = random_separable_state(dA, dB, np.random.default_rng(seed), terms=terms)
         assert ccnr_value(rho) <= 1.0 + 1e-9
-        assert rho.realigned_spectrum[-1] <= 1.0 / min(dA, dB) ** 2 + 1e-9
+        assert rho.realigned_spectrum[-1] <= sigma_min_ceiling(rho, 1.0) + 1e-9
 
     def test_one_svd_per_report(self, monkeypatch):
         calls = []
