@@ -68,8 +68,7 @@ def row_ccnr_extremal_4x4() -> RowResult:
     """rho_ccnr: spectrum {1/4, 1/12 x15}, trace norm 1.5, PPT, purity 1/6."""
     rho = states.rho_ccnr()
     s = rho.realigned_spectrum
-    expected = np.array([1 / 4] + [1 / 12] * 15)
-    spec_dev = float(np.abs(s - expected).max())
+    spec_dev = float(np.abs(s - np.array(states.RHO_CCNR_SPECTRUM)).max())
     tn = float(s.sum())
     _, min_eig = diag.is_ppt(rho)
     purity = diag.faithfulness(rho)

@@ -5,8 +5,9 @@ most 1, so any excess certifies entanglement.  A state is *faithful*
 (usable as a tomography probe) exactly when its realigned matrix is
 invertible, i.e. has full operator Schmidt rank.
 
-Every number here is read from the state's ``realigned_spectrum``, which
-each operator computes once, and every tolerance is a module constant.
+Every CCNR and faithfulness number here is read from the state's
+``realigned_spectrum``, which each operator computes once, and every
+tolerance is a module constant.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .bipartite import (
 from .reports import Record
 
 ENTANGLED_MARGIN = 1e-9
-PURITY_IDENTITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,10 @@ def is_ppt(rho: BipartiteOperator) -> tuple:
 
 
 def faithfulness(rho: DensityMatrix) -> float:
-    """Purity Tr(rho^2), checked against its equal, the squared Frobenius
-    norm of the realigned matrix (the sum of squared realigned singular
-    values)."""
-    purity = float(np.vdot(rho.mat, rho.mat).real)
-    s2 = float((rho.realigned_spectrum ** 2).sum())
-    if abs(purity - s2) > PURITY_IDENTITY_TOL:
-        raise RuntimeError(
-            f"purity identity violated: Tr(rho^2)={purity:.17g}, sum s^2={s2:.17g}"
-        )
-    return purity
+    """Purity Tr(rho^2).  Realignment permutes entries, so it equals the
+    squared Frobenius norm of the realigned matrix, the sum of the squared
+    realigned singular values."""
+    return float(np.vdot(rho.mat, rho.mat).real)
 
 
 def is_faithful(rho: BipartiteOperator) -> tuple:
@@ -90,27 +84,23 @@ def is_faithful(rho: BipartiteOperator) -> tuple:
 def analytic_ccnr(family: str, d: int, param: float) -> float:
     """Closed-form realigned trace norms of the two symmetric families.
 
-    isotropic (param = alpha):  d*alpha + (1-alpha)/d      for alpha >= 0,
-                                (1 - (d^2-1)*alpha)/d      for alpha < 0.
-    werner    (param = f):      2/d - f  for f <= 1/d,  f  for f >= 1/d.
+    isotropic (param = alpha):  (1 + (d^2-1)|alpha|)/d
+    werner    (param = f):      (1 + |d f - 1|)/d
 
-    Both follow from the realigned eigenvalues: the isotropic state
-    realigns to (1-alpha)/d^2 |u><u| + (alpha/d) Id, i.e. eigenvalue 1/d
-    once and alpha/d with multiplicity d^2 - 1, and singular values take
-    absolute values; the Werner state realigns to a |u><u| + b F with
-    a d + b = 1/d and the same multiplicity structure.
+    Both realigned spectra are flat: one singular value 1/d, on the
+    maximally entangled vector u = vec(Id), and d^2 - 1 equal ones.  The
+    isotropic state realigns to (1-alpha)/d^2 |u><u| + (alpha/d) Id, so
+    the others are |alpha|/d; the Werner state realigns to a |u><u| + b F
+    with b = (d f - 1)/(d^3 - d), and F is +-1 on the complement of u, so
+    the others are |b|.
     """
     check_number("d", d, lo=2)
     if family == "isotropic":
         check_number("alpha", param, real=True, lo=-1.0 / (d * d - 1) - 1e-15, hi=1.0 + 1e-15)
-        if param >= 0:
-            return d * param + (1.0 - param) / d
-        return (1.0 - (d * d - 1) * param) / d
+        return (1.0 + (d * d - 1) * abs(param)) / d
     if family == "werner":
         check_number("f", param, real=True, lo=-1, hi=1)
-        if param <= 1.0 / d:
-            return 2.0 / d - param
-        return float(param)
+        return (1.0 + abs(d * param - 1.0)) / d
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -30,9 +30,8 @@ Nesterov, Richtarik & Sepulchre, JMLR 11, 517 (2010)); as t grows the
 step tends to the classic see-saw's exact linear maximization.  STEP is
 therefore a tuning constant, not a safety bound: a longer step takes
 fewer outer steps, a too long one starts each projection far from the
-feasible set and caps more of them.  Over d = 2..5, 0.1 took no more
-Dykstra iterations than the former 0.1/d at any d >= 3; longer steps
-left single d=3 restarts running on to max_outer.
+feasible set and caps more of them.  Over d = 2..5, longer steps than
+0.1 left single d=3 restarts running on to max_outer.
 
 Dykstra (with correction terms) converges to the true projection onto
 the intersection, unlike plain alternating projections.  The last
@@ -73,11 +72,9 @@ image of the same map, so it writes no difference and the safeguard
 does not judge it, but it is extrapolated from the carried columns:
 one gradient step moves the map little, so the differences of the last
 map still point the way, and the safeguard judges that extrapolation
-like any other.  On the seesaw-d3 call, under the linear race it had
-then, carrying the memory took the Dykstra iterations from 17,112 to
-9,000: cleared at each projection, it left most warm projections at 6 to
-8 iterations even in a restart's tail, where one step barely moves the
-map; carried, half of them take 2.
+like any other.  Cleared at each projection, the memory left most warm
+projections at 6 to 8 iterations even in a restart's tail, where one
+step barely moves the map; carried, half of them take 2.
 
 All restarts run as one state machine over an (R, n, n) stack, a single
 restart as a stack of one: a round is one Dykstra iteration of each live
@@ -85,9 +82,10 @@ restart, then one Y-step and gradient step of those whose projection
 stopped.  A row's point, corrections, iteration count, restart, Anderson
 memory and restart counters are one record, so a finished restart leaves
 the stack in one take, and ``_dykstra`` runs a stack of one through the
-same round for the final hard projection.  Stacked eigh, svd, matmul,
-vecdot and solve give the bits of per-matrix calls and the stop norms are
-taken per matrix, so a batched run equals the serial one bit for bit.  A
+same round, under the same cap PROJECTION_ITERS, for the final hard
+projection.  Stacked eigh, svd, matmul, vecdot and solve give the bits
+of per-matrix calls and the stop norms are taken per matrix, so a
+batched run equals the serial one bit for bit.  A
 restart's RestartStats is written once, from its row and history, at the
 Y-step where it stops; the winner is kept as values arrive.
 
@@ -106,8 +104,9 @@ published extremal states rho_ccnr and rho_ccnr_3x3 are real too.
 The restarts race (Maron & Moore, NIPS 1993; Jamieson & Talwalkar,
 AISTATS 2016).  At each Y-step of a restart with more than RACE_WINDOW
 values, ``_race`` extrapolates its gains to max_outer; if that reach
-lands below the bar, the restart is retired as "dominated".  Near the
-optimum the see-saw converges linearly, so its gains shrink
+lands more than OBJECTIVE_TOL below the bar, the restart is retired as
+"dominated", so a tie within the tolerance that stops restarts runs on.
+Near the optimum the see-saw converges linearly, so its gains shrink
 geometrically, and a geometric tail g1 r (1 - r^left)/(1 - r) is what
 the steps left can still gain (learning-curve extrapolation: Domhan,
 Springenberg & Hutter, IJCAI 2015; Aitken's delta-squared process
@@ -122,18 +121,19 @@ earlier round, read once per round, so the order of the rows within a
 round cannot matter.  A live restart gained at least OBJECTIVE_TOL > 0
 on every step, or it would have stopped, so both its linear and its
 geometric gain are positive and its reach is at least its current value,
-which is also its best: a dominated restart's best is below the
-winner's.  Retiring a restart moves no other restart, so when the race
-keeps the winner, its history and its state are those of the unraced
-run.  The rule itself is a heuristic, not a bound: a retired restart
-might later have passed the winner.  Of 200 drawn calls (d = 2, 3, 2 to
-6 restarts, max_outer 20 to 119) it moved the winner of nine that the
-linear rule kept, by at most 9.8e-8, six of them d=2 ties within
-OBJECTIVE_TOL; on the grid above it moved one, at d=5 seed 4, whose
-retired restart would have ended 6.3e-12 above the new winner.
+which is also its best: a dominated restart's best is more than
+OBJECTIVE_TOL below the winner's.  Retiring a restart moves no other
+restart, so when the race keeps the winner, its history and its state
+are those of the unraced run.  The rule itself is a heuristic, not a
+bound: a retired restart might later have passed the winner.  Of 200
+drawn calls (d = 2, 3, 2 to 6 restarts, max_outer 20 to 119) it moved
+the winner of seven against the unraced run: three at d=3, by -4.9e-3,
+-9.8e-8 and -8.3e-8, and four at d=2, where every restart converges to
+the optimum 1, by at most 2.5e-9.  On the grid above it moved one, at
+d=5 seed 4, by -6.3e-12, and +8.2e-11 after the final projection.
 
 A run is set by counts alone (SeesawConfig); the step STEP, the
-projection caps and the stop tolerances are module constants.  The
+projection cap and the stop tolerances are module constants.  The
 public surface is ``optimize``; the density-set projection comes from
 ``bipartite``, and the half-steps are only the kernels
 ``optimize`` runs (``_y_step``, ``_rho_step``, ``_dykstra_round``,
@@ -162,8 +162,7 @@ from .reports import Record
 from .states import random_density_matrix
 
 STEP = 0.1  # gradient step, the same at every d
-PROJECTION_ITERS = 200  # Dykstra iterations allowed per projection of a restart
-FINAL_PROJECTION_ITERS = 500  # the same for the winner's final hard projection
+PROJECTION_ITERS = 200  # Dykstra iterations allowed per projection, the final one too
 PROJECTION_TOL = 1e-9  # Dykstra stops when ||rho' - y|| of its last cycle is at most this
 PROJECTION_TOL_SHARE = 0.01  # a warm projection's tolerance, as a share of the last gain
 OBJECTIVE_TOL = 1e-9  # a restart stops when its objective gains less than this
@@ -179,7 +178,7 @@ STOP_REASONS = ("converged", "decreased", "max_outer", "dominated")
 
 @dataclass(frozen=True)
 class SeesawConfig(Record):
-    """Run counts; the gradient step STEP, the projection caps and the
+    """Run counts; the gradient step STEP, the projection cap and the
     stop tests are module constants, so the config echoes as it runs."""
 
     d: int
@@ -209,13 +208,13 @@ class RestartStats(Record):
     """Telemetry of one restart: its Y-steps, why it stopped ("converged"
     or "decreased" when the objective gained less than OBJECTIVE_TOL,
     "max_outer", or "dominated" when the race retired it because its
-    reach fell below the bar), the Dykstra iterations of all its
-    projections, how many of those projections ran the full
-    PROJECTION_ITERS, how many extrapolated points the Anderson safeguard
-    rejected in them, its last objective value, and its tail estimate:
-    what its geometric tail (``_race``) would still gain in the steps
-    max_outer left it, so how far short of its limit it may have stopped.
-    It is 0.0 at max_outer and when no tail is geometric: RACE_WINDOW
+    reach fell more than OBJECTIVE_TOL below the bar), the Dykstra
+    iterations of all its projections, how many of those projections ran
+    the full PROJECTION_ITERS, how many extrapolated points the Anderson
+    safeguard rejected in them, its last objective value, and its tail
+    estimate: what its geometric tail (``_race``) would still gain in the
+    steps max_outer left it, so how far short of its limit it may have
+    stopped.  It is 0.0 at max_outer and when no tail is geometric: RACE_WINDOW
     values or fewer, a last gain <= 0, or either window not decaying."""
 
     outer_steps: int
@@ -449,7 +448,7 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
             if stalled or len(h) == cfg.max_outer:
                 why = ("decreased" if val < prev else "converged") if stalled else "max_outer"
                 top = max(top, *h)
-            elif reach < bar:
+            elif reach < bar - OBJECTIVE_TOL:
                 why = "dominated"
             else:
                 continue
@@ -464,8 +463,7 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
             s.take(alive)
     _, r, mat = win
     # final hard projection so the reported state is feasible to <= 1e-7
-    final, _, _, final_iters = _dykstra(_Stack(mat[None], FINAL_PROJECTION_TOL), d, d,
-                                        FINAL_PROJECTION_ITERS)
+    final, _, _, final_iters = _dykstra(_Stack(mat[None], FINAL_PROJECTION_TOL), d, d, iters)
     state = DensityMatrix(final, d, d)
     return SeesawResult(best_state=state, best_value=ccnr_value(state),
                         history=tuple(history[r]), ppt_residual=is_ppt(state)[1],

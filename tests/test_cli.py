@@ -291,21 +291,22 @@ class TestOptimize:
         assert main(["optimize", "--d", "2", "--seed", "3", "--restarts", "4",
                      "--max-outer", "50", "--out", str(out)]) == 0
         results = read(out)["results"]
-        assert results["best_restart"] == 3
+        assert results["best_restart"] == 2
         assert [r["stop_reason"] for r in results["restarts"]] == [
-            "dominated", "dominated", "dominated", "converged"]
+            "dominated", "dominated", "converged", "converged"]
         assert set(results["restarts"][0]) == {
             "outer_steps", "stop_reason", "dykstra_iters", "cap_hits", "safeguard_resets",
             "final_value", "tail_estimate"}
         # each restart ran past the 20-step window with a geometric tail: the
-        # two retired first had far more left than the converged winner's
-        # 2e-9; restart 2's tail of 3.46e-9 left its reach 1e-12 short of
-        # the winner's value, so the race retired it
+        # two retired had far more left than the converged two's 1.5e-9 and
+        # 2.1e-9; restart 2's reach once fell 1e-12 below the bar, restart
+        # 3's value, a tie within OBJECTIVE_TOL that the race keeps, and it
+        # ran on to converge above restart 3
         tails = [r["tail_estimate"] for r in results["restarts"]]
         assert all(t > 1e-6 for t in tails[:2]) and all(0 < t < 1e-8 for t in tails[2:])
         assert "restarts_summary" not in results
         lines = capsys.readouterr().out.splitlines()
-        assert "best restart  3; stops: converged 1, decreased 0, max_outer 0, dominated 3" in lines
+        assert "best restart  2; stops: converged 2, decreased 0, max_outer 0, dominated 2" in lines
         # the rounds are read from the records, with no field of their own
         iters = sorted(r["dykstra_iters"] for r in results["restarts"])
         assert f"rounds        {iters[-1]} (solo {iters[-1] - iters[-2]})" in lines

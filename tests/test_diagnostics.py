@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beqpt.bipartite import DensityMatrix, operator_schmidt_rank, realign, singular_values
@@ -93,6 +93,19 @@ class TestIsFaithful:
             is_faithful(random_density_matrix(2, 3, rng))
 
 
+@st.composite
+def ccnr_kink_draws(draw):
+    """(family, d, param) with d in 2..8 and the param at a kink of the
+    closed form (alpha = 0, alpha = -1/(d^2 - 1), f = 1/d), at a float
+    neighbour of one, or anywhere in its range."""
+    family = draw(st.sampled_from(("isotropic", "werner")))
+    d = draw(st.integers(2, 8))
+    lo = -1.0 / (d * d - 1) if family == "isotropic" else -1.0
+    kink = draw(st.sampled_from((0.0, lo) if family == "isotropic" else (1.0 / d,)))
+    near = st.sampled_from((kink, np.nextafter(kink, -np.inf), np.nextafter(kink, np.inf)))
+    return family, d, float(draw(st.one_of(near, st.floats(lo, 1.0))))
+
+
 class TestAnalyticCcnr:
     def test_reference_points(self):
         assert analytic_ccnr("isotropic", 4, 1.0) == pytest.approx(4.0)
@@ -109,11 +122,22 @@ class TestAnalyticCcnr:
                 assert abs(
                     ccnr_value(isotropic(d, float(alpha)))
                     - analytic_ccnr("isotropic", d, float(alpha))
-                ) <= 1e-9
+                ) <= 1e-12
             for f in np.linspace(-1.0, 1.0, 11):
                 assert abs(
                     ccnr_value(werner_f(d, float(f))) - analytic_ccnr("werner", d, float(f))
-                ) <= 1e-9
+                ) <= 1e-12
+
+    @settings(max_examples=300)
+    @given(ccnr_kink_draws())
+    @example(("isotropic", 3, -1.0 / 8))
+    @example(("werner", 3, -1.0))
+    def test_one_formula_across_the_kinks(self, case):
+        # each family's closed form is one formula with one absolute value,
+        # which must hold on both sides of its kink and at it
+        family, d, param = case
+        state = isotropic(d, param) if family == "isotropic" else werner_f(d, param)
+        assert abs(ccnr_value(state) - analytic_ccnr(family, d, param)) <= 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -298,6 +322,6 @@ class TestOneSpectrumProperties:
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        # rho_ccnr's self-check computes the spectrum the report reads
+        # the report computes the state's realigned spectrum on first use
         full_report(rho_ccnr())
         assert len(calls) == 1

@@ -24,7 +24,6 @@ from beqpt.bipartite import (
 from beqpt.diagnostics import ccnr_value, is_ppt
 from beqpt.seesaw import (
     ANDERSON_MEMORY,
-    FINAL_PROJECTION_ITERS,
     FINAL_PROJECTION_TOL,
     MAX_STACK_ENTRIES,
     OBJECTIVE_TOL,
@@ -640,14 +639,14 @@ def serial_optimize(cfg):
         reach, tail = _race(h, cfg.max_outer - len(h))
         if reason:
             finished.append((t, best[r][0]))
-        elif reach < bar:
+        elif reach < bar - OBJECTIVE_TOL:
             reason = "dominated"
             runs[r].close()
         if reason:
             stats[r] = RestartStats(len(h), reason, *counts, val, tail)
     winner = max(range(cfg.restarts), key=lambda r: best[r][0])
     final, _, _, final_iters = _dykstra(_Stack(best[winner][1][None], FINAL_PROJECTION_TOL),
-                                        cfg.d, cfg.d, FINAL_PROJECTION_ITERS)
+                                        cfg.d, cfg.d, PROJECTION_ITERS)
     state = DensityMatrix(final, cfg.d, cfg.d)
     return SeesawResult(best_state=state, best_value=ccnr_value(state),
                         history=tuple(history[winner]), ppt_residual=is_ppt(state)[1],

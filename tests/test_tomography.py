@@ -355,13 +355,14 @@ class TestFactorizationCount:
         ch, probe = depolarizing(4, 0.3), rho_ccnr()
         calls = self._count(monkeypatch)
         run_aaqpt(ch, probe, noise=noise, seed=3)
-        # the probe's spectrum comes from its construction's self-check
-        assert calls["svd"] == 0
+        # the probe's one SVD, its realigned spectrum, happens at first use,
+        # inside the run: the probe report takes it and the gate shares it
+        assert calls["svd"] == 1
         assert calls["pinv"] == 0
         assert calls["solve"] == 1
         # validating the output state, the probe report's PPT test, the
         # reconstructed and the true Choi matrix, the trace distance, and
-        # with noise the projected output; the probe's own spectrum comes
+        # with noise the projected output; the probe's own eigenvalues come
         # from its validation
         assert calls["eigvalsh"] == (6 if noise else 5)
 
@@ -373,8 +374,9 @@ class TestFactorizationCount:
         is_faithful(probe)
         run_aaqpt(depolarizing(4, 0.3), probe)
         run_aaqpt(identity_channel(4), probe)
-        # the construction's self-check computes the only realigned spectrum,
-        # and each reconstruction solves against the realigned probe
+        # the first report computes the only realigned spectrum, which every
+        # later reader shares, and each reconstruction solves against the
+        # realigned probe
         assert calls["svd"] == 1
         assert calls["pinv"] == 0
         assert calls["solve"] == 2
