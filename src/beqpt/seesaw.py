@@ -112,25 +112,24 @@ the steps left can still gain (learning-curve extrapolation: Domhan,
 Springenberg & Hutter, IJCAI 2015; Aitken's delta-squared process
 assumes the same tail).  The ratio r is the larger, slower-decaying one
 of those over the last RACE_WINDOW and RACE_WINDOW/2 gains, so a tail
-that decays more slowly at its end keeps the longer reach; the reach is
-the smaller of that tail and the linear one, the mean gain of the last
-RACE_WINDOW steps times the steps left, and a tail that is not geometric
-(a window not decaying, or r rounding to 1) keeps the linear reach.  The
+that decays more slowly at its end keeps the longer reach, and the
+reach is the current value plus that tail.  A restart whose tail is not
+geometric (a window not decaying, or r rounding to 1) runs on.  The
 bar is the best value of any restart that finished unretired in an
 earlier round, read once per round, so the order of the rows within a
 round cannot matter.  A live restart gained at least OBJECTIVE_TOL > 0
-on every step, or it would have stopped, so both its linear and its
-geometric gain are positive and its reach is at least its current value,
-which is also its best: a dominated restart's best is more than
-OBJECTIVE_TOL below the winner's.  Retiring a restart moves no other
-restart, so when the race keeps the winner, its history and its state
-are those of the unraced run.  The rule itself is a heuristic, not a
-bound: a retired restart might later have passed the winner.  Of 200
-drawn calls (d = 2, 3, 2 to 6 restarts, max_outer 20 to 119) it moved
-the winner of seven against the unraced run: three at d=3, by -4.9e-3,
--9.8e-8 and -8.3e-8, and four at d=2, where every restart converges to
-the optimum 1, by at most 2.5e-9.  On the grid above it moved one, at
-d=5 seed 4, by -6.3e-12, and +8.2e-11 after the final projection.
+on every step, or it would have stopped, so its tail is positive and
+its reach is at least its current value, which is also its best: a
+dominated restart's best is more than OBJECTIVE_TOL below the winner's.
+Retiring a restart moves no other restart, so when the race keeps the
+winner, its history and its state are those of the unraced run.  The
+rule itself is a heuristic, not a bound: a retired restart might later
+have passed the winner.  Of 200 drawn calls (d = 2, 3, 2 to 6 restarts,
+max_outer 20 to 119) it moved the winner of six against the unraced
+run: two at d=3, by -9.8e-8 and -8.3e-8, and four at d=2, where every
+restart converges to the optimum 1, by at most 2.5e-9.  On the grid
+above it moved one, at d=5 seed 4, by -6.3e-12, and +8.2e-11 after the
+final projection.
 
 A run is set by counts alone (SeesawConfig); the step STEP, the
 projection cap and the stop tolerances are module constants.  The
@@ -166,7 +165,7 @@ PROJECTION_ITERS = 200  # Dykstra iterations allowed per projection, the final o
 PROJECTION_TOL = 1e-9  # Dykstra stops when ||rho' - y|| of its last cycle is at most this
 PROJECTION_TOL_SHARE = 0.01  # a warm projection's tolerance, as a share of the last gain
 OBJECTIVE_TOL = 1e-9  # a restart stops when its objective gains less than this
-RACE_WINDOW = 20  # Y-steps whose mean gain a restart's race extrapolates
+RACE_WINDOW = 20  # the longer of the two gain windows a restart's race reads
 FINAL_PROJECTION_TOL = 1e-10  # the final hard projection's stop test
 ANDERSON_MEMORY = 5  # Anderson differences each projection keeps
 ANDERSON_REG = 1e-10  # Tikhonov weight, relative to the trace of the Gram matrix
@@ -187,8 +186,8 @@ class SeesawConfig(Record):
     restarts: int = 20
 
     def __post_init__(self):
-        # max_outer enters the race's float arithmetic, so it is bounded by
-        # the largest count a float holds exactly
+        # the race's r**left turns max_outer into a float, so it is bounded
+        # by the largest count a float holds exactly
         for name, lo, hi in (("d", 2, None), ("seed", 0, None), ("max_outer", 1, 2**53),
                              ("restarts", 1, None)):
             check_number(name, getattr(self, name), lo=lo, hi=hi)
@@ -214,8 +213,9 @@ class RestartStats(Record):
     safeguard rejected in them, its last objective value, and its tail
     estimate: what its geometric tail (``_race``) would still gain in the
     steps max_outer left it, so how far short of its limit it may have
-    stopped.  It is 0.0 at max_outer and when no tail is geometric: RACE_WINDOW
-    values or fewer, a last gain <= 0, or either window not decaying."""
+    stopped; a finite reach is its last value plus this tail.  It is 0.0
+    at max_outer and when no tail is geometric: RACE_WINDOW values or
+    fewer, either window not decaying, or r rounding to 1."""
 
     outer_steps: int
     stop_reason: str
@@ -384,27 +384,24 @@ def _race(h: list, left: int) -> tuple:
     """(reach, tail) of a restart with values ``h`` and ``left`` Y-steps to
     go.  With g1 the last gain and g_K the gain K steps back, r_K =
     (g1/g_K)^(1/(K-1)) over the windows K = RACE_WINDOW and RACE_WINDOW/2,
-    and r the larger, slower-decaying, of the two; the tail g1 r (1 - r^left)/(1 - r) is what
-    a geometric tail gains in the steps left.  The reach is the last value
-    plus the smaller of the tail and the linear gain, the mean gain of the
-    last RACE_WINDOW steps times ``left``.  With either window not decaying
-    (0 < g1 < g_K fails) or r rounding to 1 no tail is geometric: the tail
-    is 0.0 and the reach linear.  With RACE_WINDOW values or fewer the
+    and r the larger, slower-decaying, of the two; the tail
+    g1 r (1 - r^left)/(1 - r) is what a geometric tail gains in the steps
+    left, and the reach is the last value plus the tail.  With RACE_WINDOW
+    values or fewer, either window not decaying (0 < g1 < g_K fails) or r
+    rounding to 1, no tail is geometric and the restart is not raced: the
     reach is inf and the tail 0.0."""
     if len(h) <= RACE_WINDOW:
         return np.inf, 0.0
-    val, g1 = h[-1], h[-1] - h[-2]
-    linear = (val - h[-RACE_WINDOW - 1]) / RACE_WINDOW * left
-    r = 0.0
+    g1, r = h[-1] - h[-2], 0.0
     for k in (RACE_WINDOW, RACE_WINDOW // 2):
         gk = h[-k] - h[-k - 1]
         if not 0.0 < g1 < gk:
-            return val + linear, 0.0
+            return np.inf, 0.0
         r = max(r, (g1 / gk) ** (1 / (k - 1)))
     if r >= 1.0:  # the ratios sit within rounding of 1
-        return val + linear, 0.0
+        return np.inf, 0.0
     tail = g1 * r * (1.0 - r**left) / (1.0 - r)
-    return val + min(linear, tail), tail
+    return h[-1] + tail, tail
 
 
 def optimize(cfg: SeesawConfig) -> SeesawResult:
