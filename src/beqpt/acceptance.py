@@ -1,9 +1,11 @@
 """Reference-value checks: every published number the toolkit claims to
 reproduce, wired as self-contained pass/fail rows.
 
-Each row re-derives its quantities from scratch at the stated tolerance
-and reports the measured values; the CLI ``reproduce`` command and the
-acceptance test suite both run exactly these functions.
+Each row reads its quantities from the library function that reports
+them (a published state's from ``diagnostics.full_report``, the report
+``diagnose`` prints), checks them at the stated tolerance and reports the
+measured values; the CLI ``reproduce`` command and the acceptance test
+suite both run exactly these functions.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ def _row(key, title, passed, **measured):
     return RowResult(key=key, title=title, passed=bool(passed), measured=measured)
 
 
+def _dev(a, b) -> float:
+    """Largest entrywise |a - b|."""
+    return float(np.abs(np.subtract(a, b)).max())
+
+
 def row_realignment_fixed_points() -> RowResult:
     """realign(Id) = |u><u|, realign(F) = F, realign(|u><u|) = Id, k in 2..6."""
     worst = 0.0
@@ -53,9 +60,9 @@ def row_realignment_fixed_points() -> RowResult:
         f = swap_operator(k)
         u = max_entangled(k)
         uu = np.outer(u, u.conj())
-        worst = max(worst, float(np.abs(realign(BipartiteOperator(ident, k, k)) - uu).max()))
-        worst = max(worst, float(np.abs(realign(f) - f.mat).max()))
-        worst = max(worst, float(np.abs(realign(BipartiteOperator(uu, k, k)) - ident).max()))
+        worst = max(worst, _dev(realign(BipartiteOperator(ident, k, k)), uu))
+        worst = max(worst, _dev(realign(f), f.mat))
+        worst = max(worst, _dev(realign(BipartiteOperator(uu, k, k)), ident))
     return _row(
         "realignment_fixed_points",
         "realignment fixed points (Id, F, |u><u|), k in 2..6, entrywise 1e-12",
@@ -66,53 +73,44 @@ def row_realignment_fixed_points() -> RowResult:
 
 def row_ccnr_extremal_4x4() -> RowResult:
     """rho_ccnr: spectrum {1/4, 1/12 x15}, trace norm 1.5, PPT, purity 1/6."""
-    rho = states.rho_ccnr()
-    s = rho.realigned_spectrum
-    spec_dev = float(np.abs(s - np.array(states.RHO_CCNR_SPECTRUM)).max())
-    tn = float(s.sum())
-    _, min_eig = diag.is_ppt(rho)
-    purity = diag.faithfulness(rho)
+    rep = diag.full_report(states.rho_ccnr())
+    spec_dev = _dev(rep.realigned_spectrum, states.RHO_CCNR_SPECTRUM)
     passed = (
         spec_dev <= 1e-10
-        and abs(tn - 1.5) <= 1e-10
-        and min_eig >= -1e-10
-        and abs(purity - 1 / 6) <= 1e-10
+        and abs(rep.ccnr_value - 1.5) <= 1e-10
+        and rep.min_eig_pt >= -1e-10
+        and abs(rep.purity - 1 / 6) <= 1e-10
     )
     return _row(
         "ccnr_extremal_4x4",
         "4x4 bound entangled state: realigned spectrum, trace norm 1.5, PPT, purity 1/6",
         passed,
         spectrum_deviation=spec_dev,
-        trace_norm=tn,
-        min_eig_pt=min_eig,
-        purity=purity,
+        trace_norm=rep.ccnr_value,
+        min_eig_pt=rep.min_eig_pt,
+        purity=rep.purity,
     )
 
 
 def row_ccnr_extremal_3x3() -> RowResult:
     """3x3 state: trace norm 1.1891 +- 5e-4, listed spectrum, faithful, PPT to 1e-4."""
-    rho = states.rho_ccnr_3x3()
-    s = rho.realigned_spectrum
-    expected = np.array(states.RHO_CCNR_3X3_SPECTRUM)
-    spec_dev = float(np.abs(s - expected).max())
-    tn = float(s.sum())
-    faithful, _, cond = diag.is_faithful(rho)
-    _, min_eig = diag.is_ppt(rho)
+    rep = diag.full_report(states.rho_ccnr_3x3())
+    spec_dev = _dev(rep.realigned_spectrum, states.RHO_CCNR_3X3_SPECTRUM)
     passed = (
-        abs(tn - states.RHO_CCNR_3X3_TRACE_NORM) <= 5e-4
+        abs(rep.ccnr_value - states.RHO_CCNR_3X3_TRACE_NORM) <= 5e-4
         and spec_dev <= 5e-4
-        and faithful
-        and min_eig >= -1e-4
+        and rep.faithful
+        and rep.min_eig_pt >= -1e-4
     )
     return _row(
         "ccnr_extremal_3x3",
         "3x3 full-rank PPT state: trace norm 1.1891, spectrum to 5e-4, faithful",
         passed,
-        trace_norm=tn,
+        trace_norm=rep.ccnr_value,
         spectrum_deviation=spec_dev,
-        faithful=faithful,
-        condition_number=cond,
-        min_eig_pt=min_eig,
+        faithful=rep.faithful,
+        condition_number=rep.condition_number,
+        min_eig_pt=rep.min_eig_pt,
     )
 
 
@@ -120,25 +118,20 @@ def row_analytic_vs_numeric() -> RowResult:
     """Closed-form trace norms match the realigned SVD on dense grids."""
     worst = 0.0
     boundary = {}
+    boundary_ok = True
     for d in range(2, 7):
-        lo = -1.0 / (d * d - 1)
-        for alpha in np.linspace(lo, 1.0, 50):
-            got = diag.ccnr_value(states.isotropic(d, float(alpha)))
-            want = diag.analytic_ccnr("isotropic", d, float(alpha))
-            worst = max(worst, abs(got - want))
-        for f in np.linspace(-1.0, 1.0, 50):
-            got = diag.ccnr_value(states.werner_f(d, float(f)))
-            want = diag.analytic_ccnr("werner", d, float(f))
-            worst = max(worst, abs(got - want))
-        boundary[f"iso_boundary_d{d}"] = diag.ccnr_value(states.isotropic(d, 1.0 / (d + 1)))
-        boundary[f"werner_fm1_d{d}"] = diag.ccnr_value(states.werner_f(d, -1.0))
-        boundary[f"max_entangled_d{d}"] = diag.ccnr_value(states.max_entangled_state(d))
-    boundary_ok = all(
-        abs(boundary[f"iso_boundary_d{d}"] - 1.0) <= 1e-9
-        and abs(boundary[f"werner_fm1_d{d}"] - (1.0 + 2.0 / d)) <= 1e-9
-        and abs(boundary[f"max_entangled_d{d}"] - d) <= 1e-9
-        for d in range(2, 7)
-    )
+        for family, make, lo in (("isotropic", states.isotropic, -1.0 / (d * d - 1)),
+                                 ("werner", states.werner_f, -1.0)):
+            for x in np.linspace(lo, 1.0, 50):
+                got = diag.ccnr_value(make(d, float(x)))
+                worst = max(worst, abs(got - diag.analytic_ccnr(family, d, float(x))))
+        for name, rho, want in (
+            (f"iso_boundary_d{d}", states.isotropic(d, 1.0 / (d + 1)), 1.0),
+            (f"werner_fm1_d{d}", states.werner_f(d, -1.0), 1.0 + 2.0 / d),
+            (f"max_entangled_d{d}", states.max_entangled_state(d), d),
+        ):
+            boundary[name] = diag.ccnr_value(rho)
+            boundary_ok = boundary_ok and abs(boundary[name] - want) <= 1e-9
     return _row(
         "analytic_vs_numeric_ccnr",
         "analytic vs numeric CCNR on 50-point grids, d in 2..6, within 1e-9",
@@ -164,9 +157,8 @@ def row_faithfulness_table() -> RowResult:
         dA = int(rng.integers(2, 5))
         dB = int(rng.integers(2, 5))
         rho = states.random_density_matrix(dA, dB, rng)
-        purity = float(np.vdot(rho.mat, rho.mat).real)
         s2 = float((rho.realigned_spectrum ** 2).sum())
-        worst = max(worst, abs(purity - s2))
+        worst = max(worst, abs(diag.faithfulness(rho) - s2))
     return _row(
         "faithfulness_table",
         "purity table at d=4 and purity identity on 100 random states",
@@ -258,7 +250,7 @@ def row_werner_filtering() -> RowResult:
         for v in (0.0, 0.25, 0.5, 0.75, 1.0):
             direct = filt.local_filter(states.werner_v(d, v), pair)
             closed = states.filtered_werner_closed_form(d, v)
-            worst = max(worst, float(np.abs(direct.mat - closed.mat).max()))
+            worst = max(worst, _dev(direct.mat, closed.mat))
             s = closed.realigned_spectrum
             nonzero = int(np.count_nonzero(s >= 1e-12))
             max_nonzero = max(max_nonzero, nonzero)
@@ -351,7 +343,7 @@ def row_realign_variant_consistency() -> RowResult:
         rho = states.random_density_matrix(d, d, rng)
         s1 = rho.realigned_spectrum
         s2 = singular_values(check_realign(rho))
-        worst = max(worst, float(np.abs(s1 - s2).max()))
+        worst = max(worst, _dev(s1, s2))
     return _row(
         "realign_variant_consistency",
         "100 random square-bipartition states: both realignment variants share "

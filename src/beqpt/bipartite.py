@@ -79,12 +79,15 @@ def check_number(name: str, value, real: bool = False, lo=None, hi=None) -> None
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite, 2-D, C-contiguous complex128 array; a ValueError
-    names the argument ``name``."""
-    mat = np.ascontiguousarray(m, dtype=np.complex128)
+    names the argument ``name``.  The result is a private read-only copy,
+    so neither the caller's array nor its base can change it, and the
+    caller's array stays writable."""
+    mat = np.array(m, dtype=np.complex128, order="C")
     if mat.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got ndim={mat.ndim}")
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
         raise ValueError(f"{name} contains non-finite entries")
+    mat.setflags(write=False)
     return mat
 
 
@@ -120,7 +123,6 @@ class BipartiteOperator:
             raise ValueError(
                 f"matrix shape {mat.shape} does not match dA*dB = {n}"
             )
-        mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
     @property
@@ -130,7 +132,8 @@ class BipartiteOperator:
     @cached_property
     def realigned_spectrum(self) -> np.ndarray:
         """Descending singular values of realign(self), read-only; computed
-        on first use, which is safe since ``mat`` is read-only too."""
+        on first use, which is safe since ``mat`` is a private read-only
+        copy (see ``as_complex_matrix``) that nothing can change."""
         s = singular_values(realign(self))
         s.setflags(write=False)
         return s

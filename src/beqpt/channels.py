@@ -47,7 +47,6 @@ class KrausChannel:
         for k in ops:
             if k.shape != (self.d, self.d):
                 raise ValueError(f"Kraus operator shape {k.shape} != ({self.d}, {self.d})")
-            k.setflags(write=False)
         total = sum(k.conj().T @ k for k in ops)
         residual = np.linalg.norm(total - np.eye(self.d))
         if residual > COMPLETENESS_TOL:

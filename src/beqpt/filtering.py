@@ -50,7 +50,6 @@ class FilterPair:
                     f"filter {name} is not a contraction: largest eigenvalue "
                     f"of {name}^dag {name} is {top:.12g}"
                 )
-            m.setflags(write=False)
             object.__setattr__(self, name, m)
 
 

@@ -72,9 +72,7 @@ image of the same map, so it writes no difference and the safeguard
 does not judge it, but it is extrapolated from the carried columns:
 one gradient step moves the map little, so the differences of the last
 map still point the way, and the safeguard judges that extrapolation
-like any other.  Cleared at each projection, the memory left most warm
-projections at 6 to 8 iterations even in a restart's tail, where one
-step barely moves the map; carried, half of them take 2.
+like any other.
 
 All restarts run as one state machine over an (R, n, n) stack, a single
 restart as a stack of one: a round is one Dykstra iteration of each live

@@ -33,7 +33,7 @@ from beqpt.channels import (
     random_cptp,
 )
 from beqpt.diagnostics import analytic_ccnr, rudolph_checks
-from beqpt.filtering import identity_filters, werner_filters
+from beqpt.filtering import FilterPair, identity_filters, werner_filters
 from beqpt.reports import parse_matrix_file
 from beqpt.seesaw import SeesawConfig
 from beqpt.states import (
@@ -271,6 +271,10 @@ class TestPartialTrace:
         assert np.allclose(partial_trace(op, "A"), ta)
         assert np.trace(ta) == pytest.approx(np.trace(op.mat))
 
+    def test_unknown_subsystem_rejected(self):
+        with pytest.raises(ValueError, match="subsystem"):
+            partial_trace(max_entangled_state(2), "C")
+
 
 class TestSpectraAndNorms:
     def test_identity_singular_values(self):
@@ -337,6 +341,24 @@ class TestTypes:
         rho = random_density_matrix(2, 2, rng)
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 1.0
+
+    @pytest.mark.parametrize("make, matrix, scale", [
+        (lambda m: DensityMatrix(m, 2, 2), lambda r: r.mat, 0.25),
+        (lambda m: KrausChannel((m,), 4), lambda r: r.kraus[0], 1.0),
+        (lambda m: FilterPair(m, np.eye(2)), lambda r: r.A, 1.0),
+    ], ids=["DensityMatrix", "KrausChannel", "FilterPair"])
+    def test_validated_matrix_is_a_private_copy(self, make, matrix, scale):
+        # a complex128 C-contiguous view is what a plain coercion would keep
+        # and freeze; the record must copy it instead
+        base = scale * np.eye(4, dtype=complex)
+        view = base[:]
+        record = make(view)
+        kept = matrix(record).copy()
+        assert view.flags.writeable and base.flags.writeable
+        view[1, 1] = 0.5
+        base[0, 3] = base[3, 0] = 5.0
+        assert np.array_equal(matrix(record), kept)
+        assert not matrix(record).flags.writeable
 
     def test_keeps_validation_spectrum(self, rng):
         rho = random_density_matrix(3, 2, rng)

@@ -631,6 +631,13 @@ def filter_dir(tmp_path_factory):
 
 
 class TestExitCodeContract:
+    @pytest.mark.parametrize("argv", [["--help"], ["diagnose", "--help"]])
+    def test_help_exits_0(self, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue().startswith("usage: ")
+
     @settings(max_examples=300)
     @given(argv=table_commands())
     @example(argv=["reconstruct", "--probe", "filtered-werner", "--d", "4", "--v", "0.5",

@@ -37,6 +37,9 @@ class TestFilterPair:
             FilterPair(2.0 * np.eye(2), np.eye(2))
         with pytest.raises(ValueError, match="contraction"):
             FilterPair(np.eye(2), 1.1 * np.eye(2))
+        # every entry is at most 1, but the largest eigenvalue of A^dag A is 2.56
+        with pytest.raises(ValueError, match="largest eigenvalue"):
+            FilterPair(np.full((2, 2), 0.8), np.eye(2))
 
     def test_rectangular_rejected(self):
         with pytest.raises(ValueError):

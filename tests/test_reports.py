@@ -56,6 +56,10 @@ class TestMatrixFileRoundtrip:
 
 
 class TestParseValidation:
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="matrix file must be a JSON object"):
+            parse_matrix_file([])
+
     def test_bad_schema_version(self):
         with pytest.raises(ValueError, match="schema_version"):
             parse_matrix_file({"schema_version": 99, "dims": [2, 2], "re": [], "im": []})
