@@ -144,10 +144,10 @@ def row_analytic_vs_numeric() -> RowResult:
 def row_faithfulness_table() -> RowResult:
     """Purity table at d=4 plus the purity identity on random states."""
     table = {
-        "isotropic_boundary": (diag.faithfulness(states.isotropic(4, 1 / 5)), 0.1),
-        "werner_fm1": (diag.faithfulness(states.werner_f(4, -1.0)), 0.1667),
-        "rho_ccnr": (diag.faithfulness(states.rho_ccnr()), 0.1667),
-        "max_entangled": (diag.faithfulness(states.max_entangled_state(4)), 1.0),
+        "isotropic_boundary": (diag.purity(states.isotropic(4, 1 / 5)), 0.1),
+        "werner_fm1": (diag.purity(states.werner_f(4, -1.0)), 0.1667),
+        "rho_ccnr": (diag.purity(states.rho_ccnr()), 0.1667),
+        "max_entangled": (diag.purity(states.max_entangled_state(4)), 1.0),
     }
     table_ok = all(abs(got - want) <= 1e-4 for got, want in table.values())
 
@@ -158,7 +158,7 @@ def row_faithfulness_table() -> RowResult:
         dB = int(rng.integers(2, 5))
         rho = states.random_density_matrix(dA, dB, rng)
         s2 = float((rho.realigned_spectrum ** 2).sum())
-        worst = max(worst, abs(diag.faithfulness(rho) - s2))
+        worst = max(worst, abs(diag.purity(rho) - s2))
     return _row(
         "faithfulness_table",
         "purity table at d=4 and purity identity on 100 random states",

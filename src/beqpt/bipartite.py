@@ -4,7 +4,7 @@ Everything works on explicit dense complex matrices.  One indexing
 convention is fixed here and used by every other module:
 
 * composite basis ordering is row-major, ``|i>|k| -> i*dB + k``;
-* ``vec`` stacks rows, so ``vec(|i><j|) = |i>|j>`` and
+* vec stacks rows, ``m.reshape(-1)``, so ``vec(|i><j|) = |i>|j>`` and
   ``vec(A X B) = (A kron B^T) vec(X)``;
 * the realignment of ``rho = sum rho_{ij,kl} |i><j| kron |k><l|`` is the
   dA^2 x dB^2 matrix holding ``rho_{ij,kl}`` at row ``i*dA + j``,
@@ -34,11 +34,10 @@ input real, which lets the see-saw search real states in float64.
 Y-step off the benchmark tracer's ``bipartite.realign``.
 
 The density set lives here too: ``project_psd_trace_one`` is the
-Frobenius-nearest state, its spectrum moved onto the simplex
-(``project_simplex``); ``_project_dm_mat`` is its kernel on a matrix or
-a stack, which the see-saw's Dykstra projection and the noisy
-reconstruction share.  It hands the threshold step of ``project_simplex``
-eigh's ascending spectrum reversed, so it sorts nothing.
+Frobenius-nearest state of a Hermitian matrix or of each matrix in a
+stack, its spectrum moved onto the simplex (``project_simplex``).  It is
+the one projection function, which the see-saw's Dykstra projection and
+the noisy reconstruction share.
 
 ``check_number`` is the one parameter check: every numeric argument of
 the library, from these local dimensions to the family parameters, counts
@@ -181,11 +180,7 @@ class DensityMatrix(BipartiteOperator):
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of a real vector, or of each row of an array,
     onto the probability simplex (sort-and-threshold algorithm)."""
-    return _simplex_threshold(v, np.sort(v, axis=-1)[..., ::-1])
-
-
-def _simplex_threshold(v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The threshold step of ``project_simplex``; u is v sorted descending."""
+    u = np.sort(v, axis=-1)[..., ::-1]
     t = (u.cumsum(axis=-1) - 1.0) / np.arange(1, v.shape[-1] + 1)
     # theta is t at the last index j that passes, u_j > t_j.  t_j is the mean
     # of t_{j-1}, j - 1 times, and u_j, so t rises exactly while u_j passes
@@ -197,19 +192,12 @@ def _from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * w[..., None, :]) @ v.conj().mT
 
 
-def _project_dm_mat(x: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(herm_part(x))  # ascending, so w[..., ::-1] is sorted
-    return _from_spectrum(_simplex_threshold(w, w[..., ::-1]), v)
-
-
-def project_psd_trace_one(x: np.ndarray, dA: int, dB: int) -> DensityMatrix:
-    """Frobenius-nearest PSD unit-trace matrix: the spectrum onto the simplex."""
-    return DensityMatrix(_project_dm_mat(np.asarray(x, dtype=complex)), dA, dB)
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Row-stacking vectorization, vec(|i><j|) = |i>|j>."""
-    return np.asarray(m, dtype=complex).reshape(-1)
+def project_psd_trace_one(x: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest PSD unit-trace matrix to the Hermitian part of a
+    matrix, or of each matrix in a stack: the spectrum onto the simplex.
+    A real input gives a real output."""
+    w, v = np.linalg.eigh(herm_part(x))
+    return _from_spectrum(project_simplex(w), v)
 
 
 def swap_operator(k: int) -> BipartiteOperator:

@@ -10,7 +10,8 @@ The Choi state uses the trace-1 normalization
 
 so the inverse relation carries a factor d:  E(rho) = d Tr_2[(Id kron rho^T) S].
 Under the row-stacking vec convention the superoperator matrix is
-E_hat = sum_n K_n kron conj(K_n) and S = realign_inverse(E_hat) / d.
+E_hat = sum_n K_n kron conj(K_n), and the Choi state is built from it,
+S = realign_inverse(E_hat) / d.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .bipartite import (
     check_number,
     local_operation,
     partial_trace,
-    vec,
+    realign_inverse,
 )
 
 COMPLETENESS_TOL = 1e-10
@@ -89,13 +90,8 @@ def superoperator_matrix(ch: KrausChannel) -> np.ndarray:
 
 
 def choi_of(ch: KrausChannel) -> ChoiMatrix:
-    """S = (E kron Id)(|Phi+><Phi+|) = (1/d) sum_n vec(K_n) vec(K_n)^dag."""
-    d = ch.d
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for k in ch.kraus:
-        v = vec(k)
-        s += np.outer(v, v.conj())
-    return ChoiMatrix(s / d, d)
+    """S = (E kron Id)(|Phi+><Phi+|) = realign_inverse(E_hat) / d."""
+    return ChoiMatrix(realign_inverse(superoperator_matrix(ch), ch.d, ch.d) / ch.d, ch.d)
 
 
 def identity_channel(d: int) -> KrausChannel:

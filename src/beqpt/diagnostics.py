@@ -59,7 +59,7 @@ def is_ppt(rho: BipartiteOperator) -> tuple:
     return min_eig >= -PSD_TOL, min_eig
 
 
-def faithfulness(rho: DensityMatrix) -> float:
+def purity(rho: DensityMatrix) -> float:
     """Purity Tr(rho^2).  Realignment permutes entries, so it equals the
     squared Frobenius norm of the realigned matrix, the sum of the squared
     realigned singular values."""
@@ -200,7 +200,7 @@ def full_report(rho: DensityMatrix) -> DiagnosticsReport:
         ccnr_entangled=bool(ccnr > 1.0 + ENTANGLED_MARGIN),
         ppt=ppt,
         min_eig_pt=min_eig,
-        purity=faithfulness(rho),
+        purity=purity(rho),
         realigned_spectrum=tuple(float(x) for x in s),
         faithful=faithful,
         schmidt_rank=operator_schmidt_rank(rho),

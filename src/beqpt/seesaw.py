@@ -147,11 +147,11 @@ import numpy as np
 from .bipartite import (
     DensityMatrix,
     _from_spectrum,
-    _project_dm_mat,
     _realign,
     check_number,
     herm_part,
     partial_transpose,
+    project_psd_trace_one,
     realign_inverse,
 )
 from .diagnostics import ccnr_value, is_ppt
@@ -259,7 +259,7 @@ def _dykstra_step(x, p, q, dA: int, dB: int, tol) -> tuple:
     xp = x + p
     y = _project_ppt_mat(xp, dA, dB)
     yq = y + q
-    out = _project_dm_mat(yq)
+    out = project_psd_trace_one(yq)
     done = _norm(out - y) <= tol
     f = np.empty(out.shape[:-2] + (2,) + out.shape[-2:], yq.dtype)
     np.subtract(xp, y, out=f[..., 0, :, :])

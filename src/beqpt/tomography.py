@@ -180,7 +180,7 @@ def run_aaqpt(ch: KrausChannel, probe: DensityMatrix, noise: float = 0.0,
     if noise > 0:
         rng = np.random.default_rng(seed)
         perturbed = rho_out.mat + _gaussian_hermitian(rho_out.dim, noise, rng)
-        rho_out = project_psd_trace_one(perturbed, rho_out.dA, rho_out.dB)
+        rho_out = DensityMatrix(project_psd_trace_one(perturbed), rho_out.dA, rho_out.dB)
     report = full_report(probe)
     e_hat = reconstruct_superop(rho_out, probe)
     choi_rec = superop_to_choi(e_hat, ch.d, noise_level=noise)

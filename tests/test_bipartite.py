@@ -22,7 +22,6 @@ from beqpt.bipartite import (
     realign_inverse,
     singular_values,
     swap_operator,
-    vec,
 )
 from beqpt.channels import (
     ChoiMatrix,
@@ -144,7 +143,7 @@ class TestRealign:
         a = rand_c(rng, (3, 3))
         b = rand_c(rng, (4, 4))
         r = realign(BipartiteOperator(np.kron(a, b), 3, 4))
-        assert np.allclose(r, np.outer(vec(a), vec(b)))
+        assert np.allclose(r, np.outer(a.reshape(-1), b.reshape(-1)))
 
     def test_frobenius_isometry(self, rng):
         op = BipartiteOperator(rand_c(rng, (12, 12)), 3, 4)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beqpt.bipartite import (
     BipartiteOperator,
     DensityMatrix,
     haar_unitary,
     max_entangled,
+    partial_trace,
     realign_inverse,
-    vec,
 )
 from beqpt.channels import (
     ChoiMatrix,
@@ -79,7 +81,28 @@ class TestApplyExtended:
             apply_extended(identity_channel(3), random_density_matrix(2, 3, rng))
 
 
+@st.composite
+def channels(draw):
+    """A random channel with d in 1..5 and 1..d^2 Kraus operators, or a
+    depolarizing or dephasing channel of drawn strength."""
+    d = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["random", "depolarizing", "dephasing"]))
+    if kind == "random":
+        return random_cptp(d, draw(st.integers(1, d * d)), draw(st.integers(0, 2**32 - 1)))
+    return {"depolarizing": depolarizing, "dephasing": dephasing}[kind](d, draw(st.floats(0, 1)))
+
+
 class TestChoi:
+    @settings(max_examples=200)
+    @given(channels())
+    def test_extended_channel_on_phi_plus_is_the_oracle(self, ch):
+        # apply_extended sums (K kron Id) Phi+ (K kron Id)^dag and never
+        # forms E_hat, so it checks choi_of independently of superoperator_matrix
+        s = choi_of(ch)
+        want = apply_extended(ch, max_entangled_state(ch.d)).mat
+        assert np.abs(s.mat - want).max() <= 1e-14
+        assert np.abs(partial_trace(s, "A") - np.eye(ch.d) / ch.d).max() <= 1e-14
+
     def test_identity_channel_d2(self):
         assert np.allclose(choi_of(identity_channel(2)).mat, max_entangled_state(2).mat)
 
@@ -125,8 +148,8 @@ class TestSuperoperator:
     def test_acts_as_vectorized_channel(self, rng):
         ch = random_cptp(3, 2, seed=9)
         rho = rand_state_mat(3, rng)
-        lhs = superoperator_matrix(ch) @ vec(rho)
-        rhs = vec(apply(ch, rho))
+        lhs = superoperator_matrix(ch) @ rho.reshape(-1)
+        rhs = apply(ch, rho).reshape(-1)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_choi_is_realigned_superop_over_d(self):

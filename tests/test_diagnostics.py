@@ -8,10 +8,10 @@ from beqpt.diagnostics import (
     analytic_ccnr,
     attach_product_ancillas,
     ccnr_value,
-    faithfulness,
     full_report,
     is_faithful,
     is_ppt,
+    purity,
     rudolph_checks,
 )
 from beqpt.states import (
@@ -60,11 +60,11 @@ class TestIsPpt:
 
 
 
-class TestFaithfulness:
+class TestPurity:
     def test_reference_values(self):
-        assert faithfulness(max_entangled_state(4)) == pytest.approx(1.0, abs=1e-12)
-        assert faithfulness(werner_f(4, -1.0)) == pytest.approx(1 / 6, abs=1e-12)
-        assert faithfulness(isotropic(4, 0.2)) == pytest.approx(0.1, abs=1e-12)
+        assert purity(max_entangled_state(4)) == pytest.approx(1.0, abs=1e-12)
+        assert purity(werner_f(4, -1.0)) == pytest.approx(1 / 6, abs=1e-12)
+        assert purity(isotropic(4, 0.2)) == pytest.approx(0.1, abs=1e-12)
 
 
 class TestIsFaithful:
@@ -295,7 +295,7 @@ class TestOneSpectrumProperties:
         fresh = DensityMatrix(rho.mat, rho.dA, rho.dB)
         assert _bits(rep.realigned_spectrum) == _bits(singular_values(realign(fresh)))
         assert _bits(rep.ccnr_value) == _bits(ccnr_value(fresh))
-        assert _bits(rep.purity) == _bits(faithfulness(fresh))
+        assert _bits(rep.purity) == _bits(purity(fresh))
         assert rep.schmidt_rank == operator_schmidt_rank(fresh)
         if rho.dA == rho.dB:
             flag, _, cond = is_faithful(fresh)

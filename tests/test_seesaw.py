@@ -11,9 +11,7 @@ from beqpt import seesaw
 from beqpt.bipartite import (
     BipartiteOperator,
     DensityMatrix,
-    _project_dm_mat,
     _realign,
-    _simplex_threshold,
     herm_part,
     partial_transpose,
     project_psd_trace_one,
@@ -77,23 +75,39 @@ class TestProjectSimplex:
 class TestProjectPsdTraceOne:
     def test_density_matrix_is_fixed_point(self, rng):
         rho = random_density_matrix(2, 2, rng)
-        out = project_psd_trace_one(rho.mat, 2, 2)
-        assert np.abs(out.mat - rho.mat).max() <= 1e-12
+        out = project_psd_trace_one(rho.mat)
+        assert np.abs(out - rho.mat).max() <= 1e-12
 
     def test_hand_computed_diagonal(self):
-        out = project_psd_trace_one(np.diag([2.0, -1.0]).astype(complex), 1, 2)
-        assert np.allclose(out.mat, np.diag([1.0, 0.0]))
+        out = project_psd_trace_one(np.diag([2.0, -1.0]).astype(complex))
+        assert np.allclose(out, np.diag([1.0, 0.0]))
 
     def test_output_feasible(self, rng):
         x = herm_part(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
-        out = project_psd_trace_one(x, 3, 3)
-        assert out.mat.trace().real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(out.mat).min() >= -1e-14
+        out = project_psd_trace_one(x)
+        assert out.trace().real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(out).min() >= -1e-14
 
-    def test_same_kernel_as_dykstra(self, rng):
-        x = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        out = project_psd_trace_one(x, 3, 3)
-        assert out.mat.tobytes() == _project_dm_mat(x).tobytes()
+    @settings(max_examples=200)
+    @given(st.integers(1, 16), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1),
+           st.floats(-3, 3), st.data())
+    def test_projection_inequality(self, n, count, real, seed, log_scale, data):
+        # P(x) is the nearest state, so Re<x - P(x), sigma - P(x)> <= 0 for
+        # every state sigma; the see-saw's ascent bound rests on this.  A
+        # stack of count matrices is drawn when count > 0, one matrix else
+        rng = np.random.default_rng(seed)
+        shape = (count, n, n) if count else (n, n)
+        a = rng.standard_normal(shape) + (0 if real else 1j * rng.standard_normal(shape))
+        x = herm_part(a) * 10.0 ** log_scale
+        p = project_psd_trace_one(x)
+        assert np.isrealobj(p) == real
+        rank = data.draw(st.integers(1, n), label="rank of sigma")
+        g = rng.standard_normal(shape[:-1] + (rank,)) + 1j * rng.standard_normal(
+            shape[:-1] + (rank,))
+        sigma = g @ g.conj().mT
+        sigma /= np.trace(sigma, axis1=-2, axis2=-1).real[..., None, None]
+        inner = np.einsum("...ij,...ij->...", (x - p).conj(), sigma - p).real
+        assert np.all(inner <= 1e-12 * (1 + _norm(x)))
 
 
 class TestProjectPpt:
@@ -165,7 +179,7 @@ class TestPrimalRhoStep:
 
     def test_output_feasibility(self, rng):
         rho = random_density_matrix(3, 3, rng)
-        rho = project_psd_trace_one(_project_ppt_mat(rho.mat, 3, 3), 3, 3)
+        rho = DensityMatrix(project_psd_trace_one(_project_ppt_mat(rho.mat, 3, 3)), 3, 3)
         out = cold_rho_step(rho, STEP)[0]
         assert out.mat.trace().real == pytest.approx(1.0, abs=1e-12)
         assert is_ppt(out)[1] >= -PROJECTION_TOL
@@ -243,7 +257,7 @@ class TestStackedKernels:
     @given(matrix_stacks(), st.sampled_from([0.0, 1e-2, np.inf]))
     def test_each_slice_bitwise(self, drawn, tol):
         stack, dA, dB = drawn
-        ppt, dm = _project_ppt_mat(stack, dA, dB), _project_dm_mat(stack)
+        ppt, dm = _project_ppt_mat(stack, dA, dB), project_psd_trace_one(stack)
         norms = _norm(stack)
         pt = partial_transpose(stack, dA, dB)
         vals, ys = _y_step(stack, dA, dB)
@@ -252,7 +266,7 @@ class TestStackedKernels:
         for i, x in enumerate(stack):
             assert ppt[i].tobytes() == _project_ppt_mat(x, dA, dB).tobytes()
             assert pt[i].tobytes() == partial_transpose(x, dA, dB).tobytes()
-            assert dm[i].tobytes() == _project_dm_mat(x).tobytes()
+            assert dm[i].tobytes() == project_psd_trace_one(x).tobytes()
             # a stack's norm is each slice's alone; a complex sum runs in
             # another order than np.linalg.norm's, which a real one keeps
             assert norms[i] == _norm(x)
@@ -290,9 +304,6 @@ class TestStackedKernels:
         for row, got in zip(rows, out):
             assert got.tobytes() == project_simplex(row).tobytes()
             assert got.tobytes() == serial_simplex(row).tobytes()
-        # an ascending row, as eigh returns it, needs no sort when reversed
-        asc = np.sort(rows, axis=-1)
-        assert _simplex_threshold(asc, asc[:, ::-1]).tobytes() == project_simplex(asc).tobytes()
         # with exact ties the running mean may round to a tie of its own,
         # so the threshold, their maximum, can differ from the support
         # rule's by the rounding of the cumulative sums
@@ -327,7 +338,7 @@ class TestRealSearch:
         vals, y = _y_step(x, 3, 3)
         outs = [herm_part(x), partial_transpose(x, 3, 3), _realign(x, 3, 3),
                 realign_inverse(x, 3, 3), *np.linalg.eigh(x), vals, y, *np.linalg.svd(x),
-                _project_ppt_mat(x, 3, 3), _project_dm_mat(x),
+                _project_ppt_mat(x, 3, 3), project_psd_trace_one(x),
                 _rho_step(x, realign_inverse(y, 3, 3), STEP), _norm(x),
                 *_dykstra_step(x, 0.1 * x, 0.2 * x, 3, 3, PROJECTION_TOL)[:2]]
         assert [a.dtype for a in outs] == [np.float64] * len(outs)
