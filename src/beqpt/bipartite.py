@@ -80,8 +80,12 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite, 2-D, C-contiguous complex128 array; a ValueError
     names the argument ``name``.  The result is a private read-only copy,
     so neither the caller's array nor its base can change it, and the
-    caller's array stays writable."""
-    mat = np.array(m, dtype=np.complex128, order="C")
+    caller's array stays writable.  An array that is already frozen,
+    complex128, C-contiguous and owns its data, as every result of this
+    function is, is checked and returned as it is, not copied again."""
+    frozen = (type(m) is np.ndarray and m.dtype == np.complex128 and m.flags.c_contiguous
+              and m.flags.owndata and not m.flags.writeable)
+    mat = m if frozen else np.array(m, dtype=np.complex128, order="C")
     if mat.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got ndim={mat.ndim}")
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):

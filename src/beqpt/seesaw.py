@@ -62,7 +62,16 @@ over the last ANDERSON_MEMORY differences dG of g and dF of T(z),
 Tikhonov-regularized by ANDERSON_REG times the trace of the Gram matrix.
 The memory is the stored columns alone: the Gram matrix of dG is formed
 from them each round.  It takes the dtype of the points, so on the
-see-saw's real points (below) gamma, dG and dF are real.
+see-saw's real points (below) gamma, dG and dF are real.  A type-II
+Anderson step with too shallow a memory converges only linearly (Walker
+& Ni, SIAM J. Numer. Anal. 49, 1715 (2011)).  With 5 columns the
+restarts' tails split in two: most tail projections stopped in 2
+iterations, but some restarts cut their residual only 2 to 3 times per
+round and took about 10, and on d=3 seed 1 one such restart alone set
+the call's last 370 of 1,088 rounds; its residual never rose, so the
+safeguard never fired.  Every memory from 6 columns up ends the split.
+Past 8 the iterations flatten (d=3 seed 1: 5,469 at 8 columns, 5,338 at
+12), while the buffers and the size bound grow with the memory.
 A row whose residual ||g|| rose after an extrapolated step falls back
 to its last image T(z) and clears its memory.  The memory of a row is
 cleared by zeroing its dG columns, so a cleared column needs no mask:
@@ -96,7 +105,7 @@ at half the memory of complex arithmetic.  The restriction is sound but
 not proven free: the complex optima come in conjugate pairs, and the
 objective is convex, so their real mean can lie lower.  It rests on a
 grid over d = 2..5 and seeds 1..4 (20 restarts, 4 at d=5), in which every
-real best came within 1.3e-8 of the complex best or above it; the
+real best came within 3.4e-9 of the complex best or above it; the
 published extremal states rho_ccnr and rho_ccnr_3x3 are real too.
 
 The restarts race (Maron & Moore, NIPS 1993; Jamieson & Talwalkar,
@@ -123,11 +132,12 @@ Retiring a restart moves no other restart, so when the race keeps the
 winner, its history and its state are those of the unraced run.  The
 rule itself is a heuristic, not a bound: a retired restart might later
 have passed the winner.  Of 200 drawn calls (d = 2, 3, 2 to 6 restarts,
-max_outer 20 to 119) it moved the winner of six against the unraced
-run: two at d=3, by -9.8e-8 and -8.3e-8, and four at d=2, where every
-restart converges to the optimum 1, by at most 2.5e-9.  On the grid
-above it moved one, at d=5 seed 4, by -6.3e-12, and +8.2e-11 after the
-final projection.
+max_outer 20 to 119) it moved the winner of five against the unraced
+run, all at d=2, where every restart converges to the optimum 1: four
+by at most 3.5e-9, and one by -2.0e-6, where the retired restart's gains
+decayed more slowly than its windows showed.  On the grid above it
+moved one, at d=4 seed 3, by -3.1e-11, and -1.0e-10 after the final
+projection.
 
 A run is set by counts alone (SeesawConfig); the step STEP, the
 projection cap and the stop tolerances are module constants.  The
@@ -165,7 +175,7 @@ PROJECTION_TOL_SHARE = 0.01  # a warm projection's tolerance, as a share of the 
 OBJECTIVE_TOL = 1e-9  # a restart stops when its objective gains less than this
 RACE_WINDOW = 20  # the longer of the two gain windows a restart's race reads
 FINAL_PROJECTION_TOL = 1e-10  # the final hard projection's stop test
-ANDERSON_MEMORY = 5  # Anderson differences each projection keeps
+ANDERSON_MEMORY = 8  # Anderson differences each projection keeps
 ANDERSON_REG = 1e-10  # Tikhonov weight, relative to the trace of the Gram matrix
 MAX_STACK_ENTRIES = 2**22  # 32 MiB per float64 array; the largest is an Anderson buffer
 _TINY = np.finfo(float).tiny  # the floor of the Anderson regularization

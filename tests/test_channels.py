@@ -9,7 +9,6 @@ from beqpt.bipartite import (
     haar_unitary,
     max_entangled,
     partial_trace,
-    realign_inverse,
 )
 from beqpt.channels import (
     ChoiMatrix,
@@ -103,6 +102,16 @@ class TestChoi:
         assert np.abs(s.mat - want).max() <= 1e-14
         assert np.abs(partial_trace(s, "A") - np.eye(ch.d) / ch.d).max() <= 1e-14
 
+    def test_choi_is_the_kraus_outer_sum(self):
+        # (K kron Id)|Phi+> = vec(K) / sqrt(d) for the row-stacking vec, so
+        # S = (1/d) sum_k vec(K_k) vec(K_k)^dag, with no E_hat and no
+        # realignment; the complex Kraus sets of random_cptp catch a lost conj
+        for ch in (random_cptp(3, 3, seed=3), random_cptp(4, 2, seed=4), random_cptp(2, 1, seed=5),
+                   depolarizing(3, 0.4), dephasing(4, 0.6)):
+            vecs = np.stack([k.reshape(-1) for k in ch.kraus])
+            want = vecs.T @ vecs.conj() / ch.d
+            assert np.abs(choi_of(ch).mat - want).max() <= 1e-14
+
     def test_identity_channel_d2(self):
         assert np.allclose(choi_of(identity_channel(2)).mat, max_entangled_state(2).mat)
 
@@ -151,13 +160,6 @@ class TestSuperoperator:
         lhs = superoperator_matrix(ch) @ rho.reshape(-1)
         rhs = apply(ch, rho).reshape(-1)
         assert np.abs(lhs - rhs).max() <= 1e-12
-
-    def test_choi_is_realigned_superop_over_d(self):
-        for seed in (3, 4):
-            ch = random_cptp(3, 3, seed=seed)
-            e_hat = superoperator_matrix(ch)
-            expected = realign_inverse(e_hat, 3, 3) / 3
-            assert np.abs(choi_of(ch).mat - expected).max() <= 1e-12
 
 
 class TestStandardChannels:
@@ -247,3 +249,15 @@ class TestKrausChannelType:
             KrausChannel((np.eye(2), bad), 2)
         with pytest.raises(ValueError, match="^u "):
             unitary_channel(bad)
+
+    def test_unitary_channel_copies_u_once(self, monkeypatch, rng):
+        # unitary_channel's coercion makes the private read-only copy, and
+        # KrausChannel checks that copy and keeps it: one np.array call
+        u = haar_unitary(3, rng)
+        copies, array = [], np.array
+        monkeypatch.setattr(np, "array", lambda *a, **k: copies.append(a[0]) or array(*a, **k))
+        ch = unitary_channel(u)
+        monkeypatch.undo()
+        assert len(copies) == 1 and copies[0] is u
+        assert not np.shares_memory(ch.kraus[0], u) and u.flags.writeable
+        assert not ch.kraus[0].flags.writeable

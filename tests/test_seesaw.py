@@ -680,12 +680,12 @@ def serial_optimize(cfg):
 
 class TestOptimize:
     @pytest.mark.parametrize("kwargs, capped", [
-        # six converge or stall in 10 to 49 steps, and the race retires the
-        # other eight after 21 to 28, each in a round of its own
-        ({"d": 2, "seed": 36, "restarts": 14, "max_outer": 300}, 0),
+        # nine converge in 35 to 53 steps, and the race retires the other
+        # five after 21 to 54, each in a round of its own
+        ({"d": 2, "seed": 186, "restarts": 14, "max_outer": 300}, 0),
         # restarts 0 and 1 run to max_outer, the race retires 2 after 34 steps
-        ({"d": 3, "seed": 24, "restarts": 3, "max_outer": 40}, 2),
-        # restart 2 converges in 147 steps and the race retires 1 after 78;
+        ({"d": 3, "seed": 3, "restarts": 3, "max_outer": 40}, 2),
+        # restart 1 converges in 112 steps and the race retires 2 after 107;
         # restart 0 runs on to max_outer: its reach stays above the bar
         ({"d": 3, "seed": 3, "restarts": 3, "max_outer": 150}, 1),
         # a stack of one; it would converge in 29 steps
@@ -708,12 +708,11 @@ class TestOptimize:
     @settings(max_examples=10)
     @given(st.sampled_from([2, 3]), st.integers(2, 6), st.integers(20, 120),
            st.integers(0, 2**32 - 1))
-    # restart 0 reaches max_outer in round 129, in which restart 1's
-    # reach falls below restart 0's value; no restart finished
-    # unretired before, so the bar is still -inf: the bar rises only from
-    # the next round, and restart 1 runs on until the race retires it in
-    # round 133
-    @example(2, 2, 32, 2570830043)
+    # restart 0 converges in round 65, in which restart 1's reach falls
+    # below restart 0's value; no restart finished unretired before, so
+    # the bar is still -inf: the bar rises only from the next round, and
+    # restart 1 runs on until the race retires it in round 67
+    @example(2, 2, 43, 4155205588)
     def test_race_equals_serial_replay(self, d, restarts, max_outer, seed):
         cfg = SeesawConfig(d=d, seed=seed, restarts=restarts, max_outer=max_outer)
         want = serial_optimize(cfg)
@@ -727,17 +726,16 @@ class TestOptimize:
                 assert s.final_value < max(got.history)
 
     @pytest.mark.parametrize("kwargs", [
-        # all three restarts run to max_outer; a rule that took the 20-step
-        # ratio alone retired the winner, restart 0, after 22 steps, and the
-        # best fell by 1.1e-5
-        {"d": 3, "seed": 3883877977, "restarts": 3, "max_outer": 24},
-        # the winner, restart 4, ends 5.9e-7 above restart 1; that rule
-        # retired it after 57 steps
-        {"d": 3, "seed": 2984717314, "restarts": 5, "max_outer": 84},
-        # all three restarts run to max_outer, and restart 1 wins with
-        # 1.1890762887574435 in 529 rounds; a linear reach, the mean of the
-        # last 20 gains times the steps left, retired it after 42 steps, and
-        # restart 0 won 4.9e-3 lower
+        # both restarts run to max_outer; a rule that took the 20-step ratio
+        # alone retired the winner, restart 1, after 23 steps, and the best
+        # fell by 8.6e-6
+        {"d": 3, "seed": 3963222201, "restarts": 2, "max_outer": 26},
+        # the winner, restart 2, ends 3.8e-3 above restart 1; that rule
+        # retired it after 27 steps
+        {"d": 3, "seed": 4045701146, "restarts": 3, "max_outer": 37},
+        # unraced, all three restarts run to max_outer, and restart 1 wins
+        # with 1.1890771029293559 in 265 rounds; its tail is not geometric
+        # from step 33 to 54, so it runs on through those steps
         {"d": 3, "seed": 3751721184, "restarts": 3, "max_outer": 87},
     ])
     def test_race_keeps_the_unraced_winner(self, monkeypatch, kwargs):
@@ -763,36 +761,42 @@ class TestOptimize:
         assert "max_outer" not in reasons and "dominated" not in reasons, stats
         assert sum(s.outer_steps for s in stats) <= 100, stats
         # projections that stop at a share of the last gain and carry their
-        # Anderson memory take 529 iterations and none caps
+        # Anderson memory take 409 iterations and none caps
         assert sum(s.dykstra_iters for s in stats) <= 1000, stats
         assert sum(s.cap_hits for s in stats) == 0, stats
         # and the call is pinned bit for bit, as the d=3 call is in the slow lane
         assert res.best_restart == 1
-        assert res.best_value == float.fromhex("0x1.7ffffffa1a954p+0")
+        assert res.best_value == float.fromhex("0x1.7ffffffbc2fdbp+0")
         assert hashlib.sha256(json.dumps(res.to_dict(), sort_keys=True).encode()).hexdigest() == (
-            "fa0ffadbcc4f2a047acaba39e42f5d7ca8537b7f5a3f2b3cfd44031dca1a08ee")
+            "f53cbcdebd763e987a3ca96592cc03b67e7787edee118d93bbcc5058c34c1354")
 
     @pytest.mark.slow
     def test_benchmark_d3_instance_races(self):
         # the seesaw-d3 benchmark call.  A round is one stacked Dykstra
         # iteration, so the last round is the largest Dykstra count of any
-        # restart.  Unraced, every restart converges, restart 9 last: it runs
-        # alone from round 856 and converges 1.4e-8 below the winner, restart
-        # 7, in round 1,726.  The race retires sixteen, and every other
-        # restart stops by round 718.  Restart 9's gains shrink geometrically,
-        # so the race retires it 6.6e-7 below the winner after 122 steps, in
-        # round 1,088
+        # restart.  With ANDERSON_MEMORY = 8 columns no restart's tail splits
+        # off: no restart averages more than 3.3 Dykstra iterations per
+        # step.  With 5 columns restart 9 averaged 8.9 and alone set the
+        # call's last 370 of 1,088 rounds.  Now restart 2 converges last, in
+        # round 786, 1.1e-8 below the winner, restart 7; the race retires 12
         res = optimize(SeesawConfig(d=3, seed=1, restarts=20))
         stats = res.restarts
-        top = stats[res.best_restart].final_value
         assert "max_outer" not in [s.stop_reason for s in stats], stats
-        assert [(r, s.dykstra_iters) for r, s in enumerate(stats)
-                if s.dykstra_iters > 900] == [(9, 1088)], stats
-        assert (stats[9].stop_reason, stats[9].outer_steps) == ("dominated", 122)
-        assert 6e-7 < top - stats[9].final_value < 7e-7
-        assert [s.stop_reason for s in stats].count("dominated") == 16, stats
+        assert max((s.dykstra_iters, r) for r, s in enumerate(stats)) == (786, 2), stats
+        assert [r for r, s in enumerate(stats) if s.dykstra_iters > 4 * s.outer_steps] == [], stats
+        assert stats[2].stop_reason == "converged"
+        assert [s.stop_reason for s in stats].count("dominated") == 12, stats
         assert res.best_restart == 7
-        assert res.best_value == float.fromhex("0x1.3067693d87faap+0")
+        assert res.best_value == float.fromhex("0x1.3067694ae52ddp+0")
+
+    def test_no_restart_tail_splits_off(self):
+        # d=3 seed 3, the case of test_batched_run_equals_serial_reference
+        # with max_outer 150: with 5 Anderson columns restart 0 spent 1,258
+        # Dykstra iterations on its 150 steps and ran alone from round 452;
+        # with ANDERSON_MEMORY it spends 405
+        stats = optimize(SeesawConfig(d=3, seed=3, restarts=3, max_outer=150)).restarts
+        assert [r for r, s in enumerate(stats) if s.dykstra_iters > 4 * s.outer_steps] == [], stats
+        assert max(s.dykstra_iters for s in stats) == 405, stats
 
     def test_d2_stays_at_most_one(self):
         cfg = SeesawConfig(d=2, seed=1, restarts=4, max_outer=150)
@@ -815,10 +819,10 @@ class TestOptimize:
         assert got.to_dict() == want.to_dict()
 
     @pytest.mark.parametrize("iters, kwargs, reasons", [
-        # at d=3 restart 1 caps each of its 60 projections at 4 iterations
+        # at d=3 restart 3 caps each of its 3 projections at 4 iterations
         # and falls back once
-        (4, {"d": 3, "seed": 216, "max_outer": 60},
-         ["dominated", "max_outer", "decreased", "decreased"]),
+        (4, {"d": 3, "seed": 98, "max_outer": 60},
+         ["max_outer", "dominated", "max_outer", "decreased"]),
         # at d=2 restart 0 caps each of its 5 projections at 3 iterations
         (3, {"d": 2, "seed": 130, "max_outer": 50},
          ["decreased", "dominated", "converged", "dominated"]),
@@ -858,14 +862,14 @@ class TestOptimize:
         monkeypatch.setattr(seesaw, "PROJECTION_TOL_SHARE", 0.0)
         res = optimize(cfg)
         assert [(s.stop_reason, s.dykstra_iters) for s in res.restarts] == [
-            ("converged", 91), ("dominated", 92), ("converged", 127), ("dominated", 94)]
+            ("converged", 71), ("dominated", 72), ("converged", 105), ("dominated", 98)]
         assert hashlib.sha256(res.best_state.mat.tobytes()).hexdigest() == (
-            "fe1a7060890b648e6f91ad08ee532367b079075e2c56db13218acd9f8a29d6ae")
+            "85a6f751f460f054b31b7eaf07671225acb6d1666cfdb625d92f691f614062af")
         assert hashlib.sha256(json.dumps(res.to_dict(), sort_keys=True).encode()).hexdigest() == (
-            "1e269450694f3341708b1b1b8cc947b343f4dee09b9f8952024402418339d7f2")
+            "362f3a2e18fba586c6bf0822380ee75621e339e5e993c9004fb3bf200da97ffe")
         # the share moves the run: its projections stop earlier
         monkeypatch.undo()
-        assert sum(s.dykstra_iters for s in optimize(cfg).restarts) < 91 + 92 + 127 + 94
+        assert sum(s.dykstra_iters for s in optimize(cfg).restarts) < 71 + 72 + 105 + 98
 
     def test_deterministic(self):
         cfg = SeesawConfig(d=2, seed=3, restarts=2, max_outer=80)
@@ -899,9 +903,9 @@ class TestOptimize:
         # the largest array, an (restarts, ANDERSON_MEMORY, 2 d^4) Anderson
         # buffer, is bounded before allocation
         per_restart = 2 * ANDERSON_MEMORY * 16**4
-        assert SeesawConfig(d=16, seed=0, restarts=MAX_STACK_ENTRIES // per_restart).restarts == 6
+        assert SeesawConfig(d=16, seed=0, restarts=MAX_STACK_ENTRIES // per_restart).restarts == 4
         with pytest.raises(ValueError, match="restarts"):
-            SeesawConfig(d=16, seed=0, restarts=7)
+            SeesawConfig(d=16, seed=0, restarts=5)
         with pytest.raises(ValueError, match="restarts"):
             SeesawConfig(d=3, seed=0, restarts=MAX_STACK_ENTRIES // (2 * ANDERSON_MEMORY * 3**4) + 1)
         with pytest.raises(ValueError, match="restarts"):
