@@ -28,6 +28,7 @@ from .bipartite import (
     local_operation,
     partial_trace,
     realign_inverse,
+    _kron,
 )
 
 COMPLETENESS_TOL = 1e-10
@@ -85,7 +86,7 @@ def superoperator_matrix(ch: KrausChannel) -> np.ndarray:
     d2 = ch.d * ch.d
     out = np.zeros((d2, d2), dtype=complex)
     for k in ch.kraus:
-        out += np.kron(k, k.conj())
+        out += _kron(k, k.conj())
     return out
 
 

@@ -25,6 +25,8 @@ from .bipartite import (
     local_operation,
     operator_schmidt_rank,
     partial_transpose,
+    _check_local_pair,
+    _kron,
     _permute_subsystems,
 )
 from .reports import Record
@@ -132,16 +134,21 @@ def attach_product_ancillas(rho: DensityMatrix, sigma: np.ndarray, tau: np.ndarr
     """rho_AB kron sigma_A'' kron tau_B'', regrouped into (A A'')|(B B'')."""
     da2 = sigma.shape[0]
     db2 = tau.shape[0]
-    big = np.kron(np.kron(rho.mat, sigma), tau)
+    big = _kron(_kron(rho.mat, sigma), tau)
     big = _permute_subsystems(big, (rho.dA, rho.dB, da2, db2), (0, 2, 1, 3))
     return DensityMatrix(big, rho.dA * da2, rho.dB * db2)
 
 
 def lueders_product_measurement(rho: DensityMatrix, ua: np.ndarray, ub: np.ndarray) -> DensityMatrix:
     """Dephase in the product basis given by the columns of ua, ub:
-    sum_kl (P_k kron Q_l) rho (P_k kron Q_l)."""
-    pk, ql = ([np.outer(c, c.conj()) for c in u.T] for u in (ua, ub))
-    return DensityMatrix(local_operation(rho, [(p, q) for p in pk for q in ql]), rho.dA, rho.dB)
+    sum_kl (P_k kron Q_l) rho (P_k kron Q_l) with P_k = a_k a_k^dag and
+    Q_l = b_l b_l^dag.  Each term is w (w^dag rho w) w^dag for the column
+    w = a_k kron b_l of W = ua kron ub, so the sum is one basis change,
+    W diag(W^dag rho W) W^dag, for any ua and ub."""
+    _check_local_pair(ua, ub, rho.dA, rho.dB)
+    w = _kron(ua, ub)
+    wh = w.conj().T
+    return DensityMatrix((w * np.diagonal(wh @ rho.mat @ w)) @ wh, rho.dA, rho.dB)
 
 
 def rudolph_checks(rho: DensityMatrix, trials: int, seed: int) -> RudolphReport:

@@ -60,15 +60,15 @@ eigh per matrix.  With T(z) the corrections after one cycle and g =
 T(z) - z, the next z is T(z) - dF gamma, gamma minimizing ||g - dG gamma||
 over the last ANDERSON_MEMORY differences dG of g and dF of T(z),
 Tikhonov-regularized by ANDERSON_REG times the trace of the Gram matrix.
-The memory is the stored columns alone: the Gram matrix of dG is formed
-from them each round.  It takes the dtype of the points, so on the
-see-saw's real points (below) gamma, dG and dF are real.  A type-II
-Anderson step with too shallow a memory converges only linearly (Walker
-& Ni, SIAM J. Numer. Anal. 49, 1715 (2011)).  With 5 columns the
-restarts' tails split in two: most tail projections stopped in 2
-iterations, but some restarts cut their residual only 2 to 3 times per
-round and took about 10, and on d=3 seed 1 one such restart alone set
-the call's last 370 of 1,088 rounds; its residual never rose, so the
+The memory is the stored columns and their Gram matrix, which a written
+column updates in its one row and column.  It takes the dtype of the
+points, so on the see-saw's real points (below) gamma, dG and dF are
+real.  A type-II Anderson step with too shallow a memory converges only
+linearly (Walker & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)).  With 5
+columns the restarts' tails split in two: most tail projections stopped
+in 2 iterations, but some restarts cut their residual only 2 to 3 times
+per round and took about 10, and on d=3 seed 1 one such restart alone
+set the call's last 370 of 1,088 rounds; its residual never rose, so the
 safeguard never fired.  Every memory from 6 columns up ends the split.
 Past 8 the iterations flatten (d=3 seed 1: 5,469 at 8 columns, 5,338 at
 12), while the buffers and the size bound grow with the memory.
@@ -281,18 +281,19 @@ class _Stack:
     """The rows of a see-saw stack, one projection each: its point x0,
     corrections z = (p, q), iterations k, restart and stop tolerance, and
     its type-II Anderson memory: ring buffers of the last ANDERSON_MEMORY
-    residual differences dG and image differences dF, the last residual
-    g, image f and squared residual norm, the images seen since the
-    memory was cleared (from two on, the point is extrapolated) and its
-    restart's safeguard fallbacks, Dykstra iterations and cap hits.
-    The memory stays with the row from one projection of its restart to
-    the next; the first image of a new projection counts as seen only on
-    a cleared memory, as it adds no column.  A cleared column of dG is
-    zero.  The buffers take the dtype of the points, so real points keep
-    the whole round real."""
+    residual differences dG and image differences dF, the Gram matrix of
+    dG, the last residual g, image f and squared residual norm, the images
+    seen since the memory was cleared (from two on, the point is
+    extrapolated) and its restart's safeguard fallbacks, Dykstra
+    iterations and cap hits.  The memory stays with the row from one
+    projection of its restart to the next; the first image of a new
+    projection counts as seen only on a cleared memory, as it adds no
+    column.  A cleared column of dG is zero, and so are its row and column
+    of the Gram matrix.  The buffers take the dtype of the points, so real
+    points keep the whole round real."""
 
-    __slots__ = ("x0", "z", "k", "live", "tol", "dG", "dF", "g", "f", "res", "seen", "resets",
-                 "spent", "caps")
+    __slots__ = ("x0", "z", "k", "live", "tol", "dG", "dF", "gram", "g", "f", "res", "seen",
+                 "resets", "spent", "caps")
 
     def __init__(self, x0: np.ndarray, tol: float):
         rows, n, m, dtype = x0.shape[0], x0.shape[-1], ANDERSON_MEMORY, x0.dtype
@@ -300,6 +301,7 @@ class _Stack:
         self.k, self.live = np.zeros(rows, dtype=int), np.arange(rows)
         self.tol = np.full(rows, tol, dtype=float)
         self.dG, self.dF = np.zeros((2, rows, m, 2 * n * n), dtype)
+        self.gram = np.zeros((rows, m, m), dtype)
         self.g, self.f = np.zeros((2, rows, 2 * n * n), dtype)
         self.res = np.zeros(rows)
         self.seen, self.resets, self.spent, self.caps = np.zeros((4, rows), dtype=int)
@@ -327,15 +329,17 @@ def _accelerate(s: _Stack, f: np.ndarray, done: np.ndarray) -> np.ndarray:
     i = (warm & (s.seen > 0)).nonzero()[0]
     slot = (s.seen[i] - 1) % m
     s.dG[i, slot], s.dF[i, slot] = g[i] - s.g[i], f[i] - s.f[i]
+    # the written column's inner products with the row's columns, each the
+    # entry a full Gram matrix would hold, fill its column and row
+    col = np.vecdot(s.dG[i], s.dG[i, slot][:, None])
+    s.gram[i, :, slot], s.gram[i, slot, :] = col, col.conj()
     new = f
     if s.seen.any():
-        # the Gram matrix of the stored columns; the regularization scales
-        # with its trace, and its floor keeps a zero Gram solvable; a
-        # cleared column is zero, so the regularized diagonal decouples it
-        # and its gamma is 0
-        gram = np.vecdot(s.dG[:, :, None], s.dG[:, None])
-        reg = ANDERSON_REG * gram.trace(axis1=1, axis2=2).real + _TINY
-        a = gram + reg[:, None, None] * _EYE
+        # the regularization scales with the Gram trace, and its floor keeps
+        # a zero Gram solvable; a cleared column is zero, so the regularized
+        # diagonal decouples it and its gamma is 0
+        reg = ANDERSON_REG * s.gram.trace(axis1=1, axis2=2).real + _TINY
+        a = s.gram + reg[:, None, None] * _EYE
         gamma = np.linalg.solve(a, np.vecdot(s.dG, g[:, None])[:, :, None])
         new = f - (gamma.mT @ s.dF)[:, 0]
     bad = warm & (s.seen > 1) & (res > s.res)
@@ -345,7 +349,7 @@ def _accelerate(s: _Stack, f: np.ndarray, done: np.ndarray) -> np.ndarray:
     if bad.any():
         bad &= ~done
         new = np.where(bad[:, None], s.f, new)
-        s.dG[bad], s.seen[bad] = 0.0, 0
+        s.dG[bad], s.gram[bad], s.seen[bad] = 0.0, 0.0, 0
         s.resets += bad
     s.g, s.f, s.res = g, f, res
     return new

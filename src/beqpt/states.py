@@ -16,6 +16,7 @@ from .bipartite import (
     check_number,
     max_entangled,
     swap_operator,
+    _kron,
     _permute_subsystems,
 )
 
@@ -149,7 +150,7 @@ def rho_ccnr() -> DensityMatrix:
     mats = _rho_ccnr_second_pair()
     mat = np.zeros((16, 16), dtype=complex)
     for which, p, second in zip(_RHO_CCNR_BELLS, _RHO_CCNR_WEIGHTS, mats):
-        mat += p * np.kron(projector(bell_ket(which)), second)
+        mat += p * _kron(projector(bell_ket(which)), second)
     # qubit order (A, B, A', B') -> (A, A', B, B')
     return DensityMatrix(_permute_subsystems(mat, (2, 2, 2, 2), (0, 2, 1, 3)), 4, 4)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from beqpt import cli
+from beqpt import acceptance, cli
 from beqpt.bipartite import (
     BipartiteOperator,
     DensityMatrix,
@@ -22,6 +22,7 @@ from beqpt.bipartite import (
     realign_inverse,
     singular_values,
     swap_operator,
+    _kron,
 )
 from beqpt.channels import (
     ChoiMatrix,
@@ -55,8 +56,9 @@ def rand_c(rng, shape):
 
 
 class TestKronConvention:
-    """np.kron is the tensor product everywhere in the package; these pin
-    its composite ordering, |i>|k> -> i*dB + k."""
+    """``bipartite._kron`` is the tensor product everywhere in the package,
+    and it is numpy's kron byte for byte; these pin the composite ordering,
+    |i>|k> -> i*dB + k, on numpy's kron."""
 
     def test_identity(self):
         assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
@@ -68,6 +70,43 @@ class TestKronConvention:
         expected = np.zeros((4, 4))
         expected[1, 1] = 1.0  # row 0*2+1, col 0*2+1
         assert np.array_equal(out, expected)
+
+    @given(st.data())
+    def test_private_product_is_numpy_kron(self, data):
+        # the broadcast product numpy's kron forms, so the bytes are equal
+        def draw_matrix():
+            shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
+            if data.draw(st.booleans()):  # square
+                shape = (shape[0], shape[0])
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            m = rng.standard_normal(shape)
+            return m + 1j * rng.standard_normal(shape) if data.draw(st.booleans()) else m
+
+        a, b = draw_matrix(), draw_matrix()
+        out = _kron(a, b)
+        ref = np.kron(a, b)
+        assert out.shape == ref.shape and out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
+
+    def test_package_calls_no_numpy_kron(self, monkeypatch, tmp_path):
+        # every tensor product of the package is _kron, numpy's kron none
+        def kron(a, b):
+            raise AssertionError("numpy's kron was called")
+
+        monkeypatch.setattr(np, "kron", kron)
+        out = str(tmp_path / "out.json")
+        for argv in (
+            ["diagnose", "--state", "werner", "--d", "3", "--f", "-1",
+             "--rudolph-trials", "3", "--seed", "7"],
+            ["reconstruct", "--probe", "rho-ccnr", "--channel", "depolarizing",
+             "--channel-d", "4", "--p", "0.3", "--noise", "1e-4", "--seed", "1"],
+            ["filter", "--state", "werner", "--d", "4", "--v", "0", "--filter", "werner"],
+        ):
+            assert cli.main(argv + ["--out", out]) == 0, argv
+        rows = [fn for fn in acceptance.ROWS if fn is not acceptance.row_seesaw]
+        assert len(rows) == 10
+        for fn in rows:
+            assert fn().passed, fn.__name__
 
     def test_entry_oracle(self, rng):
         a = rand_c(rng, (3, 3))

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beqpt.bipartite import DensityMatrix, operator_schmidt_rank, realign, singular_values
+from beqpt.bipartite import (
+    DensityMatrix,
+    haar_unitary,
+    operator_schmidt_rank,
+    realign,
+    singular_values,
+)
 from beqpt.diagnostics import (
     analytic_ccnr,
     attach_product_ancillas,
@@ -11,6 +17,7 @@ from beqpt.diagnostics import (
     full_report,
     is_faithful,
     is_ppt,
+    lueders_product_measurement,
     purity,
     rudolph_checks,
 )
@@ -197,6 +204,54 @@ class TestRudolphChecks:
         a = rudolph_checks(werner_f(3, 0.5), trials=3, seed=7)
         b = rudolph_checks(werner_f(3, 0.5), trials=3, seed=7)
         assert a == b
+
+
+def lueders_term_sum(rho, ua, ub):
+    """The Lueders dephasing as its term sum, sum_kl (P_k kron Q_l) rho
+    (P_k kron Q_l), each projector pair formed by numpy's kron."""
+    out = np.zeros_like(rho.mat)
+    for a in ua.T:
+        for b in ub.T:
+            m = np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
+            out += m @ rho.mat @ m.conj().T
+    return out
+
+
+class TestLuedersMeasurement:
+    """``lueders_product_measurement`` is one basis change by W = ua kron ub,
+    W diag(W^dag rho W) W^dag, which equals the term sum for any ua, ub."""
+
+    @given(st.data())
+    def test_haar_basis_matches_the_term_sum(self, data):
+        rho = data.draw(drawn_states(max_d=4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ua, ub = haar_unitary(rho.dA, rng), haar_unitary(rho.dB, rng)
+        out = lueders_product_measurement(rho, ua, ub)
+        assert np.abs(out.mat - lueders_term_sum(rho, ua, ub)).max() <= 1e-13
+        # a complete measurement keeps the trace
+        assert abs(out.mat.trace() - 1.0) <= 1e-13
+
+    @given(st.data())
+    def test_any_local_matrices_match_the_term_sum(self, data):
+        # the identity needs no unitarity; ua is scaled so the output has
+        # unit trace, which the returned DensityMatrix checks
+        rho = data.draw(drawn_states(max_d=4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ua, ub = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                  for d in (rho.dA, rho.dB))
+        ua = ua / lueders_term_sum(rho, ua, ub).trace().real ** 0.25
+        ref = lueders_term_sum(rho, ua, ub)
+        out = lueders_product_measurement(rho, ua, ub)
+        assert np.abs(out.mat - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+    def test_wrong_shape_names_both_dims(self, rng, dims):
+        rho = random_density_matrix(3, 3, rng)
+        ua, ub = (np.eye(d) for d in dims)
+        with pytest.raises(ValueError, match=rf"\({dims[0]}, {dims[0]}\) and "
+                                             rf"\({dims[1]}, {dims[1]}\) do not act on "
+                                             rf"local dims \(3, 3\)"):
+            lueders_product_measurement(rho, ua, ub)
 
 
 class TestSmallestRealignedSingularValue:

@@ -345,7 +345,7 @@ class TestRealSearch:
         s = _Stack(x, -1.0)
         for _ in range(4):  # from the third round on, _accelerate extrapolates
             out, f, _ = _dykstra_round(s, 3, 3)
-        assert [a.dtype for a in (out, f, s.z, s.dG, s.dF, s.g, s.f)] == [np.float64] * 7
+        assert [a.dtype for a in (out, f, s.z, s.dG, s.dF, s.gram, s.g, s.f)] == [np.float64] * 8
 
     def test_optimize_runs_in_float64(self, monkeypatch):
         # a promotion back to complex would double every buffer and eigh
@@ -383,7 +383,7 @@ class TestWarmStart:
         x0 = random_density_matrix(d, d, rng, rank=int(rng.integers(1, n + 1))).mat
         s = _Stack(x0[None], tol)
         _dykstra(s, d, d, iters)
-        s.dG[:], s.seen[:] = 0.0, 0
+        s.dG[:], s.gram[:], s.seen[:] = 0.0, 0.0, 0
         h = herm_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         x1 = x0 + eps * h / np.linalg.norm(h)
         cold, _, _, k_cold = _dykstra(_Stack(x1[None], tol), d, d, iters)
@@ -434,7 +434,8 @@ def checked_accelerate(s, f, done, accelerate=seesaw._accelerate):
     projection writes no difference and judges no step.  A row that goes on
     and whose residual rose after an extrapolated step, a new projection's
     first extrapolation from carried columns included, takes its last image
-    as the next point and clears its memory; no other row falls back."""
+    as the next point and clears its memory; no other row falls back.  The
+    kept Gram matrix is the one formed from the columns, bit for bit."""
     first = s.k == 0
     kept = [a[first].copy() for a in (s.dG, s.dF)]
     last, before, resets = s.f.copy(), s.res.copy(), s.resets.copy()
@@ -444,6 +445,7 @@ def checked_accelerate(s, f, done, accelerate=seesaw._accelerate):
     rose = extrapolated & (s.res > before) & ~done
     assert np.array_equal(new[rose], last[rose]) and not s.seen[rose].any()
     assert np.array_equal(s.resets - resets, rose)
+    assert np.array_equal(s.gram, np.vecdot(s.dG[:, :, None], s.dG[:, None]))
     return new
 
 
@@ -524,7 +526,7 @@ class TestAcceleration:
         h = herm_part(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
         s = _Stack((state + 0.1 * h)[None], PROJECTION_TOL)
         _dykstra(s, 3, 3, PROJECTION_ITERS)
-        s.dG[:], s.seen[:] = 0.0, 0
+        s.dG[:], s.gram[:], s.seen[:] = 0.0, 0.0, 0
         out, _, _, k = warm_dykstra(s, state, 3, 30, tol)
         assert k <= 30 and np.abs(out - state).max() <= 10 * PROJECTION_TOL
 
