@@ -20,10 +20,10 @@ the convention against them.
 The ordering also fixes the tensor product: ``_kron`` is the package's
 one Kronecker product.  It is the broadcast product that numpy's
 ``kron`` forms, so it gives the same bytes without that function's
-per-call overhead.  Channels on the system half, filters and local
-unitaries all go through the one sum ``local_operation``; a Lueders
-measurement is one basis change by ``_kron(ua, ub)`` instead (see
-``diagnostics.lueders_product_measurement``).
+per-call overhead.  Filters and local unitaries are the one local product
+``local_operation``; a channel acts through its superoperator instead
+(``channels.apply_extended``), and a Lueders measurement is one basis
+change by ``_kron(ua, ub)`` (``diagnostics.lueders_product_measurement``).
 
 Each operator computes its descending realigned spectrum once, on first
 use of ``realigned_spectrum``; the Schmidt rank, and through it every
@@ -252,20 +252,14 @@ def _check_local_pair(a: np.ndarray, b: np.ndarray, dA: int, dB: int) -> None:
                          f"do not act on local dims {(dA, dB)}")
 
 
-def local_operation(rho: BipartiteOperator, pairs) -> np.ndarray:
-    """Sum over the pairs (a, b), a dA x dA and b dB x dB, of
-    (a kron b) rho (a kron b)^dag, each product formed by ``_kron``.  It
-    sits beside ``realign``, which turns it into products:
-    R(sum (a kron b) rho (a kron b)^dag)
-    = sum (a kron conj a) R(rho) (b kron conj b)^T.  The shapes of a pair
-    are checked before its product is formed.  The sum starts from zeros
-    and adds the pairs in order, so zero entries stay +0."""
-    out = np.zeros_like(rho.mat)
-    for a, b in pairs:
-        _check_local_pair(a, b, rho.dA, rho.dB)
-        m = _kron(a, b)
-        out += m @ rho.mat @ m.conj().T
-    return out
+def local_operation(rho: BipartiteOperator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a kron b) rho (a kron b)^dag for a dA x dA and b dB x dB, checked
+    before the product is formed by ``_kron``.  It sits beside
+    ``realign``, which turns it into a product:
+    R((a kron b) rho (a kron b)^dag) = (a kron conj a) R(rho) (b kron conj b)^T."""
+    _check_local_pair(a, b, rho.dA, rho.dB)
+    m = _kron(a, b)
+    return m @ rho.mat @ m.conj().T
 
 
 def realign_inverse(m: np.ndarray, dA: int, dB: int) -> np.ndarray:

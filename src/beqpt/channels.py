@@ -10,8 +10,9 @@ The Choi state uses the trace-1 normalization
 
 so the inverse relation carries a factor d:  E(rho) = d Tr_2[(Id kron rho^T) S].
 Under the row-stacking vec convention the superoperator matrix is
-E_hat = sum_n K_n kron conj(K_n), and the Choi state is built from it,
-S = realign_inverse(E_hat) / d.
+E_hat = sum_n K_n kron conj(K_n), and every channel acts through it:
+(E kron Id)(rho) = realign_inverse(E_hat realign(rho)), the identity the
+tomography inverts, so S = realign_inverse(E_hat) / d.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .bipartite import (
     DensityMatrix,
     as_complex_matrix,
     check_number,
-    local_operation,
     partial_trace,
+    realign,
     realign_inverse,
     _kron,
 )
@@ -74,11 +75,11 @@ class ChoiMatrix(DensityMatrix):
 
 
 def apply_extended(ch: KrausChannel, rho: BipartiteOperator) -> BipartiteOperator:
-    """(E kron Id) acting on the A factor of a bipartite operator."""
+    """(E kron Id)(rho) = realign_inverse(E_hat realign(rho)) on the A factor."""
     if rho.dA != ch.d:
         raise ValueError(f"probe dA={rho.dA} does not match channel d={ch.d}")
-    eye = np.eye(rho.dB)
-    return BipartiteOperator(local_operation(rho, ((k, eye) for k in ch.kraus)), ch.d, rho.dB)
+    out = realign_inverse(superoperator_matrix(ch) @ realign(rho), ch.d, rho.dB)
+    return BipartiteOperator(out, ch.d, rho.dB)
 
 
 def superoperator_matrix(ch: KrausChannel) -> np.ndarray:

@@ -173,7 +173,7 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int) -> RudolphReport:
         return haar_unitary(rho.dA, rng), haar_unitary(rho.dB, rng)
 
     unitary_dev = max(abs(c) for c in changes(0, lambda g: DensityMatrix(
-        local_operation(rho, [local_unitaries(g)]), rho.dA, rho.dB)))
+        local_operation(rho, *local_unitaries(g)), rho.dA, rho.dB)))
     ancilla_inc = max(changes(
         1, lambda g: attach_product_ancillas(rho, _random_pure_qubit(g), _random_pure_qubit(g))))
     lueders_inc = max(changes(

@@ -78,7 +78,7 @@ def local_filter(rho: DensityMatrix, f: FilterPair) -> DensityMatrix:
 
     Raises AnnihilatedState when the normalization trace vanishes.
     """
-    out = local_operation(rho, [(f.A, f.B)])
+    out = local_operation(rho, f.A, f.B)
     weight = float(out.trace().real)
     if weight <= ANNIHILATION_TOL:
         raise AnnihilatedState(f"filter annihilated the state (trace {weight:.3e})")

@@ -7,12 +7,15 @@ the row-stacking convention: writing rho = sum_m A_m kron B_m,
     realign((E kron Id) rho) = E_hat realign(rho),
 
 so the superoperator is E_hat = realign(rho_out) realign(probe)^-1
-whenever the probe's realigned matrix is invertible.  Probes failing
-that invertibility test (non-faithful probes) are rejected up front by
-the one faithfulness gate, which reads the probe's cached realigned
-spectrum (cut at SCHMIDT_REL_TOL); a probe is factorized once, however
-many channels it reconstructs, and each reconstruction solves the
-linear system against the realigned probe.
+whenever the probe's realigned matrix is invertible.  The simulation
+runs the same identity forward (``channels.apply_extended``), so a
+round trip checks the inversion; the tests check the identity itself
+against the Kraus sum.  Probes failing that invertibility test
+(non-faithful probes) are rejected up front by the one faithfulness
+gate, which reads the probe's cached realigned spectrum (cut at
+SCHMIDT_REL_TOL); a probe is factorized once, however many channels it
+reconstructs, and each reconstruction solves the linear system against
+the realigned probe.
 """
 
 from __future__ import annotations

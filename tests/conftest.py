@@ -27,6 +27,13 @@ def random_product_state(dA, dB, rng):
     return DensityMatrix(np.outer(ket, ket.conj()), dA, dB)
 
 
+def kraus_sum(ch, rho):
+    """(E kron Id)(rho) as the Kraus sum sum_n (K_n kron Id) rho (K_n kron Id)^dag,
+    built with np.kron: a reference that never forms the superoperator."""
+    eye = np.eye(rho.dB)
+    return sum(np.kron(k, eye) @ rho.mat @ np.kron(k, eye).conj().T for k in ch.kraus)
+
+
 def random_separable_state(dA, dB, rng, terms=6):
     """Convex mixture of random pure product states."""
     weights = rng.random(terms)

@@ -24,6 +24,8 @@ from beqpt.channels import (
 )
 from beqpt.states import max_entangled_state, random_density_matrix
 
+from conftest import drawn_states, kraus_sum
+
 
 def rand_state_mat(d, rng):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -79,6 +81,16 @@ class TestApplyExtended:
         with pytest.raises(ValueError):
             apply_extended(identity_channel(3), random_density_matrix(2, 3, rng))
 
+    @given(st.data())
+    def test_is_the_kraus_sum(self, data):
+        # realign_inverse(E_hat realign(rho)) against the Kraus sum; most
+        # draws have dA != dB, which a swap of the two dimensions would fail
+        rho = data.draw(drawn_states(max_d=4))
+        ch = random_cptp(rho.dA, data.draw(st.integers(1, rho.dA**2)),
+                         data.draw(st.integers(0, 2**32 - 1)))
+        want = kraus_sum(ch, rho)
+        assert np.linalg.norm(apply_extended(ch, rho).mat - want) <= 1e-12 * np.linalg.norm(want)
+
 
 @st.composite
 def channels(draw):
@@ -95,10 +107,10 @@ class TestChoi:
     @settings(max_examples=200)
     @given(channels())
     def test_extended_channel_on_phi_plus_is_the_oracle(self, ch):
-        # apply_extended sums (K kron Id) Phi+ (K kron Id)^dag and never
-        # forms E_hat, so it checks choi_of independently of superoperator_matrix
+        # the Kraus sum of (K kron Id) Phi+ (K kron Id)^dag never forms E_hat,
+        # so it checks choi_of independently of superoperator_matrix
         s = choi_of(ch)
-        want = apply_extended(ch, max_entangled_state(ch.d)).mat
+        want = kraus_sum(ch, max_entangled_state(ch.d))
         assert np.abs(s.mat - want).max() <= 1e-14
         assert np.abs(partial_trace(s, "A") - np.eye(ch.d) / ch.d).max() <= 1e-14
 
@@ -116,9 +128,9 @@ class TestChoi:
         assert np.allclose(choi_of(identity_channel(2)).mat, max_entangled_state(2).mat)
 
     def test_fully_depolarizing_d2(self):
-        # oracle: apply_extended to the maximally entangled probe
+        # oracle: the Kraus sum on the maximally entangled probe
         ch = depolarizing(2, 1.0)
-        expected = apply_extended(ch, max_entangled_state(2)).mat
+        expected = kraus_sum(ch, max_entangled_state(2))
         assert np.allclose(choi_of(ch).mat, expected, atol=1e-14)
         assert np.allclose(choi_of(ch).mat, np.eye(4) / 4, atol=1e-14)
 
@@ -158,7 +170,7 @@ class TestSuperoperator:
         ch = random_cptp(3, 2, seed=9)
         rho = rand_state_mat(3, rng)
         lhs = superoperator_matrix(ch) @ rho.reshape(-1)
-        rhs = apply(ch, rho).reshape(-1)
+        rhs = kraus_sum(ch, BipartiteOperator(rho, 3, 1)).reshape(-1)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 

@@ -33,7 +33,7 @@ from beqpt.tomography import (
     trace_distance,
 )
 
-from conftest import drawn_states
+from conftest import drawn_states, kraus_sum
 
 
 def midranks(x):
@@ -64,11 +64,12 @@ class TestSimulateOutput:
 
 class TestReconstructSuperop:
     def test_forward_identity_holds(self, rng):
-        # load-bearing identity: realign(output) = E_hat realign(probe)
+        # load-bearing identity: realign(output) = E_hat realign(probe), with
+        # the output formed as the Kraus sum, not through E_hat
         ch = random_cptp(3, 3, seed=11)
         probe = random_density_matrix(3, 3, rng)
-        out = simulate_output(ch, probe)
-        lhs = realign(out)
+        out = kraus_sum(ch, probe)
+        lhs = realign(BipartiteOperator(out, 3, 3))
         rhs = superoperator_matrix(ch) @ realign(probe)
         assert np.abs(lhs - rhs).max() <= 1e-10
 
