@@ -70,7 +70,7 @@ in 2 iterations, but some restarts cut their residual only 2 to 3 times
 per round and took about 10, and on d=3 seed 1 one such restart alone
 set the call's last 370 of 1,088 rounds; its residual never rose, so the
 safeguard never fired.  Every memory from 6 columns up ends the split.
-Past 8 the iterations flatten (d=3 seed 1: 5,469 at 8 columns, 5,338 at
+Past 8 the iterations flatten (d=3 seed 1: 3,341 at 8 columns, 3,152 at
 12), while the buffers and the size bound grow with the memory.
 A row whose residual ||g|| rose after an extrapolated step falls back
 to its last image T(z) and clears its memory.  The memory of a row is
@@ -111,7 +111,7 @@ published extremal states rho_ccnr and rho_ccnr_3x3 are real too.
 The restarts race (Maron & Moore, NIPS 1993; Jamieson & Talwalkar,
 AISTATS 2016).  At each Y-step of a restart with more than RACE_WINDOW
 values, ``_race`` extrapolates its gains to max_outer; if that reach
-lands more than OBJECTIVE_TOL below the bar, the restart is retired as
+lands more than OBJECTIVE_TOL below its bar, the restart is retired as
 "dominated", so a tie within the tolerance that stops restarts runs on.
 Near the optimum the see-saw converges linearly, so its gains shrink
 geometrically, and a geometric tail g1 r (1 - r^left)/(1 - r) is what
@@ -122,12 +122,22 @@ of those over the last RACE_WINDOW and RACE_WINDOW/2 gains, so a tail
 that decays more slowly at its end keeps the longer reach, and the
 reach is the current value plus that tail.  A restart whose tail is not
 geometric (a window not decaying, or r rounding to 1) runs on.  The
-bar is the best value of any restart that finished unretired in an
-earlier round, read once per round, so the order of the rows within a
-round cannot matter.  A live restart gained at least OBJECTIVE_TOL > 0
-on every step, or it would have stopped, so its tail is positive and
-its reach is at least its current value, which is also its best: a
-dominated restart's best is more than OBJECTIVE_TOL below the winner's.
+bar of a restart with more than 2 RACE_WINDOW values is the lead, the
+best value any restart reached in an earlier round; that of a younger
+one is the best value of any restart that finished unretired in an
+earlier round.  Both are read once per round, so the order of the rows
+within a round cannot matter, and the winner's best is at least either.
+A live restart gained at least OBJECTIVE_TOL > 0 on every step, or it
+would have stopped, so its tail is positive and its reach is at least
+its current value, which is also its best: a dominated restart's best
+is more than OBJECTIVE_TOL below the winner's.  The lead exists from
+the first round, while the first restart to finish may come late: on
+d=3 seed 1 the race against finished restarts alone retired 12 of 20
+restarts after 68 to 81 steps, and the call took 786 rounds; against
+the lead it retires 18 after 41 steps, in 466 rounds.  The geometric
+tail does not describe a restart's first steps, so the lead waits
+for 2 RACE_WINDOW values: read from RACE_WINDOW values on, it moved ten
+more of the 200 drawn winners below, nine at d=3 by up to -4.9e-3.
 Retiring a restart moves no other restart, so when the race keeps the
 winner, its history and its state are those of the unraced run.  The
 rule itself is a heuristic, not a bound: a retired restart might later
@@ -136,8 +146,11 @@ max_outer 20 to 119) it moved the winner of five against the unraced
 run, all at d=2, where every restart converges to the optimum 1: four
 by at most 3.5e-9, and one by -2.0e-6, where the retired restart's gains
 decayed more slowly than its windows showed.  On the grid above it
-moved one, at d=4 seed 3, by -3.1e-11, and -1.0e-10 after the final
-projection.
+moved three: at d=3 seed 1 by -1.0e-8 and seed 2 by -4.9e-10, where the
+retired restart climbed on to the same optimum, and at d=4 seed 3 by
+-3.1e-11 (after the final projection -1.0e-8, -5.0e-10 and -1.0e-10).
+Over 180 drawn calls of 60 to 500 steps (d = 2..4) and d=3 seeds 5..16
+it moved no winner by more than 1.2e-9.
 
 A run is set by counts alone (SeesawConfig); the step STEP, the
 projection cap and the stop tolerances are module constants.  The
@@ -215,7 +228,9 @@ class RestartStats(Record):
     """Telemetry of one restart: its Y-steps, why it stopped ("converged"
     or "decreased" when the objective gained less than OBJECTIVE_TOL,
     "max_outer", or "dominated" when the race retired it because its
-    reach fell more than OBJECTIVE_TOL below the bar), the Dykstra
+    reach fell more than OBJECTIVE_TOL below its bar: the best value of
+    a restart that finished unretired, or with more than 2 RACE_WINDOW
+    values the best value any restart reached), the Dykstra
     iterations of all its projections, how many of those projections ran
     the full PROJECTION_ITERS, how many extrapolated points the Anderson
     safeguard rejected in them, its last objective value, and its tail
@@ -419,8 +434,10 @@ def _race(h: list, left: int) -> tuple:
 def optimize(cfg: SeesawConfig) -> SeesawResult:
     """Run the see-saw from seeded real restarts; restart r starts from the
     real part of a Wishart draw from default_rng([seed, r]).  The restarts
-    race (see the module docstring).  A restart's counters live on its
-    row; its RestartStats is written when it stops.  The first state of
+    race (see the module docstring): each round reads the bar of the
+    restarts that finished unretired and the lead, the best value reached,
+    before any row of the round writes either.  A restart's counters live
+    on its row; its RestartStats is written when it stops.  The first state of
     the best value wins, the lower restart on ties; it gets a final hard
     projection, and its value and residuals come from the checked state."""
     d, iters = cfg.d, PROJECTION_ITERS
@@ -443,7 +460,9 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
         alive = np.ones_like(stop)
         mats = out[js]
         vals, ys = _y_step(mats, d, d)
-        bar = top  # finishers of this round raise the bar from the next one
+        # finishers of this round raise the bar, and its values the lead, from
+        # the next one
+        bar, lead = top, win[0]
         for j, r, val, mat in zip(js, s.live[js].tolist(), vals.tolist(), mats):
             h = history[r]
             prev = h[-1] if h else -np.inf
@@ -457,7 +476,7 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
             if stalled or len(h) == cfg.max_outer:
                 why = ("decreased" if val < prev else "converged") if stalled else "max_outer"
                 top = max(top, *h)
-            elif reach < bar - OBJECTIVE_TOL:
+            elif reach < (lead if len(h) > 2 * RACE_WINDOW else bar) - OBJECTIVE_TOL:
                 why = "dominated"
             else:
                 continue

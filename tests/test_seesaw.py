@@ -648,23 +648,28 @@ def serial_restart(cfg, r):
 def serial_optimize(cfg):
     """optimize as restarts run one at a time, merged in round order to
     replay the race: the bar of a round is the best value of the restarts
-    that finished unretired in an earlier one, so same-round finishers do
-    not count.  Retiring a restart moves no other one, so a retired
-    restart's run is closed and the others go on; each restart keeps its
-    values and its best state only.  The final projection starts cold."""
+    that finished unretired in an earlier one, and the lead the best value
+    any restart reached in an earlier one, so same-round values do not
+    count.  A restart with more than 2 * RACE_WINDOW values is raced
+    against the lead, a younger one against the bar.  Retiring a restart
+    moves no other one, so a retired restart's run is closed and the others
+    go on; each restart keeps its values and its best state only.  The
+    final projection starts cold."""
     runs = [serial_restart(cfg, r) for r in range(cfg.restarts)]
     history, best = [[] for _ in runs], [(-np.inf, None)] * cfg.restarts
-    stats, finished = [None] * cfg.restarts, []
+    stats, finished, reached = [None] * cfg.restarts, [], []
     for t, r, val, counts, x, reason in heapq.merge(*runs):
         h = history[r]
         h.append(val)
         if val > best[r][0]:
             best[r] = (val, x)
         bar = max((v for s, v in finished if s < t), default=-np.inf)
+        lead = max((v for s, v in reached if s < t), default=-np.inf)
+        reached.append((t, val))
         reach, tail = _race(h, cfg.max_outer - len(h))
         if reason:
             finished.append((t, best[r][0]))
-        elif reach < bar - OBJECTIVE_TOL:
+        elif reach < (lead if len(h) > 2 * RACE_WINDOW else bar) - OBJECTIVE_TOL:
             reason = "dominated"
             runs[r].close()
         if reason:
@@ -687,8 +692,8 @@ class TestOptimize:
         ({"d": 2, "seed": 186, "restarts": 14, "max_outer": 300}, 0),
         # restarts 0 and 1 run to max_outer, the race retires 2 after 34 steps
         ({"d": 3, "seed": 3, "restarts": 3, "max_outer": 40}, 2),
-        # restart 1 converges in 112 steps and the race retires 2 after 107;
-        # restart 0 runs on to max_outer: its reach stays above the bar
+        # restart 0 runs on to max_outer, and the race retires 1 and 2 against
+        # the lead after 41 steps: no restart finished before them
         ({"d": 3, "seed": 3, "restarts": 3, "max_outer": 150}, 1),
         # a stack of one; it would converge in 29 steps
         ({"d": 4, "seed": 1, "restarts": 1, "max_outer": 20}, 1),
@@ -715,6 +720,9 @@ class TestOptimize:
     # the bar is still -inf: the bar rises only from the next round, and
     # restart 1 runs on until the race retires it in round 67
     @example(2, 2, 43, 4155205588)
+    # no restart finishes before round 126, where the lead retires restart 1
+    # after 41 steps, so every run of the property takes the lead's branch
+    @example(3, 3, 150, 3)
     def test_race_equals_serial_replay(self, d, restarts, max_outer, seed):
         cfg = SeesawConfig(d=d, seed=seed, restarts=restarts, max_outer=max_outer)
         want = serial_optimize(cfg)
@@ -753,6 +761,25 @@ class TestOptimize:
         assert raced.best_state.mat.tobytes() == unraced.best_state.mat.tobytes()
         assert raced.history == unraced.history
 
+    def test_settled_tail_races_the_lead(self, monkeypatch):
+        # restart 0 runs to max_outer, so no restart finishes before the
+        # others would stop against the bar alone: restart 1 would converge
+        # after 112 steps and 2 be retired after 107.  The lead retires both
+        # as soon as their tails have settled, with 2 * RACE_WINDOW + 1 values
+        cfg = SeesawConfig(d=3, seed=3, restarts=3, max_outer=150)
+        raced = optimize(cfg)
+        assert [(s.stop_reason, s.outer_steps) for s in raced.restarts] == [
+            ("max_outer", 150), ("dominated", 2 * RACE_WINDOW + 1),
+            ("dominated", 2 * RACE_WINDOW + 1)]
+        # retiring them moves nothing of the winner's run
+        monkeypatch.setattr(seesaw, "RACE_WINDOW", 10**9)
+        unraced = optimize(cfg)
+        assert "dominated" not in [s.stop_reason for s in unraced.restarts]
+        assert raced.best_restart == unraced.best_restart == 0
+        assert raced.best_value == unraced.best_value
+        assert raced.best_state.mat.tobytes() == unraced.best_state.mat.tobytes()
+        assert raced.history == unraced.history
+
     def test_benchmark_d4_instance_takes_few_steps(self):
         # the seesaw-d4 benchmark call; counts, not seconds, so any host
         # gives them
@@ -779,17 +806,18 @@ class TestOptimize:
         # restart.  With ANDERSON_MEMORY = 8 columns no restart's tail splits
         # off: no restart averages more than 3.3 Dykstra iterations per
         # step.  With 5 columns restart 9 averaged 8.9 and alone set the
-        # call's last 370 of 1,088 rounds.  Now restart 2 converges last, in
-        # round 786, 1.1e-8 below the winner, restart 7; the race retires 12
+        # call's last 370 of 1,088 rounds.  The race retires 18 against the
+        # lead after 41 steps each; restart 9 converges last, in round 466,
+        # 1.2e-9 below the winner, restart 19
         res = optimize(SeesawConfig(d=3, seed=1, restarts=20))
         stats = res.restarts
         assert "max_outer" not in [s.stop_reason for s in stats], stats
-        assert max((s.dykstra_iters, r) for r, s in enumerate(stats)) == (786, 2), stats
+        assert max((s.dykstra_iters, r) for r, s in enumerate(stats)) == (466, 9), stats
         assert [r for r, s in enumerate(stats) if s.dykstra_iters > 4 * s.outer_steps] == [], stats
-        assert stats[2].stop_reason == "converged"
-        assert [s.stop_reason for s in stats].count("dominated") == 12, stats
-        assert res.best_restart == 7
-        assert res.best_value == float.fromhex("0x1.3067694ae52ddp+0")
+        assert stats[9].stop_reason == "converged"
+        assert [s.stop_reason for s in stats].count("dominated") == 18, stats
+        assert res.best_restart == 19
+        assert res.best_value == float.fromhex("0x1.3067691dee214p+0")
 
     def test_no_restart_tail_splits_off(self):
         # d=3 seed 3, the case of test_batched_run_equals_serial_reference
@@ -822,9 +850,9 @@ class TestOptimize:
 
     @pytest.mark.parametrize("iters, kwargs, reasons", [
         # at d=3 restart 3 caps each of its 3 projections at 4 iterations
-        # and falls back once
+        # and falls back once; the lead retires restarts 0 and 1 after 41 steps
         (4, {"d": 3, "seed": 98, "max_outer": 60},
-         ["max_outer", "dominated", "max_outer", "decreased"]),
+         ["dominated", "dominated", "max_outer", "decreased"]),
         # at d=2 restart 0 caps each of its 5 projections at 3 iterations
         (3, {"d": 2, "seed": 130, "max_outer": 50},
          ["decreased", "dominated", "converged", "dominated"]),
