@@ -1,6 +1,8 @@
 """Dense linear algebra for operators on a bipartite Hilbert space.
 
-Everything works on explicit dense complex matrices.  One indexing
+Everything works on explicit dense matrices: complex ones for the
+library's operators and states, and real float64 stacks for the see-saw,
+whose kernels keep a real input real (see below).  One indexing
 convention is fixed here and used by every other module:
 
 * composite basis ordering is row-major, ``|i>|k| -> i*dB + k``;

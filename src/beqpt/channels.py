@@ -10,7 +10,8 @@ The Choi state uses the trace-1 normalization
 
 so the inverse relation carries a factor d:  E(rho) = d Tr_2[(Id kron rho^T) S].
 Under the row-stacking vec convention the superoperator matrix is
-E_hat = sum_n K_n kron conj(K_n), and every channel acts through it:
+E_hat = sum_n K_n kron conj(K_n), which a channel builds once, on first
+use of ``superoperator``, and every channel acts through it:
 (E kron Id)(rho) = realign_inverse(E_hat realign(rho)), the identity the
 tomography inverts, so S = realign_inverse(E_hat) / d.
 """
@@ -18,6 +19,7 @@ tomography inverts, so S = realign_inverse(E_hat) / d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +58,18 @@ class KrausChannel:
             raise ValueError(f"completeness relation violated: residual {residual:.3e}")
         object.__setattr__(self, "kraus", ops)
 
+    @cached_property
+    def superoperator(self) -> np.ndarray:
+        """E_hat, with E_hat vec(X) = vec(E(X)) (row-stacking vec), read-only;
+        built once, on first use, which is safe since the Kraus operators
+        are private read-only copies (see ``as_complex_matrix``)."""
+        d2 = self.d * self.d
+        out = np.zeros((d2, d2), dtype=complex)
+        for k in self.kraus:
+            out += _kron(k, k.conj())
+        out.setflags(write=False)
+        return out
+
 
 class ChoiMatrix(DensityMatrix):
     """Trace-1 Choi state of a channel on C^d: a density matrix on
@@ -78,22 +92,13 @@ def apply_extended(ch: KrausChannel, rho: BipartiteOperator) -> BipartiteOperato
     """(E kron Id)(rho) = realign_inverse(E_hat realign(rho)) on the A factor."""
     if rho.dA != ch.d:
         raise ValueError(f"probe dA={rho.dA} does not match channel d={ch.d}")
-    out = realign_inverse(superoperator_matrix(ch) @ realign(rho), ch.d, rho.dB)
+    out = realign_inverse(ch.superoperator @ realign(rho), ch.d, rho.dB)
     return BipartiteOperator(out, ch.d, rho.dB)
-
-
-def superoperator_matrix(ch: KrausChannel) -> np.ndarray:
-    """Matrix E_hat with E_hat vec(X) = vec(E(X)) (row-stacking vec)."""
-    d2 = ch.d * ch.d
-    out = np.zeros((d2, d2), dtype=complex)
-    for k in ch.kraus:
-        out += _kron(k, k.conj())
-    return out
 
 
 def choi_of(ch: KrausChannel) -> ChoiMatrix:
     """S = (E kron Id)(|Phi+><Phi+|) = realign_inverse(E_hat) / d."""
-    return ChoiMatrix(realign_inverse(superoperator_matrix(ch), ch.d, ch.d) / ch.d, ch.d)
+    return ChoiMatrix(realign_inverse(ch.superoperator, ch.d, ch.d) / ch.d, ch.d)
 
 
 def identity_channel(d: int) -> KrausChannel:

@@ -202,6 +202,8 @@ def cmd_diagnose(args, inputs: dict, timings: dict) -> tuple:
 
 
 def cmd_reconstruct(args, inputs: dict, timings: dict) -> tuple:
+    if args.seed is not None and args.noise == 0:
+        raise ValueError("--seed is used only with --noise > 0")
     probe = build_state(args, inputs, "probe")
     channel = build(CHANNELS, "channel", args, inputs)
     inputs.update(noise=args.noise, seed=args.seed)

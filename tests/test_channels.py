@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from beqpt.channels import (
     depolarizing,
     identity_channel,
     random_cptp,
-    superoperator_matrix,
     unitary_channel,
 )
 from beqpt.states import max_entangled_state, random_density_matrix
@@ -108,7 +109,7 @@ class TestChoi:
     @given(channels())
     def test_extended_channel_on_phi_plus_is_the_oracle(self, ch):
         # the Kraus sum of (K kron Id) Phi+ (K kron Id)^dag never forms E_hat,
-        # so it checks choi_of independently of superoperator_matrix
+        # so it checks choi_of independently of the superoperator
         s = choi_of(ch)
         want = kraus_sum(ch, max_entangled_state(ch.d))
         assert np.abs(s.mat - want).max() <= 1e-14
@@ -164,21 +165,30 @@ class TestChoi:
 
 class TestSuperoperator:
     def test_identity(self):
-        assert np.allclose(superoperator_matrix(identity_channel(3)), np.eye(9))
+        assert np.allclose(identity_channel(3).superoperator, np.eye(9))
 
     def test_acts_as_vectorized_channel(self, rng):
         ch = random_cptp(3, 2, seed=9)
         rho = rand_state_mat(3, rng)
-        lhs = superoperator_matrix(ch) @ rho.reshape(-1)
+        lhs = ch.superoperator @ rho.reshape(-1)
         rhs = kraus_sum(ch, BipartiteOperator(rho, 3, 1)).reshape(-1)
         assert np.abs(lhs - rhs).max() <= 1e-12
+
+    def test_built_once_and_read_only(self):
+        ch = random_cptp(3, 2, seed=9)
+        e_hat = ch.superoperator
+        assert ch.superoperator is e_hat
+        with pytest.raises(ValueError, match="read-only"):
+            e_hat[0, 0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            ch.superoperator = np.eye(9)
 
 
 class TestStandardChannels:
     def test_depolarizing_zero_is_identity(self):
         assert np.allclose(
-            superoperator_matrix(depolarizing(3, 0.0)),
-            superoperator_matrix(identity_channel(3)),
+            depolarizing(3, 0.0).superoperator,
+            identity_channel(3).superoperator,
         )
 
     def test_dephasing_action(self, rng):

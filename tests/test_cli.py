@@ -72,6 +72,16 @@ class TestDiagnose:
         assert results["rudolph"]["all_passed"]
         assert "trace_out_demo" not in results
 
+    @pytest.mark.parametrize("d, trials", [(3, 5), (8, 3)])
+    def test_rudolph_checks_pass_on_werner(self, tmp_path, d, trials):
+        # local unitaries, product ancillas and Lueders measurements leave
+        # the realigned trace norm of Werner f = -1 no larger; at d=8 the
+        # Lueders basis change is 64 x 64
+        out = tmp_path / "r.json"
+        assert main(["diagnose", "--state", "werner", "--d", str(d), "--f", "-1",
+                     "--rudolph-trials", str(trials), "--seed", "7", "--out", str(out)]) == 0
+        assert read(out)["results"]["rudolph"]["all_passed"] is True
+
     @pytest.mark.parametrize("argv", [
         ["diagnose", "--state", "bell", "--which", "phi+", "--d", "4"],
         ["diagnose", "--state", "werner", "--d", "3", "--f", "-0.5", "--v", "0.2"],
@@ -85,6 +95,11 @@ class TestDiagnose:
          "--channel-d", "4", "--channel-seed", "1", "--kraus", "4"],
         ["filter", "--state", "rho-ccnr", "--filter", "identity",
          "--filter-a", "state.json"],
+        # a noise-free reconstruction draws nothing, so it takes no seed
+        ["reconstruct", "--probe", "bell", "--which", "phi+", "--channel", "identity",
+         "--channel-d", "2", "--seed", "5"],
+        ["reconstruct", "--probe", "bell", "--which", "phi+", "--channel", "identity",
+         "--channel-d", "2", "--noise", "0", "--seed", "5"],
     ])
     def test_flag_the_entry_does_not_take_exit_2(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -157,6 +172,20 @@ class TestReconstruct:
         results = read(out)["results"]
         assert results["verdict"] == "ok"
         assert results["trace_distance"] < 1e-8
+
+    @pytest.mark.parametrize("argv", [
+        ["--probe", "isotropic", "--d", "6", "--alpha", "0.5",
+         "--channel", "depolarizing", "--channel-d", "6", "--p", "0.3"],
+        ["--probe", "rho-ccnr", "--channel", "random-unitary", "--channel-d", "4",
+         "--channel-seed", "3"],
+        # the largest Kraus set the CLI accepts
+        ["--probe", "isotropic", "--d", "16", "--alpha", "0.5", "--channel", "random-cptp",
+         "--channel-d", "16", "--kraus", "256", "--channel-seed", "1"],
+    ], ids=["d6", "one-kraus", "d16-256-kraus"])
+    def test_reconstruction_is_exact(self, tmp_path, argv):
+        out = tmp_path / "r.json"
+        assert main(["reconstruct", *argv, "--out", str(out)]) == 0
+        assert read(out)["results"]["trace_distance"] < 1e-8
 
     def test_bell_identity(self, tmp_path):
         out = tmp_path / "r.json"
@@ -444,6 +473,20 @@ class TestFilter:
             results["before"]["ccnr_value"], abs=1e-12)
         assert not results["faithfulness_lost"]
 
+    @pytest.mark.parametrize("state, dims", [
+        (["--state", "werner", "--d", "3", "--v", "0"], (3, 3)),
+        (["--file", "state.json"], (2, 3)),
+    ], ids=["werner-3x3", "file-2x3"])
+    def test_wrong_size_filter_file_names_the_local_dims(
+            self, tmp_path, monkeypatch, capsys, rng, state, dims):
+        monkeypatch.chdir(tmp_path)
+        write_report(matrix_file(random_density_matrix(2, 3, rng)), "state.json")
+        eye = write_matrix(tmp_path / "a.json", [2, 1], np.eye(2).tolist())
+        assert main(["filter", *state, "--filter", "files",
+                     "--filter-a", eye, "--filter-b", eye]) == 2
+        assert capsys.readouterr().err == (
+            f"error: local operators of shapes (2, 2) and (2, 2) do not act on local dims {dims}\n")
+
     def test_annihilating_filter_exit_1(self, tmp_path):
         proj = np.zeros((4, 4))
         proj[2, 2] = proj[3, 3] = 1.0
@@ -511,7 +554,8 @@ class TestSizeCaps:
         (["reconstruct", "--probe", "bell", "--which", "phi+", "--channel", "random-cptp",
           "--channel-d", "2", "--channel-seed", "1", "--kraus", "257"], channels, "random_cptp"),
         (["optimize", "--d", "17", "--seed", "1"], seesaw, "SeesawConfig"),
-        # one restart past the bound on the (restarts, 5, 162) Anderson buffer at d=3
+        # one restart past the bound on the (restarts, ANDERSON_MEMORY, 162)
+        # Anderson buffers at d=3
         (["optimize", "--d", "3", "--seed", "1", "--restarts",
           str(seesaw.MAX_STACK_ENTRIES // (2 * seesaw.ANDERSON_MEMORY * 3**4) + 1)],
          seesaw, "optimize"),
@@ -608,6 +652,8 @@ def table_commands(draw):
         noise = draw(st.sampled_from([None, "1e-6", "1e-3", "1e200"]))
         if noise is not None:
             argv += ["--noise", noise, "--seed", "1"]
+        elif draw(st.integers(0, 4)) == 0:
+            argv += ["--seed", "1"]  # a seed without noise: exit 2
     return argv
 
 

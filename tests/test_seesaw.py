@@ -813,6 +813,7 @@ class TestOptimize:
         stats = res.restarts
         assert "max_outer" not in [s.stop_reason for s in stats], stats
         assert max((s.dykstra_iters, r) for r, s in enumerate(stats)) == (466, 9), stats
+        assert sum(s.dykstra_iters for s in stats) == 3341, stats
         assert [r for r, s in enumerate(stats) if s.dykstra_iters > 4 * s.outer_steps] == [], stats
         assert stats[9].stop_reason == "converged"
         assert [s.stop_reason for s in stats].count("dominated") == 18, stats

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from beqpt import channels
 from beqpt.bipartite import BipartiteOperator, realign, singular_values
 from beqpt.channels import (
     ChoiMatrix,
@@ -10,7 +11,6 @@ from beqpt.channels import (
     depolarizing,
     identity_channel,
     random_cptp,
-    superoperator_matrix,
 )
 from beqpt.diagnostics import ccnr_value, full_report, is_faithful
 from beqpt.states import (
@@ -70,7 +70,7 @@ class TestReconstructSuperop:
         probe = random_density_matrix(3, 3, rng)
         out = kraus_sum(ch, probe)
         lhs = realign(BipartiteOperator(out, 3, 3))
-        rhs = superoperator_matrix(ch) @ realign(probe)
+        rhs = ch.superoperator @ realign(probe)
         assert np.abs(lhs - rhs).max() <= 1e-10
 
     def test_max_entangled_probe_shortcut(self):
@@ -88,7 +88,7 @@ class TestReconstructSuperop:
         ch = depolarizing(4, 0.3)
         probe = rho_ccnr()
         e_hat = reconstruct_superop(simulate_output(ch, probe), probe)
-        assert np.abs(e_hat - superoperator_matrix(ch)).max() <= 1e-8
+        assert np.abs(e_hat - ch.superoperator).max() <= 1e-8
 
     def test_unfaithful_probe_rejected(self):
         probe = filtered_werner_closed_form(4, 0.5)
@@ -112,11 +112,11 @@ class TestSuperopToChoi:
 
     def test_roundtrip_with_choi_of(self):
         ch = random_cptp(3, 4, seed=21)
-        choi = superop_to_choi(superoperator_matrix(ch), 3)
+        choi = superop_to_choi(ch.superoperator, 3)
         assert np.abs(choi.mat - choi_of(ch).mat).max() <= 1e-10
 
     def test_fully_depolarizing_d2(self):
-        choi = superop_to_choi(superoperator_matrix(depolarizing(2, 1.0)), 2)
+        choi = superop_to_choi(depolarizing(2, 1.0).superoperator, 2)
         assert np.allclose(choi.mat, np.eye(4) / 4, atol=1e-12)
 
     def test_negative_weight_beyond_budget_rejected(self):
@@ -151,7 +151,7 @@ class TestSuperopToChoi:
         ch = random_cptp(d, data.draw(st.integers(1, d * d)), data.draw(st.integers(0, 199)))
         c = 5.0 if excess is None else 1.0 + excess * (10.0 * noise + EXACT_CLIP_BUDGET)
         with pytest.raises(NoiseBudgetExceeded):
-            superop_to_choi(c * superoperator_matrix(ch), d, noise_level=noise)
+            superop_to_choi(c * ch.superoperator, d, noise_level=noise)
 
     def test_small_negative_weight_clipped(self):
         eps = 1e-6
@@ -238,7 +238,7 @@ class TestRunAaqpt:
             res = run_aaqpt(ch, probe, noise=noise, seed=data.draw(st.integers(0, 2**32 - 1)))
         except NoiseBudgetExceeded:
             reject()
-        err = np.linalg.norm(res.superop_reconstructed.mat - superoperator_matrix(ch))
+        err = np.linalg.norm(res.superop_reconstructed.mat - ch.superoperator)
         sigma_min = probe.realigned_spectrum[-1]
         # the solve adds roundoff: in 9,000 separate noise-free draws from
         # this distribution ||E_hat - E||_F was at most 1.8 kappa eps, and in
@@ -397,6 +397,18 @@ class TestFactorizationCount:
         calls = self._count(monkeypatch)
         simulate_output(ch, probe)
         assert calls["eigvalsh"] == 1  # the output's validation only
+
+    def test_one_superoperator_per_run(self, monkeypatch):
+        # the simulation and the true Choi state read the channel's one
+        # E_hat: its build forms one product per Kraus operator, and a
+        # second run on the same channel forms none
+        ch, probe = depolarizing(4, 0.3), rho_ccnr()
+        products, kron = [], channels._kron
+        monkeypatch.setattr(channels, "_kron", lambda a, b: products.append(a) or kron(a, b))
+        run_aaqpt(ch, probe)
+        assert len(products) == len(ch.kraus) == 17
+        run_aaqpt(ch, probe)
+        assert len(products) == 17
 
     def test_unfaithful_run(self, monkeypatch):
         ch, probe = identity_channel(4), filtered_werner_closed_form(4, 0.5)
