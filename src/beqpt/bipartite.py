@@ -22,7 +22,10 @@ the convention against them.
 The ordering also fixes the tensor product: ``_kron`` is the package's
 one Kronecker product.  It is the broadcast product that numpy's
 ``kron`` forms, so it gives the same bytes without that function's
-per-call overhead.  Filters and local unitaries are the one local product
+per-call overhead.  ``tensor`` is the one regrouping rule, rho_AB kron
+sigma_A'B' on the cut (AA')|(BB') from the same single products
+(``states.rho_ccnr``, the ancillas of ``diagnostics.rudolph_checks``).
+Filters and local unitaries are the one local product
 ``local_operation``; a channel acts through its superoperator instead
 (``channels.apply_extended``), and a Lueders measurement is one basis
 change by ``_kron(ua, ub)`` (``diagnostics.lueders_product_measurement``).
@@ -247,6 +250,15 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
+def tensor(rho: BipartiteOperator, sigma: BipartiteOperator) -> BipartiteOperator:
+    """rho_AB kron sigma_A'B' on the cut (AA')|(BB'), whose realigned matrix
+    is realign(rho) kron realign(sigma).  Each entry is the one product
+    ``_kron`` forms, so no bit depends on the regrouping."""
+    (dA, dB), (a, b) = (rho.dA, rho.dB), (sigma.dA, sigma.dB)
+    m = rho.mat.reshape(dA, 1, dB, 1, dA, 1, dB, 1) * sigma.mat.reshape(1, a, 1, b, 1, a, 1, b)
+    return BipartiteOperator(m.reshape(dA * a * dB * b, -1), dA * a, dB * b)
+
+
 def _check_local_pair(a: np.ndarray, b: np.ndarray, dA: int, dB: int) -> None:
     """Raise a ValueError unless a is dA x dA and b is dB x dB."""
     if a.shape != (dA, dA) or b.shape != (dB, dB):
@@ -309,14 +321,6 @@ def operator_schmidt_rank(rho: BipartiteOperator) -> int:
     """
     s = rho.realigned_spectrum
     return int(np.count_nonzero(s > SCHMIDT_REL_TOL * s[0]))
-
-
-def _permute_subsystems(mat: np.ndarray, dims, order) -> np.ndarray:
-    n = len(dims)
-    t = mat.reshape(*dims, *dims)
-    axes = list(order) + [n + a for a in order]
-    d = int(np.prod(dims))
-    return t.transpose(axes).reshape(d, d)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

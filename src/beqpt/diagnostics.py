@@ -25,13 +25,16 @@ from .bipartite import (
     local_operation,
     operator_schmidt_rank,
     partial_transpose,
+    tensor,
     _check_local_pair,
     _kron,
-    _permute_subsystems,
 )
 from .reports import Record
 
 ENTANGLED_MARGIN = 1e-9
+# bound on rudolph_checks' work estimate trials * (4 dA dB)^3, the cost of
+# the SVDs of its enlarged states: one trial at dA = dB = 16
+RUDOLPH_MAX_WORK = 2**30
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ class DiagnosticsReport(Record):
     condition_number: float
 
 
-def ccnr_value(rho: DensityMatrix) -> float:
+def ccnr_value(rho: BipartiteOperator) -> float:
     """Realigned trace norm; > 1 (beyond margin) certifies entanglement."""
     return float(rho.realigned_spectrum.sum())
 
@@ -124,19 +127,11 @@ class RudolphReport(Record):
     all_passed: bool
 
 
-def _random_pure_qubit(rng: np.random.Generator) -> np.ndarray:
+def _random_pure_qubit(rng: np.random.Generator, dA: int, dB: int) -> BipartiteOperator:
+    """A Haar-random pure qubit state on the cut dA|dB, 2|1 or 1|2."""
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
-
-
-def attach_product_ancillas(rho: DensityMatrix, sigma: np.ndarray, tau: np.ndarray) -> DensityMatrix:
-    """rho_AB kron sigma_A'' kron tau_B'', regrouped into (A A'')|(B B'')."""
-    da2 = sigma.shape[0]
-    db2 = tau.shape[0]
-    big = _kron(_kron(rho.mat, sigma), tau)
-    big = _permute_subsystems(big, (rho.dA, rho.dB, da2, db2), (0, 2, 1, 3))
-    return DensityMatrix(big, rho.dA * da2, rho.dB * db2)
+    return BipartiteOperator(np.outer(v, v.conj()), dA, dB)
 
 
 def lueders_product_measurement(rho: DensityMatrix, ua: np.ndarray, ub: np.ndarray) -> DensityMatrix:
@@ -160,9 +155,20 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int) -> RudolphReport:
     bipartition), (iii) non-increase under local Lueders measurements in
     random product bases.  Each trial uses an RNG stream derived from
     (seed, property, trial); a margin passes up to ENTANGLED_MARGIN.
+
+    The work is bounded before any trial: a ValueError rejects a run whose
+    estimate trials * (4 dA dB)^3, the cubic cost of a trial's enlarged
+    (2dA x 2dB) state, exceeds RUDOLPH_MAX_WORK, and names the most trials
+    allowed at this size.
     """
     check_number("trials", trials, lo=1)
     check_number("seed", seed, lo=0)
+    per_trial = (4 * rho.dA * rho.dB) ** 3
+    if trials * per_trial > RUDOLPH_MAX_WORK:
+        raise ValueError(
+            f"rudolph_checks work estimate trials*(4*dA*dB)^3 = {trials * per_trial:.3g} "
+            f"exceeds {RUDOLPH_MAX_WORK:.3g}; dims {(rho.dA, rho.dB)} allow at most "
+            f"{RUDOLPH_MAX_WORK // per_trial} trials")
     base = ccnr_value(rho)
 
     def changes(prop, transform):
@@ -174,8 +180,10 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int) -> RudolphReport:
 
     unitary_dev = max(abs(c) for c in changes(0, lambda g: DensityMatrix(
         local_operation(rho, *local_unitaries(g)), rho.dA, rho.dB)))
-    ancilla_inc = max(changes(
-        1, lambda g: attach_product_ancillas(rho, _random_pure_qubit(g), _random_pure_qubit(g))))
+    # rho_AB kron sigma_A'' kron tau_B'' as (rho sigma) tau; ccnr_value reads
+    # only the realigned spectrum, so it is not checked as a DensityMatrix
+    ancilla_inc = max(changes(1, lambda g: tensor(
+        tensor(rho, _random_pure_qubit(g, 2, 1)), _random_pure_qubit(g, 1, 2))))
     lueders_inc = max(changes(
         2, lambda g: lueders_product_measurement(rho, *local_unitaries(g))))
 

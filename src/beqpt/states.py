@@ -12,12 +12,12 @@ import math
 import numpy as np
 
 from .bipartite import (
+    BipartiteOperator,
     DensityMatrix,
     check_number,
     max_entangled,
     swap_operator,
-    _kron,
-    _permute_subsystems,
+    tensor,
 )
 
 _BELL_KETS = {  # sqrt2 times the Bell vector, in the basis |00>, |01>, |10>, |11>
@@ -142,17 +142,16 @@ def rho_ccnr() -> DensityMatrix:
     """The 4 kron 4 PPT entangled state maximizing the CCNR violation.
 
     Built from Bell-state pairs on qubits (A, B) correlated with two-qubit
-    states on (A', B'), then regrouped into the (AA')|(BB') bipartition.
+    states on (A', B'), each pair regrouped by ``tensor`` into (AA')|(BB').
     Its realigned spectrum is RHO_CCNR_SPECTRUM, which the
     ccnr_extremal_4x4 acceptance row checks; like every operator's, it is
     computed on first use.
     """
-    mats = _rho_ccnr_second_pair()
     mat = np.zeros((16, 16), dtype=complex)
-    for which, p, second in zip(_RHO_CCNR_BELLS, _RHO_CCNR_WEIGHTS, mats):
-        mat += p * _kron(projector(bell_ket(which)), second)
-    # qubit order (A, B, A', B') -> (A, A', B, B')
-    return DensityMatrix(_permute_subsystems(mat, (2, 2, 2, 2), (0, 2, 1, 3)), 4, 4)
+    for which, p, second in zip(_RHO_CCNR_BELLS, _RHO_CCNR_WEIGHTS, _rho_ccnr_second_pair()):
+        bell = BipartiteOperator(projector(bell_ket(which)), 2, 2)
+        mat += p * tensor(bell, BipartiteOperator(second, 2, 2)).mat
+    return DensityMatrix(mat, 4, 4)
 
 
 # 3 kron 3 PPT entangled state with maximal CCNR violation, found by the

@@ -22,6 +22,7 @@ from beqpt.bipartite import (
     realign_inverse,
     singular_values,
     swap_operator,
+    tensor,
     _kron,
 )
 from beqpt.channels import (
@@ -32,7 +33,7 @@ from beqpt.channels import (
     identity_channel,
     random_cptp,
 )
-from beqpt.diagnostics import analytic_ccnr, rudolph_checks
+from beqpt.diagnostics import analytic_ccnr, ccnr_value, is_ppt, rudolph_checks
 from beqpt.filtering import FilterPair, identity_filters, werner_filters
 from beqpt.reports import parse_matrix_file
 from beqpt.seesaw import SeesawConfig
@@ -43,6 +44,7 @@ from beqpt.states import (
     isotropic,
     max_entangled_state,
     random_density_matrix,
+    rho_ccnr,
     werner_f,
     werner_v,
 )
@@ -117,6 +119,61 @@ class TestKronConvention:
                 for k in range(3):
                     for l in range(3):
                         assert out[i * 3 + k, j * 3 + l] == pytest.approx(a[i, j] * b[k, l])
+
+
+@st.composite
+def tensor_pairs(draw):
+    """Two Wishart states rho on dA|dB and sigma on a|b with dA*a and dB*b
+    at most 16, so their tensor product is at most 256 x 256."""
+    dA, dB = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    a, b = draw(st.integers(1, 16 // dA)), draw(st.integers(1, 16 // dB))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return tuple(random_density_matrix(x, y, rng, rank=draw(st.integers(1, x * y)))
+                 for x, y in ((dA, dB), (a, b)))
+
+
+def pt(rho):
+    return BipartiteOperator(partial_transpose(rho.mat, rho.dA, rho.dB), rho.dA, rho.dB)
+
+
+class TestTensor:
+    """``tensor`` is the one regrouping rule: rho_AB kron sigma_A'B' on
+    (AA')|(BB').  Its partial transpose is the product of the partial
+    transposes, so products of PPT states are PPT, and its realigned
+    spectrum is the product of the factors' spectra, so CCNR multiplies."""
+
+    def assert_laws(self, rho, sigma):
+        out = tensor(rho, sigma)
+        assert (out.dA, out.dB) == (rho.dA * sigma.dA, rho.dB * sigma.dB)
+        assert np.array_equal(partial_transpose(out.mat, out.dA, out.dB),
+                              tensor(pt(rho), pt(sigma)).mat)
+        s = out.realigned_spectrum
+        products = np.sort(np.outer(rho.realigned_spectrum, sigma.realigned_spectrum), axis=None)
+        ref = np.zeros_like(s)
+        ref[:products.size] = products[::-1][:s.size]
+        assert np.abs(s - ref).max() <= 1e-12
+        assert abs(ccnr_value(out) - ccnr_value(rho) * ccnr_value(sigma)) <= 1e-12
+        return out
+
+    @given(tensor_pairs())
+    def test_pt_and_spectrum_factor(self, pair):
+        self.assert_laws(*pair)
+
+    @given(tensor_pairs())
+    def test_entries_are_numpy_kron_regrouped(self, pair):
+        # the single products numpy's kron forms, each at its (AA')|(BB') index
+        rho, sigma = pair
+        out = tensor(rho, sigma)
+        dims = (rho.dA, rho.dB, sigma.dA, sigma.dB)
+        ref = np.kron(rho.mat, sigma.mat).reshape(dims + dims).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+        assert out.mat.tobytes() == ref.reshape(out.dim, out.dim).tobytes()
+
+    def test_bound_entangled_product_stays_ppt(self):
+        # rho_ccnr (CCNR 3/2) with the isotropic boundary state (CCNR 1), both PPT
+        out = self.assert_laws(rho_ccnr(), isotropic(3, 0.25))
+        assert out.dA == out.dB == 12
+        assert is_ppt(out)[0]
+        assert ccnr_value(out) == pytest.approx(1.5, abs=1e-12)
 
 
 class TestSwap:

@@ -561,6 +561,10 @@ class TestSizeCaps:
          seesaw, "optimize"),
         (["diagnose", "--state", "bell", "--which", "phi+", "--seed", "1",
           "--rudolph-trials", str(cli.RUDOLPH_TRIALS.cap + 1)], diagnostics, "rudolph_checks"),
+        # every flag in its cap, but about 18 CPU-minutes of Rudolph trials;
+        # each trial starts with a Haar unitary
+        (["diagnose", "--state", "isotropic", "--d", "16", "--alpha", "1", "--seed", "1",
+          "--rudolph-trials", "1000"], diagnostics, "haar_unitary"),
     ])
     def test_just_past_the_cap_exit_2_before_allocation(
             self, monkeypatch, capsys, argv, module, name):

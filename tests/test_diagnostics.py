@@ -4,15 +4,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beqpt.bipartite import (
+    BipartiteOperator,
     DensityMatrix,
     haar_unitary,
     operator_schmidt_rank,
     realign,
     singular_values,
+    tensor,
 )
 from beqpt.diagnostics import (
+    RUDOLPH_MAX_WORK,
     analytic_ccnr,
-    attach_product_ancillas,
     ccnr_value,
     full_report,
     is_faithful,
@@ -155,6 +157,24 @@ class TestAnalyticCcnr:
             analytic_ccnr("ghz", 3, 0.0)
 
 
+@st.composite
+def rudolph_sizes(draw):
+    """(dA, dB, trials) over the CLI's caps, d <= 16 and trials <= 1000, and
+    next to the largest trial count the work bound allows at dA, dB."""
+    dA, dB = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    allowed = RUDOLPH_MAX_WORK // (4 * dA * dB) ** 3
+    near = st.integers(max(1, allowed - 1), allowed + 2)
+    return dA, dB, draw(st.one_of(st.integers(1, 1000), near))
+
+
+class SvdCalled(Exception):
+    pass
+
+
+def _refuse_svd(*args, **kwargs):
+    raise SvdCalled
+
+
 class TestRudolphChecks:
     def test_unitary_invariance_on_rho_ccnr(self):
         rep = rudolph_checks(rho_ccnr(), trials=20, seed=11)
@@ -171,15 +191,22 @@ class TestRudolphChecks:
         rep = rudolph_checks(rho, trials=10, seed=13)
         assert rep.ancilla_max_increase <= 1e-9
 
-    def test_fixed_product_ancilla_preserves_value(self):
-        # derived: the realignment of a product ancilla pair contributes a
-        # multiplicative factor ||sigma||_F ||tau||_F = 1 for pure states
-        rho = rho_ccnr()
-        zero = np.zeros((2, 2), dtype=complex)
-        zero[0, 0] = 1.0
-        enlarged = attach_product_ancillas(rho, zero, zero)
-        assert enlarged.dA == enlarged.dB == 8
-        assert abs(ccnr_value(enlarged) - ccnr_value(rho)) <= 1e-9
+    @given(drawn_states(max_d=4), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_pure_product_ancillas_keep_the_value(self, rho, a, b, seed):
+        # derived: a pure product ancilla sigma_A'' kron tau_B'' realigns to
+        # the rank-one vec(sigma) vec(tau)^T of norm ||sigma||_F ||tau||_F = 1,
+        # so the enlarged realigned spectrum is rho's, padded with zeros
+        rng = np.random.default_rng(seed)
+
+        def pure(k):
+            v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            return np.outer(v, v.conj()) / np.vdot(v, v).real
+
+        enlarged = tensor(tensor(rho, BipartiteOperator(pure(a), a, 1)),
+                          BipartiteOperator(pure(b), 1, b))
+        assert (enlarged.dA, enlarged.dB) == (rho.dA * a, rho.dB * b)
+        assert abs(ccnr_value(enlarged) - ccnr_value(rho)) <= 1e-12
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
@@ -204,6 +231,33 @@ class TestRudolphChecks:
         a = rudolph_checks(werner_f(3, 0.5), trials=3, seed=7)
         b = rudolph_checks(werner_f(3, 0.5), trials=3, seed=7)
         assert a == b
+
+    def test_over_budget_run_starts_no_trial(self, monkeypatch):
+        # every CLI flag in its cap, yet about 18 CPU-minutes of trials
+        rho = isotropic(16, 1.0)
+        monkeypatch.setattr(np.linalg, "svd", _refuse_svd)
+        with pytest.raises(ValueError, match=r"trials\*\(4\*dA\*dB\)\^3 = 1\.07e\+12 exceeds "
+                                             r"1\.07e\+09; dims \(16, 16\) allow at most 1 trials"):
+            rudolph_checks(rho, trials=1000, seed=1)
+
+    @settings(max_examples=60)
+    @given(rudolph_sizes())
+    @example((16, 16, 1))  # the estimate equals the bound
+    @example((16, 16, 2))
+    @example((8, 16, 8))
+    def test_rejected_exactly_past_the_work_bound(self, size):
+        # no trial runs: an admitted call reaches the SVD, which raises
+        dA, dB, trials = size
+        per_trial = (4 * dA * dB) ** 3
+        allowed = RUDOLPH_MAX_WORK // per_trial
+        rho = DensityMatrix(np.eye(dA * dB) / (dA * dB), dA, dB)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "svd", _refuse_svd)
+            with pytest.raises((ValueError, SvdCalled)) as info:
+                rudolph_checks(rho, trials, 0)
+        assert (info.type is ValueError) == (trials * per_trial > RUDOLPH_MAX_WORK)
+        if info.type is ValueError:  # the largest count allowed at this size
+            assert trials > allowed and f"at most {allowed} trials" in str(info.value)
 
 
 def lueders_term_sum(rho, ua, ub):
