@@ -299,16 +299,6 @@ def check_realign(rho: BipartiteOperator) -> np.ndarray:
     return partial_transpose(partial_transpose(rho.mat, d, d) @ F, d, d).T
 
 
-def partial_trace(rho: BipartiteOperator, subsystem: str) -> np.ndarray:
-    """Trace out the named subsystem, returning the other factor."""
-    t = rho.mat.reshape(rho.dA, rho.dB, rho.dA, rho.dB)
-    if subsystem == "A":
-        return np.trace(t, axis1=0, axis2=2)
-    if subsystem == "B":
-        return np.trace(t, axis1=1, axis2=3)
-    raise ValueError("subsystem must be 'A' or 'B'")
-
-
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values in descending order."""
     return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)

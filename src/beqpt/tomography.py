@@ -57,7 +57,7 @@ class UnfaithfulProbe(Exception):
         )
 
 
-class NoiseBudgetExceeded(ValueError):
+class NoiseBudgetExceeded(Exception):
     """Reconstruction rejected as inconsistent with its noise level: more
     negative weight to clip than the budget, or a Choi matrix that fails
     its trace or trace-preservation check."""
@@ -172,13 +172,16 @@ def run_aaqpt(ch: KrausChannel, probe: DensityMatrix, noise: float = 0.0,
     statistical error, not a shot-noise model); the perturbed matrix is
     projected back onto the density set before inversion.  The score is
     the trace distance between the true and reconstructed Choi states.
+    A seed is required when noise > 0 and refused when noise == 0, since
+    a noise-free run draws nothing; either mismatch is a ValueError
+    raised before anything is simulated.
     """
     # a trace-1 state has Frobenius norm <= 1
     check_number("noise", noise, real=True, lo=0, hi=1)
-    if noise > 0 and seed is None:
-        raise ValueError("a seed is required when noise > 0")
     if seed is not None:
         check_number("seed", seed, lo=0)
+    if (noise > 0) != (seed is not None):
+        raise ValueError("a seed is required when noise > 0 and refused when noise == 0")
     rho_out = simulate_output(ch, probe)
     if noise > 0:
         rng = np.random.default_rng(seed)

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beqpt import acceptance, cli
@@ -16,7 +16,6 @@ from beqpt.bipartite import (
     haar_unitary,
     max_entangled,
     operator_schmidt_rank,
-    partial_trace,
     partial_transpose,
     realign,
     realign_inverse,
@@ -33,7 +32,7 @@ from beqpt.channels import (
     identity_channel,
     random_cptp,
 )
-from beqpt.diagnostics import analytic_ccnr, ccnr_value, is_ppt, rudolph_checks
+from beqpt.diagnostics import analytic_ccnr, ccnr_value, is_faithful, is_ppt, rudolph_checks
 from beqpt.filtering import FilterPair, identity_filters, werner_filters
 from beqpt.reports import parse_matrix_file
 from beqpt.seesaw import SeesawConfig
@@ -132,8 +131,23 @@ def tensor_pairs(draw):
                  for x, y in ((dA, dB), (a, b)))
 
 
+@st.composite
+def square_pairs(draw):
+    """Two full-rank Wishart states on d1|d1 and d2|d2 with d1*d2 at most 16."""
+    d1 = draw(st.integers(1, 8))
+    d2 = draw(st.integers(1, 16 // d1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return tuple(random_density_matrix(d, d, rng) for d in (d1, d2))
+
+
 def pt(rho):
     return BipartiteOperator(partial_transpose(rho.mat, rho.dA, rho.dB), rho.dA, rho.dB)
+
+
+def eta(rho):
+    """sigma_min d(d+1) of a d|d operator: 1 at the best separable probe,
+    the isotropic boundary state."""
+    return rho.realigned_spectrum[-1] * rho.dA * (rho.dA + 1)
 
 
 class TestTensor:
@@ -174,6 +188,33 @@ class TestTensor:
         assert out.dA == out.dB == 12
         assert is_ppt(out)[0]
         assert ccnr_value(out) == pytest.approx(1.5, abs=1e-12)
+
+    @settings(max_examples=300)
+    @given(square_pairs())
+    def test_eta_multiplies(self, pair):
+        # sigma_min multiplies, so eta does up to the dimension factors
+        rho, sigma = pair
+        d1, d2 = rho.dA, sigma.dA
+        want = eta(rho) * eta(sigma) * (d1 * d2 + 1) / ((d1 + 1) * (d2 + 1))
+        assert eta(tensor(rho, sigma)) == pytest.approx(want, rel=1e-9)
+
+    def test_bound_entangled_square_is_a_better_probe(self):
+        # rho_ccnr has eta 5/3, so its square at d=16 has eta 25/9 * 17/25
+        out = tensor(rho_ccnr(), rho_ccnr())
+        assert out.dA == out.dB == 16
+        ppt, min_eig = is_ppt(out)
+        assert ppt and abs(min_eig) <= 1e-12
+        assert is_faithful(out)[0]
+        assert ccnr_value(out) == pytest.approx(2.25, abs=1e-12)
+        assert eta(out) == pytest.approx(17 / 9, abs=1e-12)
+        # the product keeps the probe usable: a noise-free d=16 round trip
+        res = run_aaqpt(random_cptp(16, 3, 7), DensityMatrix(out.mat, 16, 16))
+        assert res.trace_distance < 1e-12
+
+    def test_with_separable_boundary_keeps_eta(self):
+        # isotropic(2, 1/3) has eta 1, and (5/3) * 1 * 9/15 = 1
+        out = tensor(rho_ccnr(), isotropic(2, 1 / 3))
+        assert eta(out) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSwap:
@@ -337,38 +378,6 @@ class TestPartialTranspose:
         assert np.array_equal(partial_transpose(m, 2, 3).T, transpose_a_oracle(m, 2, 3))
         both = partial_transpose(transpose_a_oracle(m, 2, 3), 2, 3)
         assert np.array_equal(both, m.T)
-
-
-class TestPartialTrace:
-    def test_product(self, rng):
-        a = rand_c(rng, (2, 2))
-        b = rand_c(rng, (3, 3))
-        op = BipartiteOperator(np.kron(a, b), 2, 3)
-        assert np.allclose(partial_trace(op, "B"), a * np.trace(b))
-        assert np.allclose(partial_trace(op, "A"), b * np.trace(a))
-
-    def test_max_entangled_marginal(self):
-        d = 3
-        assert np.allclose(partial_trace(max_entangled_state(d), "B"), np.eye(d) / d)
-
-    def test_double_sum_oracle(self, rng):
-        dA, dB = 3, 2
-        op = BipartiteOperator(rand_c(rng, (6, 6)), dA, dB)
-        tb = np.zeros((dA, dA), dtype=complex)
-        for i in range(dA):
-            for j in range(dA):
-                tb[i, j] = sum(op.mat[i * dB + k, j * dB + k] for k in range(dB))
-        ta = np.zeros((dB, dB), dtype=complex)
-        for k in range(dB):
-            for l in range(dB):
-                ta[k, l] = sum(op.mat[i * dB + k, i * dB + l] for i in range(dA))
-        assert np.allclose(partial_trace(op, "B"), tb)
-        assert np.allclose(partial_trace(op, "A"), ta)
-        assert np.trace(ta) == pytest.approx(np.trace(op.mat))
-
-    def test_unknown_subsystem_rejected(self):
-        with pytest.raises(ValueError, match="subsystem"):
-            partial_trace(max_entangled_state(2), "C")
 
 
 class TestSpectraAndNorms:

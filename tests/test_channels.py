@@ -10,7 +10,6 @@ from beqpt.bipartite import (
     DensityMatrix,
     haar_unitary,
     max_entangled,
-    partial_trace,
 )
 from beqpt.channels import (
     ChoiMatrix,
@@ -113,7 +112,9 @@ class TestChoi:
         s = choi_of(ch)
         want = kraus_sum(ch, max_entangled_state(ch.d))
         assert np.abs(s.mat - want).max() <= 1e-14
-        assert np.abs(partial_trace(s, "A") - np.eye(ch.d) / ch.d).max() <= 1e-14
+        # trace preservation: the trace over the output factor is Id/d
+        out_traced = np.trace(s.mat.reshape((ch.d,) * 4), axis1=0, axis2=2)
+        assert np.abs(out_traced - np.eye(ch.d) / ch.d).max() <= 1e-14
 
     def test_choi_is_the_kraus_outer_sum(self):
         # (K kron Id)|Phi+> = vec(K) / sqrt(d) for the row-stacking vec, so

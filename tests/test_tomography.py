@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from beqpt import channels
+from beqpt import channels, tomography
 from beqpt.bipartite import BipartiteOperator, realign, singular_values
 from beqpt.channels import (
     ChoiMatrix,
@@ -123,7 +123,7 @@ class TestSuperopToChoi:
         # a "Choi" with eigenvalue -0.1 is far outside any noise budget
         bad = np.diag([0.6, 0.5, 0.0, -0.1])
         e_hat = 2 * realign(BipartiteOperator(bad, 2, 2))
-        with pytest.raises(ValueError, match="not PSD"):
+        with pytest.raises(NoiseBudgetExceeded, match="not PSD"):
             superop_to_choi(e_hat, 2, noise_level=1e-4)
 
     def test_rejection_carries_weight_and_budget(self):
@@ -168,14 +168,13 @@ class TestSuperopToChoi:
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_non_finite_entry_is_malformed(self, entry):
-        # malformed input, not the domain verdict NoiseBudgetExceeded: a
-        # plain ValueError that names the argument (d is checked with the
-        # other named parameters in test_bipartite)
+        # malformed input, a ValueError that names the argument, not the
+        # domain verdict NoiseBudgetExceeded, which is no ValueError (d is
+        # checked with the other named parameters in test_bipartite)
         e_hat = np.eye(4)
         e_hat[0, 1] = entry
-        with pytest.raises(ValueError, match="^e_hat ") as info:
+        with pytest.raises(ValueError, match="^e_hat "):
             superop_to_choi(e_hat, 2)
-        assert type(info.value) is ValueError
 
 
 class TestTraceDistance:
@@ -256,6 +255,26 @@ class TestRunAaqpt:
             run_aaqpt(identity_channel(2), max_entangled_state(2), noise=1e-6)
         with pytest.raises(ValueError):
             run_aaqpt(identity_channel(2), max_entangled_state(2), noise=-1.0, seed=0)
+
+    @given(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True)),
+           st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    def test_seed_exactly_when_noisy(self, noise, seed):
+        # a noisy run draws from its seed and a noise-free one draws nothing,
+        # so a mismatch is refused before the channel is applied
+        class Simulated(Exception):
+            pass
+
+        def simulated(*args):
+            raise Simulated
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tomography, "apply_extended", simulated)
+            if (noise > 0) != (seed is not None):
+                with pytest.raises(ValueError, match="seed"):
+                    run_aaqpt(identity_channel(2), max_entangled_state(2), noise=noise, seed=seed)
+            else:
+                with pytest.raises(Simulated):
+                    run_aaqpt(identity_channel(2), max_entangled_state(2), noise=noise, seed=seed)
 
     def test_negative_seed_is_named(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -365,7 +384,7 @@ class TestFactorizationCount:
     def test_faithful_run(self, monkeypatch, noise):
         ch, probe = depolarizing(4, 0.3), rho_ccnr()
         calls = self._count(monkeypatch)
-        run_aaqpt(ch, probe, noise=noise, seed=3)
+        run_aaqpt(ch, probe, noise=noise, seed=3 if noise else None)
         # the probe's one SVD, its realigned spectrum, happens at first use,
         # inside the run: the probe report takes it and the gate shares it
         assert calls["svd"] == 1
