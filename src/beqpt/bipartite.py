@@ -16,8 +16,8 @@ With this choice the three fixed points
 
     realign(Id) = |u><u|,   realign(F) = F,   realign(|u><u|) = Id
 
-hold exactly (``|u> = sum_i |ii>``, ``F`` the swap); the test suite pins
-the convention against them.
+hold exactly (``|u> = sum_i |ii>``, ``F`` the swap); the acceptance row
+``realignment_fixed_points`` pins the convention against them.
 
 The ordering also fixes the tensor product: ``_kron`` is the package's
 one Kronecker product.  It is the broadcast product that numpy's

@@ -2,8 +2,8 @@
 
 Channels map C^d to itself and are kept in Kraus form
 E(rho) = sum_n K_n rho K_n^dag with the completeness relation
-sum_n K_n^dag K_n = Id enforced at construction; a channel, like its
-Choi state, exposes its dimension as ``.d``.
+sum_n K_n^dag K_n = Id enforced at construction; a channel exposes its
+dimension as ``.d``, and its Choi state, a state on C^d kron C^d, as ``.dA``.
 The Choi state uses the trace-1 normalization
 
     S = (E kron Id)(|Phi+><Phi+|),
@@ -82,10 +82,6 @@ class ChoiMatrix(DensityMatrix):
                         - np.eye(d) / d).max()
         if tp_dev > slack:
             raise ValueError(f"trace preservation violated: deviation {tp_dev:.3e}")
-
-    @property
-    def d(self) -> int:
-        return self.dA
 
 
 def apply_extended(ch: KrausChannel, rho: BipartiteOperator) -> BipartiteOperator:

@@ -50,7 +50,8 @@ def seed(text: str) -> int:
 class Param:
     """One flag of a table entry, echoed in ``inputs`` under its dest: its
     argparse type (or choices) and, for a size, the largest value allowed.
-    ``value`` checks finiteness and size before anything is allocated."""
+    ``value`` checks only a size, before anything is allocated; the
+    constructors check and name every other parameter."""
 
     flag: str
     type: Callable = float
@@ -64,9 +65,7 @@ class Param:
 
     def value(self, args):
         value = getattr(args, self.dest)
-        if self.type is float:
-            check_number(self.flag, value, real=True)
-        elif self.cap is not None:
+        if self.cap is not None:
             check_number(self.flag, value, lo=1, hi=self.cap)
         return value
 

@@ -134,16 +134,17 @@ def _random_pure_qubit(rng: np.random.Generator, dA: int, dB: int) -> BipartiteO
     return BipartiteOperator(np.outer(v, v.conj()), dA, dB)
 
 
-def lueders_product_measurement(rho: DensityMatrix, ua: np.ndarray, ub: np.ndarray) -> DensityMatrix:
+def lueders_product_measurement(rho: BipartiteOperator, ua: np.ndarray,
+                                ub: np.ndarray) -> BipartiteOperator:
     """Dephase in the product basis given by the columns of ua, ub:
     sum_kl (P_k kron Q_l) rho (P_k kron Q_l) with P_k = a_k a_k^dag and
     Q_l = b_l b_l^dag.  Each term is w (w^dag rho w) w^dag for the column
     w = a_k kron b_l of W = ua kron ub, so the sum is one basis change,
-    W diag(W^dag rho W) W^dag, for any ua and ub."""
+    W diag(W^dag rho W) W^dag, for any ua and ub, returned as an operator."""
     _check_local_pair(ua, ub, rho.dA, rho.dB)
     w = _kron(ua, ub)
     wh = w.conj().T
-    return DensityMatrix((w * np.diagonal(wh @ rho.mat @ w)) @ wh, rho.dA, rho.dB)
+    return BipartiteOperator((w * np.diagonal(wh @ rho.mat @ w)) @ wh, rho.dA, rho.dB)
 
 
 def rudolph_checks(rho: DensityMatrix, trials: int, seed: int) -> RudolphReport:
@@ -154,7 +155,9 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int) -> RudolphReport:
     product ancilla pair is attached (coarse-grained into the enlarged
     bipartition), (iii) non-increase under local Lueders measurements in
     random product bases.  Each trial uses an RNG stream derived from
-    (seed, property, trial); a margin passes up to ENTANGLED_MARGIN.
+    (seed, property, trial); a margin passes up to ENTANGLED_MARGIN.  A
+    trial image is an operator scored only by its realigned spectrum, never
+    checked as a state (Rudolph, Quantum Inf. Process. 4, 219 (2005)).
 
     The work is bounded before any trial: a ValueError rejects a run whose
     estimate trials * (4 dA dB)^3, the cubic cost of a trial's enlarged
@@ -178,10 +181,9 @@ def rudolph_checks(rho: DensityMatrix, trials: int, seed: int) -> RudolphReport:
     def local_unitaries(rng):
         return haar_unitary(rho.dA, rng), haar_unitary(rho.dB, rng)
 
-    unitary_dev = max(abs(c) for c in changes(0, lambda g: DensityMatrix(
+    unitary_dev = max(abs(c) for c in changes(0, lambda g: BipartiteOperator(
         local_operation(rho, *local_unitaries(g)), rho.dA, rho.dB)))
-    # rho_AB kron sigma_A'' kron tau_B'' as (rho sigma) tau; ccnr_value reads
-    # only the realigned spectrum, so it is not checked as a DensityMatrix
+    # rho_AB kron sigma_A'' kron tau_B'' as (rho sigma) tau
     ancilla_inc = max(changes(1, lambda g: tensor(
         tensor(rho, _random_pure_qubit(g, 2, 1)), _random_pure_qubit(g, 1, 2))))
     lueders_inc = max(changes(

@@ -66,20 +66,11 @@ def werner_f(d: int, f: float) -> DensityMatrix:
 
 
 def werner_v(d: int, v: float) -> DensityMatrix:
-    """Werner state as a mixture of the normalized projectors onto the
-    symmetric and antisymmetric subspaces, with weights v and 1 - v.
-
-    P_sym = (Id + F)/2 carries weight 2v/(d(d+1)) so that Tr(F rho) = 2v - 1;
-    this sign choice is the one consistent with :func:`werner_f`.
-    """
-    check_number("d", d, lo=2)
+    """Werner state with weight v on the normalized projector onto the
+    symmetric subspace and 1 - v on the antisymmetric one, so that
+    Tr(F rho) = 2v - 1: the :func:`werner_f` state at f = 2v - 1."""
     check_number("v", v, real=True, lo=0, hi=1)
-    F = swap_operator(d).mat
-    eye = np.eye(d * d)
-    p_sym = (eye + F) / 2.0
-    p_anti = (eye - F) / 2.0
-    mat = (2.0 * v / (d * (d + 1))) * p_sym + (2.0 * (1.0 - v) / (d * (d - 1))) * p_anti
-    return DensityMatrix(mat, d, d)
+    return werner_f(d, 2.0 * v - 1.0)
 
 
 def isotropic(d: int, alpha: float) -> DensityMatrix:

@@ -596,6 +596,33 @@ def test_negative_seed_exit_2_names_its_flag(capsys, argv, flag, value):
         f"error: argument {flag}: must be non-negative, got {value}\n")
 
 
+# (argv, parameter) for every float flag of every state and channel entry;
+# the other flags of its set take these values
+_VALID = {"--d": "3", "--k": "4", "--n": "2", "--channel-d": "2"}
+FLOAT_FLAGS = [
+    ([command, *prefix, f"--{kind}", name,
+      *(x for q in params if q is not p for x in (q.flag, _VALID[q.flag]))], p)
+    for command, prefix, kind, table in (
+        ("diagnose", [], "state", cli.STATES),
+        ("reconstruct", ["--probe", "bell", "--which", "phi+"], "channel", cli.CHANNELS))
+    for name, sets in table.items() for params, _ in sets for p in params if p.type is float
+]
+
+
+@given(st.sampled_from(FLOAT_FLAGS),
+       st.one_of(st.sampled_from(["nan", "inf", "-inf"]),
+                 st.floats(max_value=-1.5, allow_infinity=False).map(repr)))
+def test_bad_float_flag_is_named_by_the_library(case, value):
+    # the CLI checks only sizes; the constructor refuses a non-finite or
+    # out-of-range float and names its own parameter, the flag's dest
+    argv, param = case
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main([*argv, f"{param.flag}={value}"]) == 2
+    err = err.getvalue()
+    assert re.match(rf"error: {param.dest}[ =]", err) and err.count("\n") == 1, err
+
+
 @st.composite
 def _flag_value(draw, param, d):
     """A command-line value for a table parameter: mostly in range, else

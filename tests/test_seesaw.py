@@ -919,18 +919,9 @@ class TestOptimize:
         assert res.restarts[0].final_value == res.history[-1]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SeesawConfig(d=1, seed=0)
-        with pytest.raises(ValueError):
-            SeesawConfig(d=3, seed=0, restarts=0)
-        with pytest.raises(ValueError):
-            SeesawConfig(d=3, seed=0, max_outer=0)
         # max_outer enters the race's float arithmetic, so it stops at the
         # largest count a float holds exactly
         assert SeesawConfig(d=3, seed=0, max_outer=2**53).max_outer == 2**53
-        for big in (2**53 + 1, 10**400):
-            with pytest.raises(ValueError, match="max_outer must lie in"):
-                SeesawConfig(d=3, seed=0, max_outer=big)
         # the largest array, an (restarts, ANDERSON_MEMORY, 2 d^4) Anderson
         # buffer, is bounded before allocation
         per_restart = 2 * ANDERSON_MEMORY * 16**4
@@ -941,26 +932,6 @@ class TestOptimize:
             SeesawConfig(d=3, seed=0, restarts=MAX_STACK_ENTRIES // (2 * ANDERSON_MEMORY * 3**4) + 1)
         with pytest.raises(ValueError, match="restarts"):
             SeesawConfig(d=10**6, seed=0, restarts=1)
-
-    @pytest.mark.parametrize("override", [
-        {"restarts": 2.5},
-        {"max_outer": True},
-        {"seed": 1.0},
-        {"d": "3"},
-        {"max_outer": 2.5},
-        {"max_outer": float("nan")},
-        {"restarts": None},
-        {"max_outer": "10"},
-        {"seed": float(10**300)},
-    ])
-    def test_config_types_validated(self, override):
-        with pytest.raises(ValueError, match="must be"):
-            SeesawConfig(**{"d": 3, "seed": 0, **override})
-
-    def test_negative_seed_is_named(self):
-        # numpy would reject it only at the first draw, without naming it
-        with pytest.raises(ValueError, match="seed must be >= 0"):
-            SeesawConfig(d=2, seed=-1, restarts=1, max_outer=2)
 
     def test_step_is_the_module_constant(self, monkeypatch):
         # the same step at every d, and not part of the config's record

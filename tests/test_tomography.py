@@ -276,10 +276,6 @@ class TestRunAaqpt:
                 with pytest.raises(Simulated):
                     run_aaqpt(identity_channel(2), max_entangled_state(2), noise=noise, seed=seed)
 
-    def test_negative_seed_is_named(self):
-        with pytest.raises(ValueError, match="seed must be >= 0"):
-            run_aaqpt(identity_channel(2), max_entangled_state(2), noise=1e-6, seed=-1)
-
     def test_noise_is_deterministic_in_seed(self):
         a = run_aaqpt(depolarizing(4, 0.3), rho_ccnr(), noise=1e-6, seed=5)
         b = run_aaqpt(depolarizing(4, 0.3), rho_ccnr(), noise=1e-6, seed=5)
@@ -288,24 +284,6 @@ class TestRunAaqpt:
     def test_unfaithful_probe_propagates(self):
         with pytest.raises(UnfaithfulProbe):
             run_aaqpt(identity_channel(4), filtered_werner_closed_form(4, 0.5))
-
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"noise": True, "seed": 1}, "noise must be a real number"),
-        ({"noise": 1e-6 + 0j, "seed": 1}, "noise must be a real number"),
-        ({"noise": "0.1", "seed": 1}, "noise must be a real number"),
-        ({"noise": 1e-6, "seed": True}, "seed must be an integer"),
-        ({"noise": 1e-6, "seed": 1.5}, "seed must be an integer"),
-        ({"noise": 0.0, "seed": 1.0}, "seed must be an integer"),
-    ])
-    def test_wrong_typed_parameters_are_named(self, kwargs, message):
-        # noise=True ran at noise 1.0 and seed=True as seed 1
-        with pytest.raises(ValueError, match=message):
-            run_aaqpt(identity_channel(2), max_entangled_state(2), **kwargs)
-
-    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_noise_rejected(self, noise):
-        with pytest.raises(ValueError, match="finite"):
-            run_aaqpt(identity_channel(2), max_entangled_state(2), noise=noise, seed=0)
 
     def test_nonsquare_probe_is_malformed_not_unfaithful(self, rng):
         probe = random_density_matrix(2, 3, rng)
