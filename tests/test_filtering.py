@@ -83,6 +83,13 @@ class TestLocalFilter:
         pair = FilterPair(haar_unitary(3, rng), haar_unitary(3, rng))
         assert abs(ccnr_value(local_filter(rho, pair)) - ccnr_value(rho)) <= 1e-9
 
+    @pytest.mark.parametrize("d", (3, 4, 5))
+    @pytest.mark.parametrize("v", (0.0, 0.25, 0.5, 0.75, 1.0))
+    def test_werner_filtering_matches_closed_form(self, d, v):
+        direct = local_filter(werner_v(d, v), werner_filters(d))
+        closed = filtered_werner_closed_form(d, v)
+        assert np.abs(direct.mat - closed.mat).max() <= 1e-12
+
     def test_filtered_werner_never_faithful(self):
         for d in (3, 4, 5):
             for v in (0.0, 0.5, 1.0):
