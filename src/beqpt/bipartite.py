@@ -157,9 +157,8 @@ class DensityMatrix(BipartiteOperator):
 
     Each test passes within the larger of its strict constant and
     ``slack``, which relaxes them for states transcribed from rounded
-    published data or made by a map with its own error.  ``eigenvalues``
-    keeps the ascending spectrum of the Hermitian part that validation
-    computed.
+    published data.  ``eigenvalues`` keeps the ascending spectrum of the
+    Hermitian part that validation computed.
     """
 
     slack: InitVar[float] = 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -18,11 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import acceptance
 from . import channels as ch
 from . import diagnostics as diag
 from . import filtering as filt
-from . import seesaw
 from . import states
 from . import tomography as tomo
 from .bipartite import DensityMatrix, check_number, haar_unitary
@@ -212,6 +211,7 @@ def cmd_reconstruct(args, inputs: dict, timings: dict) -> tuple:
 
 
 def cmd_optimize(args, inputs: dict, timings: dict) -> tuple:
+    from . import seesaw  # here, so that a short command loads no optimizer
     overrides = {p.dest: getattr(args, p.dest) for p in TUNABLES}
     cfg = seesaw.SeesawConfig(d=D.value(args), seed=args.seed, **{
         key: value for key, value in overrides.items() if value is not None})
@@ -242,6 +242,7 @@ def cmd_filter(args, inputs: dict, timings: dict) -> tuple:
 
 
 def cmd_reproduce(args, inputs: dict, timings: dict) -> tuple:
+    from . import acceptance  # here for the same reason: its see-saw row
     timed = acceptance.run_all()
     timings["rows_s"] = {row.key: seconds for row, seconds in timed}
     rows = [row for row, _ in timed]
@@ -253,6 +254,15 @@ def cmd_reproduce(args, inputs: dict, timings: dict) -> tuple:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word matching this is a value, not a flag; argparse's own rule
+        # misses -1e-3, -5. and -inf, and no flag here looks like a number
+        digits = r"\d(?:_?\d)*"
+        self._negative_number_matcher = re.compile(
+            rf"-(?:(?:{digits}(?:\.(?:{digits})?)?|\.{digits})(?:e[-+]?{digits})?"
+            r"|inf(?:inity)?|nan)$", re.IGNORECASE)
+
     def error(self, message):
         # a usage error is malformed input: one "error:" line, exit 2
         raise ValueError(message)

@@ -36,7 +36,7 @@ from .bipartite import (
     realign,
     realign_inverse,
 )
-from .channels import COMPLETENESS_TOL, ChoiMatrix, KrausChannel, apply_extended, choi_of
+from .channels import ChoiMatrix, KrausChannel, apply_extended, choi_of
 from .diagnostics import DiagnosticsReport, full_report, is_faithful
 from .reports import Record
 
@@ -78,22 +78,7 @@ class ReconstructionResult(Record):
     noise_level: float
 
 
-def simulate_output(ch: KrausChannel, probe: DensityMatrix) -> DensityMatrix:
-    """(E kron Id)(probe); CPTP maps send states to states.
-
-    Probes built from rounded published data can carry small validation
-    slack; a CP map cannot amplify the total negativity of its input, so
-    the output is validated with the probe's own deficit added to the
-    channel's completeness slack.
-    """
-    out = apply_extended(ch, probe)
-    herm_slack = float(np.abs(probe.mat - probe.mat.conj().T).max())
-    neg_slack = float(-np.minimum(probe.eigenvalues, 0.0).sum())
-    return DensityMatrix(out.mat, out.dA, out.dB,
-                         slack=herm_slack + neg_slack + COMPLETENESS_TOL)
-
-
-def reconstruct_superop(rho_out: DensityMatrix, probe: DensityMatrix) -> np.ndarray:
+def reconstruct_superop(rho_out: BipartiteOperator, probe: DensityMatrix) -> np.ndarray:
     """E_hat = realign(rho_out) realign(probe)^-1, behind the faithfulness
     gate.
 
@@ -174,7 +159,9 @@ def run_aaqpt(ch: KrausChannel, probe: DensityMatrix, noise: float = 0.0,
     the trace distance between the true and reconstructed Choi states.
     A seed is required when noise > 0 and refused when noise == 0, since
     a noise-free run draws nothing; either mismatch is a ValueError
-    raised before anything is simulated.
+    raised before anything is simulated.  Beyond that rule the run checks
+    only the probe's faithfulness gate and the reconstructed Choi matrix's
+    noise budget; the output it inverts is a state by construction.
     """
     # a trace-1 state has Frobenius norm <= 1
     check_number("noise", noise, real=True, lo=0, hi=1)
@@ -182,11 +169,11 @@ def run_aaqpt(ch: KrausChannel, probe: DensityMatrix, noise: float = 0.0,
         check_number("seed", seed, lo=0)
     if (noise > 0) != (seed is not None):
         raise ValueError("a seed is required when noise > 0 and refused when noise == 0")
-    rho_out = simulate_output(ch, probe)
+    rho_out = apply_extended(ch, probe)
     if noise > 0:
         rng = np.random.default_rng(seed)
         perturbed = rho_out.mat + _gaussian_hermitian(rho_out.dim, noise, rng)
-        rho_out = DensityMatrix(project_psd_trace_one(perturbed), rho_out.dA, rho_out.dB)
+        rho_out = BipartiteOperator(project_psd_trace_one(perturbed), rho_out.dA, rho_out.dB)
     report = full_report(probe)
     e_hat = reconstruct_superop(rho_out, probe)
     choi_rec = superop_to_choi(e_hat, ch.d, noise_level=noise)

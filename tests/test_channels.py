@@ -59,12 +59,16 @@ class TestApplyExtended:
     def test_is_the_kraus_sum(self, data):
         # realign_inverse(E_hat realign(rho)) against the Kraus sum; most
         # draws have dA != dB, which a swap of the two dimensions would fail,
-        # and some dB = 1, where E kron Id is E on a single system
+        # and some dB = 1, where E kron Id is E on a single system.  A CPTP
+        # map sends states to states, so the output passes DensityMatrix at
+        # its strict tolerances, which is why the pipeline does not re-check it
         rho = data.draw(st.one_of(drawn_states(max_d=4), drawn_states(max_d=4, single=True)))
         ch = random_cptp(rho.dA, data.draw(st.integers(1, rho.dA**2)),
                          data.draw(st.integers(0, 2**32 - 1)))
         want = kraus_sum(ch, rho)
-        assert np.linalg.norm(apply_extended(ch, rho).mat - want) <= 1e-12 * np.linalg.norm(want)
+        out = apply_extended(ch, rho)
+        assert np.linalg.norm(out.mat - want) <= 1e-12 * np.linalg.norm(want)
+        DensityMatrix(out.mat, rho.dA, rho.dB)
 
 
 @st.composite

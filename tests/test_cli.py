@@ -181,7 +181,12 @@ class TestReconstruct:
         # the largest Kraus set the CLI accepts
         ["--probe", "isotropic", "--d", "16", "--alpha", "0.5", "--channel", "random-cptp",
          "--channel-d", "16", "--kraus", "256", "--channel-seed", "1"],
-    ], ids=["d6", "one-kraus", "d16-256-kraus"])
+        # a negative float in exponent form, given as its own word, is a value
+        ["--probe", "isotropic", "--d", "3", "--alpha", "-1e-3",
+         "--channel", "depolarizing", "--channel-d", "3", "--p", "0.3"],
+        ["--probe", "werner", "--d", "3", "--f", "-5e-1",
+         "--channel", "dephasing", "--channel-d", "3", "--p", "0.3"],
+    ], ids=["d6", "one-kraus", "d16-256-kraus", "alpha-exponent", "f-exponent"])
     def test_reconstruction_is_exact(self, tmp_path, argv):
         out = tmp_path / "r.json"
         assert main(["reconstruct", *argv, "--out", str(out)]) == 0
@@ -611,14 +616,17 @@ FLOAT_FLAGS = [
 
 @given(st.sampled_from(FLOAT_FLAGS),
        st.one_of(st.sampled_from(["nan", "inf", "-inf"]),
-                 st.floats(max_value=-1.5, allow_infinity=False).map(repr)))
-def test_bad_float_flag_is_named_by_the_library(case, value):
+                 st.floats(max_value=-1.5, allow_infinity=False).map(repr)),
+       st.booleans())
+def test_bad_float_flag_is_named_by_the_library(case, value, joined):
     # the CLI checks only sizes; the constructor refuses a non-finite or
-    # out-of-range float and names its own parameter, the flag's dest
+    # out-of-range float and names its own parameter, the flag's dest.  As
+    # its own word, a negative value such as -1e+300 or -inf is still a value
     argv, param = case
     err = io.StringIO()
+    spelled = [f"{param.flag}={value}"] if joined else [param.flag, value]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        assert main([*argv, f"{param.flag}={value}"]) == 2
+        assert main([*argv, *spelled]) == 2
     err = err.getvalue()
     assert re.match(rf"error: {param.dest}[ =]", err) and err.count("\n") == 1, err
 

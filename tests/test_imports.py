@@ -51,6 +51,13 @@ def test_tomography_loads_no_optimizer():
     assert out.strip() == "[]"
 
 
+def test_cli_loads_no_optimizer():
+    # only optimize and reproduce run the see-saw, and they import it when run
+    out = run_python("import sys, beqpt.cli; print(sorted(m for m in sys.modules "
+                     "if m in ('beqpt.acceptance', 'beqpt.seesaw')))")
+    assert out.strip() == "[]"
+
+
 def test_every_public_name_has_a_caller():
     # a use is a name or an attribute in the library or the benchmark;
     # definitions and imports are not uses, and neither are the tests, so a

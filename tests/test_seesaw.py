@@ -697,6 +697,9 @@ class TestOptimize:
         ({"d": 3, "seed": 3, "restarts": 3, "max_outer": 150}, 1),
         # a stack of one; it would converge in 29 steps
         ({"d": 4, "seed": 1, "restarts": 1, "max_outer": 20}, 1),
+        # a stack of one at d=3, run to max_outer through the same half-step
+        # kernels serial_optimize takes by hand
+        ({"d": 3, "seed": 5, "restarts": 1, "max_outer": 25}, 1),
     ])
     def test_batched_run_equals_serial_reference(self, kwargs, capped):
         cfg = SeesawConfig(**kwargs)
@@ -836,19 +839,6 @@ class TestOptimize:
         assert res.ppt_residual >= -1e-7
         assert res.psd_residual >= -1e-7
 
-    def test_best_value_consistent_with_state(self):
-        cfg = SeesawConfig(d=2, seed=2, restarts=2, max_outer=100)
-        res = optimize(cfg)
-        assert res.best_value == ccnr_value(res.best_state)
-
-    def test_runs_the_half_step_kernels(self):
-        # one restart runs as a stack of one, and must still reproduce the
-        # half-steps serial_optimize takes by hand, bit for bit
-        cfg = SeesawConfig(d=3, seed=5, restarts=1, max_outer=25)
-        got, want = optimize(cfg), serial_optimize(cfg)
-        assert got.best_state.mat.tobytes() == want.best_state.mat.tobytes()
-        assert got.to_dict() == want.to_dict()
-
     @pytest.mark.parametrize("iters, kwargs, reasons", [
         # at d=3 restart 3 caps each of its 3 projections at 4 iterations
         # and falls back once; the lead retires restarts 0 and 1 after 41 steps
@@ -910,13 +900,6 @@ class TestOptimize:
         assert a.history == b.history
         assert a.restarts == b.restarts
         assert np.array_equal(a.best_state.mat, b.best_state.mat)
-
-    def test_history_matches_objective_trace(self):
-        cfg = SeesawConfig(d=2, seed=4, restarts=1, max_outer=50)
-        res = optimize(cfg)
-        assert len(res.history) >= 1
-        assert len(res.restarts) == 1
-        assert res.restarts[0].final_value == res.history[-1]
 
     def test_config_validation(self):
         # max_outer enters the race's float arithmetic, so it stops at the

@@ -7,6 +7,7 @@ from beqpt import channels, tomography
 from beqpt.bipartite import BipartiteOperator, realign, singular_values
 from beqpt.channels import (
     ChoiMatrix,
+    apply_extended,
     choi_of,
     depolarizing,
     identity_channel,
@@ -28,7 +29,6 @@ from beqpt.tomography import (
     UnfaithfulProbe,
     reconstruct_superop,
     run_aaqpt,
-    simulate_output,
     superop_to_choi,
     trace_distance,
 )
@@ -44,22 +44,6 @@ def midranks(x):
     below = (x[None, :] < x[:, None]).sum(axis=1)
     at_most = (x[None, :] <= x[:, None]).sum(axis=1)
     return (below + at_most + 1) / 2.0
-
-
-class TestSimulateOutput:
-    def test_identity_channel(self, rng):
-        probe = random_density_matrix(3, 3, rng)
-        out = simulate_output(identity_channel(3), probe)
-        assert np.allclose(out.mat, probe.mat)
-
-    def test_max_entangled_probe_gives_choi(self):
-        ch = depolarizing(4, 0.3)
-        out = simulate_output(ch, max_entangled_state(4))
-        assert np.abs(out.mat - choi_of(ch).mat).max() <= 1e-12
-
-    def test_output_is_valid_state(self, rng):
-        out = simulate_output(random_cptp(3, 3, seed=2), random_density_matrix(3, 3, rng))
-        assert out.mat.trace().real == pytest.approx(1.0, abs=1e-10)
 
 
 class TestReconstructSuperop:
@@ -78,7 +62,7 @@ class TestReconstructSuperop:
         d = 4
         ch = depolarizing(d, 0.3)
         probe = max_entangled_state(d)
-        out = simulate_output(ch, probe)
+        out = apply_extended(ch, probe)
         e_hat = reconstruct_superop(out, probe)
         assert np.abs(e_hat - d * realign(out)).max() <= 1e-10
         choi = superop_to_choi(e_hat, d)
@@ -87,12 +71,12 @@ class TestReconstructSuperop:
     def test_bound_entangled_probe(self):
         ch = depolarizing(4, 0.3)
         probe = rho_ccnr()
-        e_hat = reconstruct_superop(simulate_output(ch, probe), probe)
+        e_hat = reconstruct_superop(apply_extended(ch, probe), probe)
         assert np.abs(e_hat - ch.superoperator).max() <= 1e-8
 
     def test_unfaithful_probe_rejected(self):
         probe = filtered_werner_closed_form(4, 0.5)
-        out = simulate_output(identity_channel(4), probe)
+        out = apply_extended(identity_channel(4), probe)
         with pytest.raises(UnfaithfulProbe) as err:
             reconstruct_superop(out, probe)
         assert err.value.sigma_min <= 1e-9 * err.value.sigma_max
@@ -291,7 +275,7 @@ class TestRunAaqpt:
             run_aaqpt(identity_channel(2), probe)
         assert not isinstance(err.value, UnfaithfulProbe)
         with pytest.raises(ValueError, match="square"):
-            reconstruct_superop(simulate_output(identity_channel(2), probe), probe)
+            reconstruct_superop(apply_extended(identity_channel(2), probe), probe)
 
     def test_unfaithful_fields_come_from_the_probe_spectrum(self):
         probe = filtered_werner_closed_form(4, 0.5)
@@ -299,7 +283,7 @@ class TestRunAaqpt:
         with pytest.raises(UnfaithfulProbe) as via_run:
             run_aaqpt(identity_channel(4), probe)
         with pytest.raises(UnfaithfulProbe) as via_superop:
-            reconstruct_superop(simulate_output(identity_channel(4), probe), probe)
+            reconstruct_superop(apply_extended(identity_channel(4), probe), probe)
         for err in (via_run.value, via_superop.value):
             assert (err.sigma_min, err.sigma_max) == (float(s[-1]), float(s[0]))
 
@@ -368,11 +352,11 @@ class TestFactorizationCount:
         assert calls["svd"] == 1
         assert calls["pinv"] == 0
         assert calls["solve"] == 1
-        # validating the output state, the probe report's PPT test, the
-        # reconstructed and the true Choi matrix, the trace distance, and
-        # with noise the projected output; the probe's own eigenvalues come
-        # from its validation
-        assert calls["eigvalsh"] == (6 if noise else 5)
+        # the probe report's PPT test, the reconstructed and the true Choi
+        # matrix, and the trace distance; the output is a state by
+        # construction, with or without noise, so nothing validates it, and
+        # the probe's own eigenvalues come from its validation
+        assert calls["eigvalsh"] == 4
 
     def test_one_svd_per_probe(self, monkeypatch):
         calls = self._count(monkeypatch)
@@ -388,12 +372,6 @@ class TestFactorizationCount:
         assert calls["svd"] == 1
         assert calls["pinv"] == 0
         assert calls["solve"] == 2
-
-    def test_simulate_output_reuses_probe_spectrum(self, monkeypatch):
-        ch, probe = depolarizing(4, 0.3), rho_ccnr()
-        calls = self._count(monkeypatch)
-        simulate_output(ch, probe)
-        assert calls["eigvalsh"] == 1  # the output's validation only
 
     def test_one_superoperator_per_run(self, monkeypatch):
         # the simulation and the true Choi state read the channel's one
@@ -412,4 +390,5 @@ class TestFactorizationCount:
         calls = self._count(monkeypatch)
         with pytest.raises(UnfaithfulProbe):
             run_aaqpt(ch, probe)
-        assert calls == {"svd": 1, "pinv": 0, "solve": 0, "eigvalsh": 2}
+        # the gate stops the run after the probe report's PPT test
+        assert calls == {"svd": 1, "pinv": 0, "solve": 0, "eigvalsh": 1}
