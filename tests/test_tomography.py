@@ -46,6 +46,23 @@ def midranks(x):
     return (below + at_most + 1) / 2.0
 
 
+class TestSimulateOutput:
+    # the output run_aaqpt forms from a channel and a probe
+    def test_identity_channel(self, rng):
+        probe = random_density_matrix(3, 3, rng)
+        out = apply_extended(identity_channel(3), probe)
+        assert np.allclose(out.mat, probe.mat)
+
+    def test_max_entangled_probe_gives_choi(self):
+        ch = depolarizing(4, 0.3)
+        out = apply_extended(ch, max_entangled_state(4))
+        assert np.abs(out.mat - choi_of(ch).mat).max() <= 1e-12
+
+    def test_output_is_valid_state(self, rng):
+        out = apply_extended(random_cptp(3, 3, seed=2), random_density_matrix(3, 3, rng))
+        assert out.mat.trace().real == pytest.approx(1.0, abs=1e-10)
+
+
 class TestReconstructSuperop:
     def test_forward_identity_holds(self, rng):
         # load-bearing identity: realign(output) = E_hat realign(probe), with
